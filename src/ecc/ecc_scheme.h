@@ -13,8 +13,7 @@
 // over megabytes of payload (that would dominate simulation time for zero
 // fidelity gain); instead the sampled raw error count of a page is split
 // across its codewords and each codeword succeeds iff its share is <= t.
-// A real SEC-DED Hamming codec (src/ecc/hamming.h) and XOR parity
-// (src/ecc/parity.h) cover the bit-exact paths where they are cheap.
+// XOR parity (src/ecc/parity.h) covers the bit-exact path where it is cheap.
 
 #ifndef SOS_SRC_ECC_ECC_SCHEME_H_
 #define SOS_SRC_ECC_ECC_SCHEME_H_

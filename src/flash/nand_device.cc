@@ -303,18 +303,15 @@ std::vector<Result<ReadResult>> NandDevice::ReadRun(uint32_t block, uint32_t sta
   return results;
 }
 
-Status NandDevice::ProgramRun(uint32_t block, std::span<const std::vector<uint8_t>> payloads,
-                              std::span<const PageOob> oobs) {
-  if (!oobs.empty() && oobs.size() != payloads.size()) {
-    return Status(StatusCode::kInvalidArgument, "oob count must match payload count");
-  }
+Status NandDevice::ProgramRun(uint32_t block, std::span<const std::span<const uint8_t>> payloads,
+                              const PageOob& first) {
   if (block >= blocks_.size()) {
     return Status(StatusCode::kInvalidArgument, "block out of range");
   }
-  for (size_t i = 0; i < payloads.size(); ++i) {
+  PageOob oob = first;
+  for (size_t i = 0; i < payloads.size(); ++i, ++oob.lba, ++oob.seq) {
     const PageAddr addr{block, blocks_[block].info.next_page};
-    const PageOob* oob = oobs.empty() ? nullptr : &oobs[i];
-    if (Status s = Program(addr, payloads[i], oob); !s.ok()) {
+    if (Status s = Program(addr, payloads[i], &oob); !s.ok()) {
       return s;  // pages programmed so far remain, as in a serial loop
     }
   }

@@ -217,11 +217,13 @@ class NandDevice {
   [[nodiscard]] std::vector<Result<ReadResult>> ReadRun(uint32_t block, uint32_t start_page,
                                                         uint32_t count, int retry_level = 0);
 
-  // Programs payloads[i] (with oobs[i], when `oobs` is non-empty) at the
-  // block's sequential program cursor. Stops at the first failure and
+  // Programs payloads[i] at the block's sequential program cursor, stamping
+  // page i with `first` advanced by i in both `lba` and `seq` -- a run of
+  // consecutive LBAs written in sequence. Stops at the first failure and
   // returns its Status; previously programmed pages of the run remain.
-  [[nodiscard]] Status ProgramRun(uint32_t block, std::span<const std::vector<uint8_t>> payloads,
-                                  std::span<const PageOob> oobs);
+  [[nodiscard]] Status ProgramRun(uint32_t block,
+                                  std::span<const std::span<const uint8_t>> payloads,
+                                  const PageOob& first);
 
   // OOB metadata of `count` consecutive pages. Like ReadOob: pure -- no
   // clock advance, no error injection, no fault-hook consultation.

@@ -217,7 +217,7 @@ std::optional<uint32_t> Ftl::AllocateBlock(Pool& pool, LifetimeHint lifetime) {
 Ftl::ActiveSlot& Ftl::SlotFor(Pool& pool, bool cold, uint32_t stream) {
   // Relocated data always takes the legacy slots: a per-stream slot for GC
   // traffic would let a nested relocation grow `active_streams` while an
-  // outer AppendPage holds a reference into it. Stream slots are for fresh
+  // outer AppendRun holds a reference into it. Stream slots are for fresh
   // host writes only.
   if (cold || stream == 0 || config_.placement_policy == PlacementPolicy::kLegacy) {
     return cold && pool.config.hot_cold_separation ? pool.active_cold : pool.active_host;
@@ -321,94 +321,142 @@ Status Ftl::WriteParityPage(uint32_t pool_id, ActiveSlot& slot) {
   return Status::Ok();
 }
 
-Result<PhysLoc> Ftl::AppendPage(uint32_t pool_id, uint64_t lba,
-                                std::span<const uint8_t> data, bool allow_gc, bool cold,
-                                bool tainted, uint32_t stream, LifetimeHint lifetime) {
+Status Ftl::CheckDirective(const WriteDirective& directive) const {
+  if (directive.pool_id >= pools_.size()) {
+    return Status(StatusCode::kInvalidArgument, "bad pool id");
+  }
+  if (directive.stream > 255) {
+    return Status(StatusCode::kInvalidArgument, "stream tag exceeds one byte");
+  }
+  return Status::Ok();
+}
+
+Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_t>> pages,
+                      const WriteDirective& where, AppendKind kind, bool tainted,
+                      uint64_t* written) {
+  *written = 0;
+  const uint32_t pool_id = where.pool_id;
+  const uint32_t stream = where.stream;
   Pool& pool = pools_[pool_id];
-  ActiveSlot& slot = SlotFor(pool, cold, stream);
+  const bool relocation = kind == AppendKind::kGcRelocation || kind == AppendKind::kWlRelocation;
+  ActiveSlot& slot = SlotFor(pool, /*cold=*/relocation || kind == AppendKind::kRefresh, stream);
   // The retry budget absorbs stripe-boundary reseals, transient program
   // faults and grown-bad-block drops; each attempt starts from a usable
-  // append point.
-  for (int attempts = 0; attempts < 5; ++attempts) {
-    if (!EnsureWritable(pool_id, slot, allow_gc, lifetime)) {
+  // append point, and every landed page refills the budget.
+  int attempts = 0;
+  while (*written < pages.size()) {
+    if (++attempts > 5) {
+      return Status(StatusCode::kOutOfSpace, "append retry budget exhausted");
+    }
+    if (!EnsureWritable(pool_id, slot, /*allow_gc=*/!relocation, where.lifetime)) {
       return Status(StatusCode::kOutOfSpace,
                     "pool '" + pool.config.name + "' has no writable blocks");
     }
     const uint32_t bid = *slot.block;
     uint32_t page = nand_.block_info(bid).next_page;
     // Flush parity pages until the cursor rests on a data slot (a stripe
-    // boundary may seal the block, hence the outer retry loop).
-    bool resealed = false;
-    Status parity_status = Status::Ok();
-    while (IsParitySlot(pool, page)) {
-      if (Status s = WriteParityPage(pool_id, slot); !s.ok()) {
-        parity_status = s;
-        break;
-      }
-      if (!slot.block.has_value()) {
-        resealed = true;
-        break;
-      }
+    // boundary may seal the block; the next attempt then opens a new one).
+    Status status = Status::Ok();
+    while (status.ok() && slot.block.has_value() && IsParitySlot(pool, page)) {
+      status = WriteParityPage(pool_id, slot);
       page = nand_.block_info(bid).next_page;
     }
-    if (!parity_status.ok()) {
-      if (parity_status.code() == StatusCode::kPowerLost) {
-        return parity_status;  // device is dark; only RecoverFromFlash helps
+    if (status.ok() && slot.block.has_value()) {
+      // The contiguous data-slot stretch from the cursor: up to the next
+      // parity slot, the end of the block or the end of the run.
+      uint32_t n = 0;
+      while (*written + n < pages.size() && page + n < PagesPerBlock(pool) &&
+             !IsParitySlot(pool, page + n)) {
+        ++n;
       }
-      if (parity_status.code() == StatusCode::kWornOut) {
-        // Parity slot refuses to program: the block is grown-bad.
-        const uint32_t bad = *slot.block;
-        if (Status s = DropBadBlock(pool_id, bad); !s.ok()) {
-          return s;
+      PageOob first;
+      first.lba = start_lba + *written;
+      first.seq = write_seq_;
+      first.pool = pool_id;
+      first.flags = tainted ? kOobFlagTainted : 0;
+      status = nand_.ProgramRun(bid, pages.subspan(*written, n), first);
+      // Pages that physically landed: the program cursor is the ground
+      // truth. A post-op power cut advances it for the torn page, which was
+      // never acknowledged -- leave that one uncommitted.
+      uint32_t landed = nand_.block_info(bid).next_page - page;
+      if (status.code() == StatusCode::kPowerLost && landed > 0) {
+        --landed;
+      }
+      for (uint32_t j = 0; j < landed; ++j, ++*written) {
+        const uint64_t lba = start_lba + *written;
+        const uint32_t pg = page + j;
+        ++write_seq_;
+        P2lRow(bid)[pg] = lba;
+        page_stream_[static_cast<size_t>(bid) * page_stride_ + pg] = static_cast<uint8_t>(stream);
+        ++block_valid_[bid];
+        ++pool.valid_pages;
+        block_last_write_[bid] = clock_->now();
+        ++pool.stats.nand_writes_;
+        if (stream != 0) {
+          ++StreamEntry(stream).nand_writes;
         }
-      }
-      continue;  // transient parity failure: retry the append
-    }
-    if (resealed) {
-      continue;  // block sealed by parity flush; pick a new one
-    }
-    PageOob oob;
-    oob.lba = lba;
-    oob.seq = write_seq_;
-    oob.pool = pool_id;
-    oob.flags = tainted ? kOobFlagTainted : 0;
-    if (Status s = nand_.Program({bid, page}, data, &oob); !s.ok()) {
-      if (s.code() == StatusCode::kPowerLost) {
-        // The page may or may not have reached the cells (torn write);
-        // volatile bookkeeping is not updated -- recovery rebuilds it.
-        return s;
-      }
-      if (s.code() == StatusCode::kWornOut) {
-        if (Status drop = DropBadBlock(pool_id, bid); !drop.ok()) {
-          return drop;
+        if (pool.config.parity_stripe > 0 && config_.nand.store_payloads) {
+          const std::span<const uint8_t> data = pages[*written];
+          for (size_t b = 0; b < data.size() && b < slot.stripe_xor.size(); ++b) {
+            slot.stripe_xor[b] = static_cast<uint8_t>(slot.stripe_xor[b] ^ data[b]);
+          }
+          ++slot.stripe_fill;
         }
+        // Commit now, before any DropBadBlock below: its rescue loop moves
+        // only pages the mapping points at. Re-look the old copy up -- GC
+        // run by EnsureWritable may have moved it.
+        if (auto old = l2p_.Find(lba); old.has_value()) {
+          InvalidateLoc(*old);
+        }
+        l2p_.Set(lba, PhysLoc{pool_id, bid, pg, tainted});
+        switch (kind) {
+          case AppendKind::kHostWrite:
+            ++pool.stats.host_writes_;
+            if (stream != 0) {
+              ++StreamEntry(stream).host_writes;
+            }
+            break;
+          case AppendKind::kMigration:
+            ++pool.stats.migrations_;
+            break;
+          case AppendKind::kRefresh:
+            ++pool.stats.refreshes_;
+            break;
+          case AppendKind::kGcRelocation:
+            ++pool.stats.gc_relocations_;
+            break;
+          case AppendKind::kWlRelocation:
+            ++pool.stats.wl_relocations_;
+            break;
+        }
+        attempts = 0;
       }
-      continue;  // transient program failure: retry on a fresh append point
-    }
-    ++write_seq_;
-    P2lRow(bid)[page] = lba;
-    page_stream_[static_cast<size_t>(bid) * page_stride_ + page] =
-        static_cast<uint8_t>(stream);
-    ++block_valid_[bid];
-    ++pool.valid_pages;
-    block_last_write_[bid] = clock_->now();
-    ++pool.stats.nand_writes_;
-    if (stream != 0) {
-      ++StreamEntry(stream).nand_writes;
-    }
-    if (pool.config.parity_stripe > 0 && config_.nand.store_payloads) {
-      for (size_t i = 0; i < data.size() && i < slot.stripe_xor.size(); ++i) {
-        slot.stripe_xor[i] = static_cast<uint8_t>(slot.stripe_xor[i] ^ data[i]);
+      if (status.code() != StatusCode::kPowerLost &&
+          nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
+        block_sealed_[bid] = 1;
+        slot.block.reset();
       }
-      ++slot.stripe_fill;
     }
-    if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
-      block_sealed_[bid] = 1;
-      slot.block.reset();
+    if (status.code() == StatusCode::kPowerLost) {
+      return status;  // device is dark; only RecoverFromFlash helps
     }
-    return PhysLoc{pool_id, bid, page, tainted};
+    if (status.code() == StatusCode::kWornOut) {
+      // The block refuses to program: it is grown-bad.
+      if (Status drop = DropBadBlock(pool_id, bid); !drop.ok()) {
+        return drop;
+      }
+    }
+    // Otherwise a transient failure, a full block or a finished stretch:
+    // retry on a fresh append point.
   }
-  return Status(StatusCode::kOutOfSpace, "append retry budget exhausted");
+  return Status::Ok();
+}
+
+Status Ftl::AppendOne(uint64_t lba, std::span<const uint8_t> data, const WriteDirective& where,
+                      AppendKind kind, bool tainted) {
+  const std::span<const uint8_t> page[] = {data};
+  uint64_t written = 0;
+  return AppendRun(lba, page, where, kind, tainted, &written);
 }
 
 void Ftl::InvalidateLoc(const PhysLoc& loc) {
@@ -429,31 +477,15 @@ void Ftl::InvalidateLoc(const PhysLoc& loc) {
 
 Status Ftl::Write(uint64_t lba, std::span<const uint8_t> data,
                   const WriteDirective& directive) {
-  if (directive.pool_id >= pools_.size()) {
-    return Status(StatusCode::kInvalidArgument, "bad pool id");
-  }
-  if (directive.stream > 255) {
-    return Status(StatusCode::kInvalidArgument, "stream tag exceeds one byte");
+  if (Status s = CheckDirective(directive); !s.ok()) {
+    return s;
   }
   if (data.size() > config_.nand.page_size_bytes) {
     return Status(StatusCode::kInvalidArgument, "payload exceeds page size");
   }
   obs::ScopedLatency timer(clock_, &write_latency_);
-  auto loc = AppendPage(directive.pool_id, lba, data, /*allow_gc=*/true, /*cold=*/false,
-                        /*tainted=*/false,  // fresh host data supersedes any corruption
-                        directive.stream, directive.lifetime);
-  if (!loc.ok()) {
-    return loc.status();
-  }
-  if (auto old = l2p_.Find(lba); old.has_value()) {
-    InvalidateLoc(*old);
-  }
-  l2p_.Set(lba, loc.value());
-  ++pools_[directive.pool_id].stats.host_writes_;
-  if (directive.stream != 0) {
-    ++StreamEntry(directive.stream).host_writes;
-  }
-  return Status::Ok();
+  // Fresh host data supersedes any corruption: never tainted.
+  return AppendOne(lba, data, directive, AppendKind::kHostWrite, /*tainted=*/false);
 }
 
 Result<FtlReadResult> Ftl::ReadInternal(uint64_t lba, bool count_stats) {
@@ -629,11 +661,8 @@ std::vector<Result<FtlReadResult>> Ftl::ReadRun(uint64_t start_lba, uint32_t cou
 Status Ftl::WriteRun(uint64_t start_lba, std::span<const std::vector<uint8_t>> pages,
                      const WriteDirective& directive, uint64_t* written) {
   *written = 0;
-  if (directive.pool_id >= pools_.size()) {
-    return Status(StatusCode::kInvalidArgument, "bad pool id");
-  }
-  if (directive.stream > 255) {
-    return Status(StatusCode::kInvalidArgument, "stream tag exceeds one byte");
+  if (Status s = CheckDirective(directive); !s.ok()) {
+    return s;
   }
   for (const std::vector<uint8_t>& page : pages) {
     if (page.size() > config_.nand.page_size_bytes) {
@@ -641,119 +670,9 @@ Status Ftl::WriteRun(uint64_t start_lba, std::span<const std::vector<uint8_t>> p
     }
   }
   obs::ScopedLatency timer(clock_, &write_latency_);
-  Pool& pool = pools_[directive.pool_id];
-  int attempts = 0;  // consecutive no-progress iterations, as AppendPage's budget
-  while (*written < pages.size()) {
-    if (++attempts > 5) {
-      return Status(StatusCode::kOutOfSpace, "append retry budget exhausted");
-    }
-    ActiveSlot& slot = SlotFor(pool, /*cold=*/false, directive.stream);
-    if (!EnsureWritable(directive.pool_id, slot, /*allow_gc=*/true, directive.lifetime)) {
-      return Status(StatusCode::kOutOfSpace,
-                    "pool '" + pool.config.name + "' has no writable blocks");
-    }
-    const uint32_t bid = *slot.block;
-    uint32_t page = nand_.block_info(bid).next_page;
-    // Flush parity pages until the cursor rests on a data slot, exactly as
-    // AppendPage does (a stripe boundary may seal the block).
-    bool resealed = false;
-    Status parity_status = Status::Ok();
-    while (IsParitySlot(pool, page)) {
-      if (Status s = WriteParityPage(directive.pool_id, slot); !s.ok()) {
-        parity_status = s;
-        break;
-      }
-      if (!slot.block.has_value()) {
-        resealed = true;
-        break;
-      }
-      page = nand_.block_info(bid).next_page;
-    }
-    if (!parity_status.ok()) {
-      if (parity_status.code() == StatusCode::kPowerLost) {
-        return parity_status;  // device is dark; only RecoverFromFlash helps
-      }
-      if (parity_status.code() == StatusCode::kWornOut) {
-        if (Status s = DropBadBlock(directive.pool_id, bid); !s.ok()) {
-          return s;
-        }
-      }
-      continue;  // transient parity failure: retry
-    }
-    if (resealed) {
-      continue;  // block sealed by the parity flush; pick a new one
-    }
-    // The contiguous data-slot stretch from the cursor: up to the next
-    // parity slot or the end of the block, one ProgramRun.
-    uint32_t n = 0;
-    while (*written + n < pages.size() && page + n < PagesPerBlock(pool) &&
-           !IsParitySlot(pool, page + n)) {
-      ++n;
-    }
-    std::vector<PageOob> oobs(n);
-    for (uint32_t j = 0; j < n; ++j) {
-      oobs[j].lba = start_lba + *written + j;
-      oobs[j].seq = write_seq_ + j;
-      oobs[j].pool = directive.pool_id;
-      oobs[j].flags = 0;  // fresh host data supersedes any corruption
-    }
-    const Status programmed = nand_.ProgramRun(bid, pages.subspan(*written, n), oobs);
-    // Pages that physically landed: the program cursor is the ground truth.
-    // A post-op power cut advances it for the torn page, which the serial
-    // path would not have acknowledged -- report that one unwritten.
-    uint32_t landed = nand_.block_info(bid).next_page - page;
-    if (!programmed.ok() && programmed.code() == StatusCode::kPowerLost && landed > 0) {
-      --landed;
-    }
-    for (uint32_t j = 0; j < landed; ++j) {
-      const uint64_t lba = start_lba + *written;
-      const uint32_t pg = page + j;
-      ++write_seq_;
-      P2lRow(bid)[pg] = lba;
-      page_stream_[static_cast<size_t>(bid) * page_stride_ + pg] =
-          static_cast<uint8_t>(directive.stream);
-      ++block_valid_[bid];
-      ++pool.valid_pages;
-      block_last_write_[bid] = clock_->now();
-      ++pool.stats.nand_writes_;
-      if (directive.stream != 0) {
-        ++StreamEntry(directive.stream).nand_writes;
-      }
-      if (pool.config.parity_stripe > 0 && config_.nand.store_payloads) {
-        const std::vector<uint8_t>& data = pages[*written];
-        for (size_t b = 0; b < data.size() && b < slot.stripe_xor.size(); ++b) {
-          slot.stripe_xor[b] = static_cast<uint8_t>(slot.stripe_xor[b] ^ data[b]);
-        }
-        ++slot.stripe_fill;
-      }
-      if (auto old = l2p_.Find(lba); old.has_value()) {
-        InvalidateLoc(*old);
-      }
-      l2p_.Set(lba, PhysLoc{directive.pool_id, bid, pg, /*tainted=*/false});
-      ++pool.stats.host_writes_;
-      if (directive.stream != 0) {
-        ++StreamEntry(directive.stream).host_writes;
-      }
-      ++*written;
-      attempts = 0;  // progress resets the retry budget
-    }
-    if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
-      block_sealed_[bid] = 1;
-      slot.block.reset();
-    }
-    if (!programmed.ok()) {
-      if (programmed.code() == StatusCode::kPowerLost) {
-        return programmed;
-      }
-      if (programmed.code() == StatusCode::kWornOut) {
-        if (Status s = DropBadBlock(directive.pool_id, bid); !s.ok()) {
-          return s;
-        }
-      }
-      continue;  // transient program failure: retry on a fresh append point
-    }
-  }
-  return Status::Ok();
+  const std::vector<std::span<const uint8_t>> views(pages.begin(), pages.end());
+  return AppendRun(start_lba, views, directive, AppendKind::kHostWrite, /*tainted=*/false,
+                   written);
 }
 
 Status Ftl::Trim(uint64_t lba) {
@@ -767,13 +686,10 @@ Status Ftl::Trim(uint64_t lba) {
 }
 
 Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
+  if (Status s = CheckDirective(directive); !s.ok()) {
+    return s;
+  }
   const uint32_t target_pool = directive.pool_id;
-  if (target_pool >= pools_.size()) {
-    return Status(StatusCode::kInvalidArgument, "bad pool id");
-  }
-  if (directive.stream > 255) {
-    return Status(StatusCode::kInvalidArgument, "stream tag exceeds one byte");
-  }
   const auto cur = l2p_.Find(lba);
   if (!cur.has_value()) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
@@ -787,18 +703,10 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   }
   const bool tainted = cur->tainted || read.value().degraded;
   const uint32_t source_pool = cur->pool;
-  auto loc = AppendPage(target_pool, lba, read.value().data, /*allow_gc=*/true,
-                        /*cold=*/false, tainted, directive.stream, directive.lifetime);
-  if (!loc.ok()) {
-    return loc.status();
+  if (Status s = AppendOne(lba, read.value().data, directive, AppendKind::kMigration, tainted);
+      !s.ok()) {
+    return s;
   }
-  // The append may have dropped a grown-bad block and moved (or lost) the old
-  // copy's mapping; re-look the entry up rather than trusting the old value.
-  if (auto moved = l2p_.Find(lba); moved.has_value()) {
-    InvalidateLoc(*moved);
-  }
-  l2p_.Set(lba, loc.value());
-  ++pools_[target_pool].stats.migrations_;
   Trace(obs::TraceEvent{clock_->now(), "ftl.migrate"}
             .WithU64("lba", lba)
             .With("from", pools_[source_pool].config.name)
@@ -822,18 +730,9 @@ Status Ftl::Refresh(uint64_t lba) {
     return read.status();
   }
   const bool tainted = cur->tainted || read.value().degraded;
-  auto loc = AppendPage(pool_id, lba, read.value().data, /*allow_gc=*/true, /*cold=*/true,
-                        tainted, stream);
-  if (!loc.ok()) {
-    return loc.status();
-  }
-  // A grown-bad-block drop inside the append may have moved the mapping.
-  if (auto moved = l2p_.Find(lba); moved.has_value()) {
-    InvalidateLoc(*moved);
-  }
-  l2p_.Set(lba, loc.value());
-  ++pools_[pool_id].stats.refreshes_;
-  return Status::Ok();
+  return AppendOne(lba, read.value().data,
+                   WriteDirective{pool_id, LifetimeHint::kUnknown, stream}, AppendKind::kRefresh,
+                   tainted);
 }
 
 uint32_t Ftl::BackgroundCollect(uint32_t max_blocks_per_pool) {
@@ -922,25 +821,8 @@ Status Ftl::RelocatePage(uint32_t pool_id, uint64_t lba, const FtlReadResult& re
       cur.has_value()
           ? page_stream_[static_cast<size_t>(cur->block) * page_stride_ + cur->page]
           : 0;
-  auto loc = AppendPage(pool_id, lba, read.data, /*allow_gc=*/false,
-                        /*cold=*/true, tainted, stream);
-  if (!loc.ok()) {
-    return loc.status();
-  }
-  // Invalidate the old copy (decrements its block's counters). Re-look the
-  // mapping up: the append may have dropped a grown-bad block and rewritten
-  // mappings.
-  if (auto moved = l2p_.Find(lba); moved.has_value()) {
-    InvalidateLoc(*moved);
-  }
-  l2p_.Set(lba, loc.value());
-  Pool& pool = pools_[pool_id];
-  if (count_as_wl) {
-    ++pool.stats.wl_relocations_;
-  } else {
-    ++pool.stats.gc_relocations_;
-  }
-  return Status::Ok();
+  return AppendOne(lba, read.data, WriteDirective{pool_id, LifetimeHint::kUnknown, stream},
+                   count_as_wl ? AppendKind::kWlRelocation : AppendKind::kGcRelocation, tainted);
 }
 
 Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_as_wl) {
@@ -953,87 +835,27 @@ Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_a
   Status status = Status::Ok();
   const uint32_t pages = PagesPerBlock(pool);
 
-  if (!config_.batched_relocation) {
-    // Interleaved read-append per page: the historical schedule every golden
-    // output was recorded against.
-    for (uint32_t p = 0; p < pages; ++p) {
-      const uint64_t lba = P2lRow(block_id)[p];
-      if (lba == kLbaInvalid || lba == kLbaParity) {
-        continue;
-      }
-      const auto cur = l2p_.Find(lba);
-      if (!cur.has_value() || cur->block != block_id || cur->pool != pool_id ||
-          cur->page != p) {
-        continue;  // stale reverse entry
-      }
-      auto read = ReadInternal(lba, /*count_stats=*/false);
-      if (!read.ok()) {
-        status = read.status();
-        break;
-      }
-      if (Status s = RelocatePage(pool_id, lba, read.value(), count_as_wl); !s.ok()) {
-        status = s;
-        break;
-      }
+  // One page at a time: read it, then re-append it before the next read.
+  for (uint32_t p = 0; p < pages; ++p) {
+    const uint64_t lba = P2lRow(block_id)[p];
+    if (lba == kLbaInvalid || lba == kLbaParity) {
+      continue;
     }
-  } else {
-    // Two-phase: batch-read every valid run of the victim first (one device
-    // call per contiguous run), then decode + re-append. Deterministic, but a
-    // different op schedule than the interleaved path -- see FtlConfig.
-    std::vector<std::pair<uint32_t, uint64_t>> items;  // (page, lba)
-    for (uint32_t p = 0; p < pages; ++p) {
-      const uint64_t lba = P2lRow(block_id)[p];
-      if (lba == kLbaInvalid || lba == kLbaParity) {
-        continue;
-      }
-      const auto cur = l2p_.Find(lba);
-      if (cur.has_value() && cur->block == block_id && cur->pool == pool_id &&
-          cur->page == p) {
-        items.emplace_back(p, lba);
-      }
+    const auto cur = l2p_.Find(lba);
+    if (!cur.has_value() || cur->block != block_id || cur->pool != pool_id ||
+        cur->page != p) {
+      continue;  // stale reverse entry
     }
-    std::vector<Result<ReadResult>> raws;
-    raws.reserve(items.size());
-    for (size_t i = 0; i < items.size();) {
-      size_t j = i + 1;
-      while (j < items.size() && items[j].first == items[j - 1].first + 1) {
-        ++j;
-      }
-      auto run = nand_.ReadRun(block_id, items[i].first, static_cast<uint32_t>(j - i));
-      for (auto& r : run) {
-        raws.push_back(std::move(r));
-      }
-      i = j;
+    auto read = ReadInternal(lba, /*count_stats=*/false);
+    if (!read.ok()) {
+      status = read.status();
+      break;
     }
-    for (size_t i = 0; i < items.size(); ++i) {
-      const auto [p, lba] = items[i];
-      // Re-validate: a grown-bad-block drop triggered by an earlier append in
-      // this batch may have moved the mapping already.
-      const auto cur = l2p_.Find(lba);
-      if (!cur.has_value() || cur->block != block_id || cur->pool != pool_id ||
-          cur->page != p) {
-        continue;
-      }
-      Result<ReadResult> raw = std::move(raws[i]);
-      if (!raw.ok() && raw.status().code() == StatusCode::kUnavailable) {
-        raw = nand_.Read({block_id, p});  // transient fault: one retry
-      }
-      if (!raw.ok()) {
-        status = raw.status();
-        break;
-      }
-      auto read = DecodeRead(*cur, std::move(raw.value()), /*count_stats=*/false);
-      if (!read.ok()) {
-        status = read.status();
-        break;
-      }
-      if (Status s = RelocatePage(pool_id, lba, read.value(), count_as_wl); !s.ok()) {
-        status = s;
-        break;
-      }
+    if (Status s = RelocatePage(pool_id, lba, read.value(), count_as_wl); !s.ok()) {
+      status = s;
+      break;
     }
   }
-
   in_relocation_ = false;
   if (!status.ok()) {
     return status;

@@ -128,15 +128,6 @@ struct FtlConfig {
   // Static WL kicks in when (max PEC - min PEC) exceeds this fraction of the
   // mode's endurance.
   double static_wl_spread = 0.10;
-  // Two-phase block evacuation: GC/WL first batch-reads every valid page of
-  // the victim (one NandDevice::ReadRun per page run), then decodes and
-  // re-appends. Fewer device calls and better locality, but a *different*
-  // (still deterministic) NAND op schedule than the interleaved
-  // read-append-read-append default: clock timestamps, and therefore
-  // retention-driven error samples, diverge from the historical goldens.
-  // Off by default so existing golden outputs stay byte-identical; flip it
-  // on for fleet-scale throughput runs (see DESIGN.md §11).
-  bool batched_relocation = false;
   // How placement directives steer the write path (see PlacementPolicy).
   // kLegacy keeps the historical schedule byte-identical.
   PlacementPolicy placement_policy = PlacementPolicy::kLegacy;
@@ -299,13 +290,13 @@ class Ftl {
 
   // Writes pages[i] at start_lba + i under `directive`, filling each
   // contiguous free data-slot stretch of the active block with one
-  // NandDevice::ProgramRun. Mappings commit page by page exactly as the
-  // serial loop would; on error `*written` tells how many leading pages
-  // were acknowledged (their mappings installed) and the status describes
-  // the first failure. After a mid-run power cut the final physically
-  // landed page is conservatively reported unacknowledged (the torn-write
-  // window): recovery may surface either version, which is the same
-  // contract the serial path gives an interrupted caller.
+  // NandDevice::ProgramRun -- the append primitive Write() runs with one
+  // page. Mappings commit page by page; on error `*written` tells how many
+  // leading pages were acknowledged (their mappings installed) and the
+  // status describes the first failure. After a mid-run power cut the final
+  // physically landed page is conservatively reported unacknowledged (the
+  // torn-write window): recovery may surface either version, which is the
+  // same contract the serial path gives an interrupted caller.
   [[nodiscard]] Status WriteRun(uint64_t start_lba, std::span<const std::vector<uint8_t>> pages,
                                 const WriteDirective& directive, uint64_t* written);
 
@@ -520,16 +511,41 @@ class Ftl {
   // nonzero stream tag gets its own per-handle slot.
   ActiveSlot& SlotFor(Pool& pool, bool cold, uint32_t stream);
 
-  // Appends one data page to the chosen active slot. Handles parity slots,
-  // retries transient program failures and drops grown-bad blocks. `tainted`
-  // is stamped into the durable OOB so recovery preserves the corruption
-  // marker; `stream`/`lifetime` feed per-handle accounting and (non-legacy
-  // policies) slot/block selection. Fails on physical exhaustion or power
-  // loss.
-  [[nodiscard]] Result<PhysLoc> AppendPage(uint32_t pool_id, uint64_t lba, std::span<const uint8_t> data,
-                             bool allow_gc, bool cold, bool tainted,
-                             uint32_t stream = 0,
-                             LifetimeHint lifetime = LifetimeHint::kUnknown);
+  // Why a page is appended. Picks the append slot (relocated and refreshed
+  // data take the cold slot), whether the append may run GC (relocations
+  // may not: they already run inside it), and the counter each committed
+  // page bumps.
+  enum class AppendKind : uint8_t {
+    kHostWrite,     // host slot, may GC, host_writes (+ per-stream)
+    kMigration,     // host slot, may GC, migrations
+    kRefresh,       // cold slot, may GC, refreshes
+    kGcRelocation,  // cold slot, no GC, gc_relocations
+    kWlRelocation,  // cold slot, no GC, wl_relocations
+  };
+
+  // The one append primitive: writes pages[i] as `start_lba + i` into
+  // `where.pool_id`, one NandDevice::ProgramRun per contiguous data-slot
+  // stretch of the active block (a single page is a run of one). Flushes
+  // parity slots, drops grown-bad blocks, and gives up after 5 consecutive
+  // attempts without progress. Each page that lands is committed at once
+  // (old copy invalidated, mapping installed) -- always before a bad-block
+  // drop in the same call, whose rescue loop moves only mapped pages.
+  // `tainted` is stamped into the durable OOB so recovery preserves the
+  // corruption marker; `where.stream`/`lifetime` feed per-handle accounting
+  // and (non-legacy policies) slot/block selection. `*written` counts the
+  // committed leading pages; after a post-op power cut the torn page is not
+  // among them.
+  [[nodiscard]] Status AppendRun(uint64_t start_lba,
+                                 std::span<const std::span<const uint8_t>> pages,
+                                 const WriteDirective& where, AppendKind kind, bool tainted,
+                                 uint64_t* written);
+
+  // AppendRun of the single page `data` at `lba`.
+  [[nodiscard]] Status AppendOne(uint64_t lba, std::span<const uint8_t> data,
+                                 const WriteDirective& where, AppendKind kind, bool tainted);
+
+  // Rejects directives naming no pool or a stream tag wider than a byte.
+  [[nodiscard]] Status CheckDirective(const WriteDirective& directive) const;
 
   // Writes the parity page for the slot's open stripe. Called when the
   // append cursor reaches a parity slot.
@@ -567,14 +583,14 @@ class Ftl {
   [[nodiscard]] Result<FtlReadResult> ReadInternal(uint64_t lba, bool count_stats);
 
   // Everything downstream of the initial NAND read: ECC decode, read-retry,
-  // parity rescue, fidelity policy. Split out so the batched relocation path
-  // can feed it raw results from a ReadRun.
+  // parity rescue, fidelity policy. Split out so ReadRun can feed it raw
+  // results from a NandDevice::ReadRun.
   [[nodiscard]] Result<FtlReadResult> DecodeRead(const PhysLoc& loc, ReadResult raw,
                                                  bool count_stats);
 
   // One item of relocation work: re-appends `lba` (read as `read`) into
-  // `pool_id` and reinstalls the mapping. Shared by the serial and batched
-  // evacuation paths and by DropBadBlock's rescue loop.
+  // `pool_id` and reinstalls the mapping. Shared by the evacuation loop and
+  // by DropBadBlock's rescue loop.
   [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba,
                                     const FtlReadResult& read, bool count_as_wl);
 

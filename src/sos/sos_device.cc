@@ -13,7 +13,6 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   FtlConfig ftl;
   ftl.nand = config.nand;
   ftl.gc_policy = config.gc_policy;
-  ftl.batched_relocation = config.batched_relocation;
   ftl.placement_policy = config.placement_policy;
 
   FtlPoolConfig sys;

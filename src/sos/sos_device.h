@@ -45,9 +45,6 @@ struct SosDeviceConfig {
   double spare_retire_rber = 2e-3;
   GcPolicy gc_policy = GcPolicy::kGreedy;
   double op_fraction = 0.07;
-  // Two-phase (batch-read, then re-append) block evacuation; see
-  // FtlConfig::batched_relocation. Off by default to keep goldens.
-  bool batched_relocation = false;
   // How the FTL consumes placement directives (per-handle append points,
   // lifetime-aware allocation). kLegacy keeps the historical write schedule
   // byte-identical; see PlacementPolicy in src/ftl/ftl.h.

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/ecc/bch.h"
+#include "tests/oracle/bch.h"
 #include "src/ecc/ecc_scheme.h"
 
 namespace sos {

@@ -254,18 +254,16 @@ TEST(DeterminismTest, GoldenSummariesForFixedSeeds) {
   }
 }
 
-// The opt-in hot-path variants (batched GC relocation, memoized RBER) ride
-// the same schedule-invariance contract as the default path. Flipping them
-// produces a *different* deterministic stream -- that is documented and why
-// they default off -- but serial rerun and the parallel driver must still
-// agree with the first serial run bit-for-bit.
-TEST(DeterminismTest, BatchedRelocationAndRberMemoAreScheduleInvariant) {
+// The opt-in memoized RBER rides the same schedule-invariance contract as the
+// default path. Flipping it produces a *different* deterministic stream --
+// that is documented and why it defaults off -- but serial rerun and the
+// parallel driver must still agree with the first serial run bit-for-bit.
+TEST(DeterminismTest, RberMemoIsScheduleInvariant) {
   std::vector<LifetimeSimConfig> configs;
   for (const uint64_t seed : {uint64_t{5}, uint64_t{21}}) {
     // Default 60-day horizon: long enough that GC actually relocates pages
     // (the vacuity check below), unlike a 30-day run.
     LifetimeSimConfig config = QuickConfig(DeviceKind::kSos, seed);
-    config.sos.batched_relocation = true;
     config.nand.rber_memo = true;
     configs.push_back(config);
   }
@@ -274,7 +272,8 @@ TEST(DeterminismTest, BatchedRelocationAndRberMemoAreScheduleInvariant) {
   for (const LifetimeSimConfig& config : configs) {
     serial.push_back(RunSerial(config));
   }
-  // The batched path must actually have run, or this test is vacuous.
+  // GC must actually have relocated pages (memoized reads feed every
+  // relocation's decode), or this test is vacuous.
   EXPECT_GT(serial[0].ftl().gc_relocations() + serial[0].ftl().wl_relocations(), 0u);
 
   for (size_t i = 0; i < configs.size(); ++i) {

@@ -1,13 +1,12 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
-// Tests for the ECC layer: capability-model math, page decode, the bit-exact
-// Hamming(72,64) codec, XOR parity, and CRC32.
+// Tests for the ECC layer: capability-model math, page decode, XOR parity,
+// and CRC32.
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/ecc/ecc_scheme.h"
-#include "src/ecc/hamming.h"
 #include "src/ecc/parity.h"
 
 namespace sos {
@@ -127,62 +126,6 @@ TEST(DecodePageTest, DeterministicPerSeed) {
   EXPECT_EQ(a.corrected, b.corrected);
   EXPECT_EQ(a.residual_errors, b.residual_errors);
   EXPECT_EQ(a.failed_codewords, b.failed_codewords);
-}
-
-// --- Hamming(72,64) --------------------------------------------------------
-
-TEST(HammingTest, CleanRoundtrip) {
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const uint64_t data = rng.NextU64();
-    HammingCodeword cw = HammingEncode(data);
-    EXPECT_EQ(HammingDecode(cw), HammingResult::kClean);
-    EXPECT_EQ(cw.data, data);
-  }
-}
-
-TEST(HammingTest, CorrectsEverySingleDataBit) {
-  Rng rng(6);
-  const uint64_t data = rng.NextU64();
-  for (int bit = 0; bit < 64; ++bit) {
-    HammingCodeword cw = HammingEncode(data);
-    cw.data ^= (1ull << bit);
-    EXPECT_EQ(HammingDecode(cw), HammingResult::kCorrected) << "data bit " << bit;
-    EXPECT_EQ(cw.data, data) << "data bit " << bit;
-  }
-}
-
-TEST(HammingTest, CorrectsEverySingleCheckBit) {
-  Rng rng(7);
-  const uint64_t data = rng.NextU64();
-  for (int bit = 0; bit < 8; ++bit) {
-    HammingCodeword cw = HammingEncode(data);
-    cw.check = static_cast<uint8_t>(cw.check ^ (1u << bit));
-    EXPECT_EQ(HammingDecode(cw), HammingResult::kCorrected) << "check bit " << bit;
-    EXPECT_EQ(cw.data, data) << "check bit " << bit;
-  }
-}
-
-TEST(HammingTest, DetectsDoubleErrors) {
-  Rng rng(8);
-  int detected = 0;
-  const int trials = 500;
-  for (int i = 0; i < trials; ++i) {
-    const uint64_t data = rng.NextU64();
-    HammingCodeword cw = HammingEncode(data);
-    const int b1 = static_cast<int>(rng.NextBounded(64));
-    int b2 = static_cast<int>(rng.NextBounded(64));
-    while (b2 == b1) {
-      b2 = static_cast<int>(rng.NextBounded(64));
-    }
-    cw.data ^= (1ull << b1);
-    cw.data ^= (1ull << b2);
-    if (HammingDecode(cw) == HammingResult::kDetectedOnly) {
-      ++detected;
-    }
-  }
-  // SEC-DED guarantees detection of all double errors.
-  EXPECT_EQ(detected, trials);
 }
 
 // --- Parity ----------------------------------------------------------------

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/bench_util.h"
+#include "src/common/flag_set.h"
 
 namespace sos {
 namespace {

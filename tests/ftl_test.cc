@@ -3,9 +3,13 @@
 // Tests for the FTL: mapping, GC, write amplification, wear leveling on/off,
 // parity rescue, retirement/capacity variance, resuscitation, migration.
 
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/flash/fault_hook.h"
 #include "src/ftl/ftl.h"
 
 namespace sos {
@@ -612,6 +616,165 @@ TEST(FtlTest, DeterministicAcrossRuns) {
     return std::make_tuple(checksum, ftl.stats().nand_writes(), ftl.stats().gc_erases());
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- WriteRun: the batched face of the one append primitive ---------------
+
+// A 16-block PLC die: 20 pages per block, a parity slot every 4th page, so
+// 15 data pages per block. A 40-page run crosses stripes and blocks.
+constexpr uint64_t kRunPages = 40;
+
+FtlConfig StripedPool() {
+  FtlConfig config = SinglePool();
+  config.pools[0].parity_stripe = 4;
+  return config;
+}
+
+std::vector<std::vector<uint8_t>> RunPages(uint8_t base) {
+  std::vector<std::vector<uint8_t>> pages;
+  for (uint64_t i = 0; i < kRunPages; ++i) {
+    pages.push_back(Page(static_cast<uint8_t>(base + i)));
+  }
+  return pages;
+}
+
+// Fires `action` on the `fire_at`-th program op (1-based). A failing action
+// leaves that block stuck: every later program on it fails the same way.
+class ProgramFault : public NandFaultHook {
+ public:
+  ProgramFault(NandFaultAction action, uint64_t fire_at) : action_(action), fire_at_(fire_at) {}
+
+  NandFaultAction OnNandOp(NandOpKind op, uint32_t block, uint32_t /*page*/) override {
+    if (op != NandOpKind::kProgram) {
+      return NandFaultAction::None();
+    }
+    if (stuck_.has_value() && *stuck_ == block) {
+      return action_;
+    }
+    if (++programs_ != fire_at_) {
+      return NandFaultAction::None();
+    }
+    if (action_.kind == NandFaultAction::Kind::kFail) {
+      stuck_ = block;
+    }
+    return action_;
+  }
+
+ private:
+  NandFaultAction action_;
+  uint64_t fire_at_;
+  uint64_t programs_ = 0;
+  std::optional<uint32_t> stuck_;
+};
+
+TEST(FtlWriteRunTest, MatchesSerialWritesAcrossStripesAndBlocks) {
+  const auto old_pages = RunPages(0x80);
+  const auto new_pages = RunPages(1);
+  SimClock serial_clock;
+  SimClock run_clock;
+  Ftl serial(StripedPool(), &serial_clock);
+  Ftl run(StripedPool(), &run_clock);
+  // Identical history first: the run then starts mid-stripe and overwrites.
+  for (Ftl* ftl : {&serial, &run}) {
+    for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+      ASSERT_TRUE(ftl->Write(lba, old_pages[lba], 0).ok());
+    }
+  }
+  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+    ASSERT_TRUE(serial.Write(lba, new_pages[lba], 0).ok());
+  }
+  uint64_t written = 0;
+  ASSERT_TRUE(run.WriteRun(0, new_pages, WriteDirective{}, &written).ok());
+  EXPECT_EQ(written, kRunPages);
+
+  EXPECT_EQ(run_clock.now(), serial_clock.now());
+  EXPECT_EQ(run.stats(), serial.stats());
+  EXPECT_GT(run.stats().parity_writes(), 0u);
+  const NandStats& a = run.nand().stats();
+  const NandStats& b = serial.nand().stats();
+  EXPECT_EQ(a.programs, b.programs);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.erases, b.erases);
+  EXPECT_EQ(a.busy_us, b.busy_us);
+  // Same physical layout: every programmed page carries the same OOB
+  // (LBA, write sequence, pool, flags) on both dies.
+  for (uint32_t block = 0; block < run.nand().config().num_blocks; ++block) {
+    const uint32_t programmed = run.nand().block_info(block).next_page;
+    ASSERT_EQ(programmed, serial.nand().block_info(block).next_page);
+    for (uint32_t page = 0; page < programmed; ++page) {
+      auto run_oob = run.nand().ReadOob({block, page});
+      auto serial_oob = serial.nand().ReadOob({block, page});
+      ASSERT_TRUE(run_oob.ok() && serial_oob.ok());
+      EXPECT_EQ(run_oob.value(), serial_oob.value()) << "block " << block << " page " << page;
+    }
+  }
+  EXPECT_EQ(run.LbasInPool(0), serial.LbasInPool(0));
+  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+    auto read = run.Read(lba);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read.value().data, new_pages[lba]) << "lba " << lba;
+  }
+  EXPECT_TRUE(run.CheckInvariants().ok());
+}
+
+TEST(FtlWriteRunTest, GrownBadBlockMidRunKeepsAcknowledgedPages) {
+  const auto pages = RunPages(1);
+  SimClock clock;
+  Ftl ftl(StripedPool(), &clock);
+  // Program op 6 is data page 5 of the first block (page 3 is parity): four
+  // data pages have landed and been committed when the block goes bad.
+  ProgramFault fault(NandFaultAction::Fail(StatusCode::kWornOut, "stuck block"), 6);
+  ftl.nand().SetFaultHook(&fault);
+  uint64_t written = 0;
+  const Status status = ftl.WriteRun(0, pages, WriteDirective{}, &written);
+  ftl.nand().SetFaultHook(nullptr);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(written, kRunPages);
+  EXPECT_EQ(ftl.stats().grown_bad_blocks(), 1u);
+  // The drop rescued exactly the four pages committed before the fault.
+  EXPECT_EQ(ftl.stats().gc_relocations(), 4u);
+  EXPECT_EQ(ftl.stats().lost_pages(), 0u);
+  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+    auto read = ftl.Read(lba);
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    EXPECT_EQ(read.value().data, pages[lba]) << "lba " << lba;
+  }
+  EXPECT_TRUE(ftl.CheckInvariants().ok());
+}
+
+TEST(FtlWriteRunTest, PowerCutMidRunReportsTheTornPageUnwritten) {
+  const auto old_pages = RunPages(0x80);
+  const auto new_pages = RunPages(1);
+  SimClock clock;
+  Ftl ftl(StripedPool(), &clock);
+  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+    ASSERT_TRUE(ftl.Write(lba, old_pages[lba], 0).ok());
+  }
+  // The prefill leaves the host cursor on page 13 of its third block (ten
+  // data pages plus three parity pages). Program ops 1-2 land data pages
+  // 13-14, op 3 fills the parity slot at 15, op 4 lands page 16, and op 5
+  // programs page 17 -- the run's fourth page -- as power dies.
+  ProgramFault cut(NandFaultAction::PowerCut(/*after_op=*/true, "power cut"), 5);
+  ftl.nand().SetFaultHook(&cut);
+  uint64_t written = 0;
+  const Status status = ftl.WriteRun(0, new_pages, WriteDirective{}, &written);
+  ftl.nand().SetFaultHook(nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kPowerLost);
+  ASSERT_EQ(written, 3u);  // the torn fourth page is not acknowledged
+
+  ASSERT_TRUE(ftl.RecoverFromFlash().ok());
+  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+    auto read = ftl.Read(lba);
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    const std::vector<uint8_t>& data = read.value().data;
+    if (lba < written) {
+      EXPECT_EQ(data, new_pages[lba]) << "acknowledged lba " << lba;
+    } else if (lba == written) {
+      EXPECT_TRUE(data == old_pages[lba] || data == new_pages[lba]) << "torn lba " << lba;
+    } else {
+      EXPECT_EQ(data, old_pages[lba]) << "unwritten lba " << lba;
+    }
+  }
 }
 
 }  // namespace

@@ -12,8 +12,7 @@
 //      window) fall back to the exact model *bitwise*.
 //   3. memo OFF (the default): pure passthrough, bitwise equal to
 //      ComputeRber -- this is what keeps every golden byte-identical.
-//   4. the config switches default off (NandConfig::rber_memo,
-//      FtlConfig/SosDeviceConfig::batched_relocation).
+//   4. the memo switch defaults off (NandConfig::rber_memo).
 
 #include <cmath>
 #include <cstdint>
@@ -25,8 +24,6 @@
 #include "src/flash/nand_device.h"
 #include "src/flash/rber_cache.h"
 #include "src/flash/voltage_model.h"
-#include "src/ftl/ftl.h"
-#include "src/sos/sos_device.h"
 
 namespace sos {
 namespace {
@@ -151,8 +148,6 @@ TEST(RberMemoTest, HotPathSwitchesDefaultOff) {
   // their defaults are load-bearing. Flipping one is a deliberate,
   // golden-regenerating decision -- never a drive-by.
   EXPECT_FALSE(NandConfig{}.rber_memo);
-  EXPECT_FALSE(FtlConfig{}.batched_relocation);
-  EXPECT_FALSE(SosDeviceConfig{}.batched_relocation);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 //             [--golden=tests/golden/BENCH_micro_checksums.json]
 //             [--update-golden=1]
 //
-// Runs every inner-loop microbench (tools/perfcheck/microbench.h), writes
-// BENCH_micro.json {ops, ns/op, ops/s, workload checksum} plus the
-// baseline-vs-optimized speedup ratios, and exits non-zero when
+// Runs every inner-loop microbench (tools/perfcheck/microbench.h): L2P
+// lookup/update, RBER exact vs memoized, ECC decode, bit-flip application,
+// serial vs batched NAND reads, GC churn through the FTL's one relocation
+// loop, and end-to-end lifetime ops. Writes BENCH_micro.json {ops, ns/op,
+// ops/s, workload checksum} plus the baseline-vs-optimized speedup ratios,
+// and exits non-zero when
 //   - any workload checksum differs from the committed golden (simulated
 //     behaviour drifted), or
 //   - an implementation pair (flat L2P vs reference map, batched vs serial

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -265,7 +266,8 @@ uint64_t NandReadWorkload(bool batched, uint64_t* ops) {
     oobs[p].seq = p;
   }
   if (batched) {
-    if (Status s = dev.ProgramRun(0, payloads, oobs); !s.ok()) {
+    const std::vector<std::span<const uint8_t>> views(payloads.begin(), payloads.end());
+    if (Status s = dev.ProgramRun(0, views, oobs[0]); !s.ok()) {
       return DeriveSeed({0xbadull, static_cast<uint64_t>(s.code())});
     }
   } else {
@@ -295,12 +297,10 @@ uint64_t NandReadWorkload(bool batched, uint64_t* ops) {
 
 // ---------------------------------------------------------------------------
 // GC churn: a small single-pool FTL driven to steady-state garbage
-// collection by uniform overwrites at 75% utilization. The batched variant
-// runs the two-phase evacuation schedule, which is deterministic but
-// intentionally different from the serial one -- it gets its own golden.
+// collection by uniform overwrites at 75% utilization.
 // ---------------------------------------------------------------------------
 
-uint64_t GcChurnWorkload(bool batched, uint64_t* ops) {
+uint64_t GcChurnWorkload(uint64_t* ops) {
   SimClock clock;
   FtlConfig cfg;
   cfg.nand.num_blocks = 48;
@@ -309,7 +309,6 @@ uint64_t GcChurnWorkload(bool batched, uint64_t* ops) {
   cfg.nand.tech = CellTech::kTlc;
   cfg.nand.seed = 7;
   cfg.nand.store_payloads = false;
-  cfg.batched_relocation = batched;
   FtlPoolConfig pool;
   pool.name = "MAIN";
   pool.mode = CellTech::kTlc;
@@ -322,7 +321,7 @@ uint64_t GcChurnWorkload(bool batched, uint64_t* ops) {
   Ftl ftl(cfg, &clock);
   const uint64_t lbas = ftl.ExportedPages() * 3 / 4;
   const uint64_t writes = lbas * 6;
-  uint64_t acc = DeriveSeed({0x47435052ull, batched ? 1u : 0u});
+  uint64_t acc = DeriveSeed({0x47435052ull, 0u});  // 0u keeps the pinned golden
   Rng rng(DeriveSeed({0x47435053ull}));
   for (uint64_t i = 0; i < writes; ++i) {
     const uint64_t lba = rng.NextBounded(lbas);
@@ -437,10 +436,7 @@ std::vector<MicroBench> AllBenches() {
       Repeated("nand_read_serial", [](uint64_t* ops) { return NandReadWorkload(false, ops); }));
   benches.push_back(
       Repeated("nand_read_batched", [](uint64_t* ops) { return NandReadWorkload(true, ops); }));
-  benches.push_back(
-      Repeated("gc_churn", [](uint64_t* ops) { return GcChurnWorkload(false, ops); }));
-  benches.push_back(
-      Repeated("gc_churn_batched", [](uint64_t* ops) { return GcChurnWorkload(true, ops); }));
+  benches.push_back(Repeated("gc_churn", [](uint64_t* ops) { return GcChurnWorkload(ops); }));
   benches.push_back(Repeated("lifetime_ops", [](uint64_t* ops) { return LifetimeWorkload(ops); }));
   // Appended after the PR-9 fleet work; keep new benches below this line so
   // the golden entries above never reorder.

@@ -23,7 +23,7 @@
 #include <cstring>
 #include <string>
 
-#include "bench/bench_util.h"
+#include "src/common/flag_set.h"
 #include "src/common/sim_clock.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
