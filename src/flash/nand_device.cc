@@ -10,7 +10,7 @@
 namespace sos {
 
 NandDevice::NandDevice(const NandConfig& config, SimClock* clock)
-    : config_(config), clock_(clock), rber_cache_(config.error_model, config.rber_memo) {
+    : config_(config), clock_(clock) {
   assert(clock != nullptr);
   assert(config_.num_blocks > 0 && config_.wordlines_per_block > 0 && config_.page_size_bytes > 0);
   blocks_.resize(config_.num_blocks);
@@ -207,7 +207,7 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
       DeriveSeed({config_.seed, addr.block, addr.page, page.pec_at_program, page.reads,
                   static_cast<uint64_t>(retry_level)});
   ReadResult result;
-  result.rber = rber_cache_.Rber(state, retry_level);
+  result.rber = ComputeRber(config_.error_model, state, retry_level);
   result.bit_errors =
       result.rber <= 0.0 ? 0 : Rng(stream_seed).NextBinomial(bits, result.rber);
   if (config_.store_payloads) {
@@ -287,7 +287,7 @@ Result<double> NandDevice::PredictRber(PageAddr addr, double ahead_years) const 
   }
   PageErrorState state = ErrorStateFor(blk, page);
   state.retention_years += std::max(ahead_years, 0.0);
-  return rber_cache_.Rber(state, 0);
+  return ComputeRber(config_.error_model, state, 0);
 }
 
 std::vector<Result<ReadResult>> NandDevice::ReadRun(uint32_t block, uint32_t start_page,

@@ -14,8 +14,10 @@
 //   - a programmed page cannot be reprogrammed before a block erase,
 //   - the programming mode of a block can only change while it is erased.
 //
-// Reads inject bit errors according to ErrorModel, driven by the block's
-// wear, the page's retention age and its accumulated read disturb. When
+// Reads inject bit errors at the RBER of the configured error model, driven
+// by the block's wear, the page's retention age and its accumulated read
+// disturb. Every read and every PredictRber evaluates ComputeRber exactly;
+// there is no approximate fast path, so a die's RBER is the model's. When
 // `store_payloads` is on the device keeps the actual bytes and corrupts a
 // copy on every read (end-to-end observable degradation); when off it tracks
 // metadata only and reports sampled error counts, letting multi-year
@@ -38,7 +40,6 @@
 #include "src/flash/cell_tech.h"
 #include "src/flash/error_model.h"
 #include "src/flash/fault_hook.h"
-#include "src/flash/rber_cache.h"
 #include "src/flash/voltage_model.h"
 #include "src/obs/metrics.h"
 
@@ -59,11 +60,6 @@ struct NandConfig {
   // advances the clock to batch completion itself. Latencies are still
   // reported in each result / via CellTechInfo.
   bool advance_clock = true;
-  // Memoize RBER evaluation through RberCache (lookup tables instead of
-  // libm pow/erfc per read). OFF by default: the memoized value differs
-  // from the exact model by up to RberCache::kRelErrorBound, which would
-  // drift the goldens. Flip on for fleet-scale throughput runs.
-  bool rber_memo = false;
   // Pre-aging: every block starts life with this many program/erase cycles
   // already on the odometer. The fleet simulator uses it to model devices
   // entering the population mid-life (archetype "initial age"); 0 keeps the
@@ -288,9 +284,6 @@ class NandDevice {
   NandConfig config_;
   SimClock* clock_;
   std::vector<Block> blocks_;
-  // Memoized (or, by default, passthrough-exact) RBER evaluation; its
-  // internal tables are mutable so const prediction paths share them.
-  RberCache rber_cache_;
   NandStats stats_;
   bool powered_ = true;
   NandFaultHook* fault_hook_ = nullptr;

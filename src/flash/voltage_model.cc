@@ -112,11 +112,6 @@ double VoltageModel::RetryTracking(int retry_level) {
   }
 }
 
-double VoltageModel::RberPhysics(CellTech mode, double sigma, double drift,
-                                 double tracking, double disturb_up) {
-  return RberFromPhysics(ParamsFor(mode), sigma, drift, tracking, disturb_up);
-}
-
 double VoltageModel::RberAt(const PageErrorState& state, int retry_level) {
   const VoltageModelParams& params = ParamsFor(state.mode);
   const double endurance = std::max(state.endurance_pec, 1.0);

@@ -57,14 +57,6 @@ class VoltageModel {
 
   // The drift-tracking fraction applied at a retry level (exposed for tests).
   static double RetryTracking(int retry_level);
-
-  // Core physics evaluation at explicit (sigma, drift, disturb) operating
-  // point, bypassing the per-state parameter derivation. Exposed so the
-  // memoization tables in src/flash/rber_cache.cc are built by *this* TU's
-  // arithmetic (identical floating-point contraction) rather than a
-  // re-implementation, and for model validation tests.
-  static double RberPhysics(CellTech mode, double sigma, double drift, double tracking,
-                            double disturb_up);
 };
 
 // Which RBER source a simulated die uses.

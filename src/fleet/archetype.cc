@@ -190,8 +190,6 @@ DeviceDraw DrawDevice(const MixSpec& mix, uint64_t fleet_seed, uint64_t index) {
   config.nand.page_size_bytes = 4 * kKiB;
   config.nand.store_payloads = false;
   config.nand.initial_pec = SampleRangeU32(rng, p.initial_pec_lo, p.initial_pec_hi);
-  // Throughput knob DESIGN.md §11 reserves for fleet-scale sweeps.
-  config.nand.rber_memo = true;
 
   config.workload.photos_per_day = SampleRange(rng, p.photos_lo, p.photos_hi);
   config.workload.videos_per_week = SampleRange(rng, p.videos_week_lo, p.videos_week_hi);

@@ -77,9 +77,9 @@ struct DeviceDraw {
 
 // Samples device `index` of the population defined by (`mix`, `fleet_seed`).
 // Pure function of its arguments; see the file comment for why that matters.
-// The returned config has the fleet throughput knobs pre-set (memoized RBER,
-// no payloads, no trace retention, no per-device metric rows) -- a fleet of
-// a million devices keeps only scalar outcomes.
+// The returned config has the fleet throughput knobs pre-set (no payloads,
+// no trace retention, no per-device metric rows) -- a fleet of a million
+// devices keeps only scalar outcomes.
 DeviceDraw DrawDevice(const MixSpec& mix, uint64_t fleet_seed, uint64_t index);
 
 }  // namespace sos::fleet

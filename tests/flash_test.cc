@@ -3,11 +3,16 @@
 // Unit and property tests for the flash substrate: technology catalog,
 // error model, and the NAND device simulator.
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/flash/cell_tech.h"
 #include "src/flash/error_model.h"
 #include "src/flash/nand_device.h"
+#include "src/flash/voltage_model.h"
 
 namespace sos {
 namespace {
@@ -426,6 +431,77 @@ TEST(NandDeviceTest, WearMetrics) {
   EXPECT_NEAR(device.MaxWearRatio(), 30.0 / 300.0, 1e-9);
   EXPECT_NEAR(device.MeanPec(), 30.0 / 8.0, 1e-9);
 }
+
+// --- Device-level RBER contract ---------------------------------------------
+//
+// Every read and every PredictRber evaluates ComputeRber for the configured
+// model on exactly the PageErrorState the device's bookkeeping implies: the
+// block's mode, its endurance including the pseudo-mode bonus, the P/E count
+// at program time, the retention age and the reads since program. Compared
+// bit for bit, so an approximate fast path or a drift in how the device
+// derives the state fails here.
+
+class NandRberContractTest : public ::testing::TestWithParam<ErrorModelKind> {};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST_P(NandRberContractTest, ReadAndPredictEqualComputeRber) {
+  const ErrorModelKind kind = GetParam();
+  SimClock clock;
+  NandConfig config = SmallConfig();
+  config.error_model = kind;
+  config.initial_pec = 120;  // worn enough that the wear term matters
+  NandDevice device(config, &clock);
+  // Block 1 runs pseudo-QLC on the PLC die, so its endurance carries the bonus.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(device.EraseBlock(1).ok());
+  }
+  ASSERT_TRUE(device.SetBlockMode(1, CellTech::kQlc).ok());
+
+  for (const uint32_t block : {0u, 1u}) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    const PageAddr addr{block, 0};
+    const CellTech mode = device.block_info(block).mode;
+    PageErrorState expected;
+    expected.mode = mode;
+    expected.endurance_pec = static_cast<double>(GetCellTechInfo(mode).rated_endurance_pec) *
+                             PseudoModeEnduranceBonus(config.tech, mode);
+    expected.pec_at_program = device.block_info(block).pec;
+    EXPECT_EQ(Bits(device.EffectiveEndurance(block)), Bits(expected.endurance_pec));
+
+    const SimTimeUs programmed_at = clock.now();
+    ASSERT_TRUE(device.Program(addr, Payload(512, 0x5A)).ok());
+    clock.Advance(YearsToUs(1.5));
+
+    // Each read counts itself as disturb and sees the age at its start.
+    for (const int retry : {0, 2}) {
+      expected.retention_years = UsToYears(clock.now() - programmed_at);
+      ++expected.reads_since_program;
+      auto read = device.Read(addr, retry);
+      ASSERT_TRUE(read.ok());
+      EXPECT_EQ(Bits(read.value().rber), Bits(ComputeRber(kind, expected, retry)))
+          << "retry " << retry;
+    }
+
+    const double ahead = 0.75;
+    PageErrorState predicted = expected;
+    predicted.retention_years = UsToYears(clock.now() - programmed_at) + ahead;
+    auto prediction = device.PredictRber(addr, ahead);
+    ASSERT_TRUE(prediction.ok());
+    EXPECT_EQ(Bits(prediction.value()), Bits(ComputeRber(kind, predicted, 0)));
+  }
+  // Non-vacuity: the pseudo-mode block really carried a bonus.
+  EXPECT_GT(device.EffectiveEndurance(1), device.EffectiveEndurance(0));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModels, NandRberContractTest,
+                         ::testing::Values(ErrorModelKind::kPhenomenological,
+                                           ErrorModelKind::kVoltage),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param == ErrorModelKind::kVoltage
+                                                  ? "Voltage"
+                                                  : "Phenomenological");
+                         });
 
 }  // namespace
 }  // namespace sos

@@ -7,11 +7,13 @@
 //             [--update-golden=1]
 //
 // Runs every inner-loop microbench (tools/perfcheck/microbench.h): L2P
-// lookup/update, RBER exact vs memoized, ECC decode, bit-flip application,
-// serial vs batched NAND reads, GC churn through the FTL's one relocation
-// loop, and end-to-end lifetime ops. Writes BENCH_micro.json {ops, ns/op,
-// ops/s, workload checksum} plus the baseline-vs-optimized speedup ratios,
-// and exits non-zero when
+// lookup/update, phenomenological and voltage-model RBER evaluation, ECC
+// decode, bit-flip application, serial vs batched NAND reads, GC churn
+// through the FTL's one relocation loop, and end-to-end lifetime ops. Each
+// of the --time-reps repetitions is timed on its own; BENCH_micro.json
+// carries per bench {ops per rep, min / median / MAD of ns/op over the reps,
+// ops/s at the median, workload checksum} plus the flat-vs-map L2P speedup
+// ratio, and perfcheck exits non-zero when
 //   - any workload checksum differs from the committed golden (simulated
 //     behaviour drifted), or
 //   - an implementation pair (flat L2P vs reference map, batched vs serial
@@ -19,6 +21,8 @@
 // Timing numbers are reported, never gated. CI runs this as a ctest and
 // uploads BENCH_micro.json as an artifact; see DESIGN.md §11.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -34,17 +38,38 @@
 namespace sos::perfcheck {
 namespace {
 
+double Median(std::vector<double> values) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
+}
+
 struct BenchRow {
   std::string name;
   uint64_t checksum = 0;
-  uint64_t ops = 0;
-  double seconds = 0.0;
+  uint64_t ops = 0;                // operations in one repetition
+  std::vector<double> ns_per_op;  // one entry per timed repetition
 
-  double NsPerOp() const {
-    return ops > 0 ? seconds * 1e9 / static_cast<double>(ops) : 0.0;
+  double MinNsPerOp() const {
+    return ns_per_op.empty() ? 0.0 : *std::min_element(ns_per_op.begin(), ns_per_op.end());
+  }
+  double MedianNsPerOp() const { return Median(ns_per_op); }
+  // Median absolute deviation from the median: the spread of the reps.
+  double MadNsPerOp() const {
+    const double median = MedianNsPerOp();
+    std::vector<double> deviations;
+    deviations.reserve(ns_per_op.size());
+    for (double v : ns_per_op) {
+      deviations.push_back(std::abs(v - median));
+    }
+    return Median(std::move(deviations));
   }
   double OpsPerS() const {
-    return seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
+    const double median = MedianNsPerOp();
+    return median > 0.0 ? 1e9 / median : 0.0;
   }
 };
 
@@ -88,7 +113,9 @@ std::string ReportJson(const std::vector<BenchRow>& rows, size_t time_reps) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& row = rows[i];
     out += "    {\"name\": \"" + row.name + "\", \"ops\": " + std::to_string(row.ops) +
-           ", \"ns_per_op\": " + FormatDouble(row.NsPerOp(), 2) +
+           ", \"ns_per_op\": " + FormatDouble(row.MedianNsPerOp(), 2) +
+           ", \"ns_per_op_min\": " + FormatDouble(row.MinNsPerOp(), 2) +
+           ", \"ns_per_op_mad\": " + FormatDouble(row.MadNsPerOp(), 2) +
            ", \"ops_per_s\": " + FormatDouble(row.OpsPerS(), 0) + ", \"checksum\": \"" +
            Hex(row.checksum) + "\"}";
     out += i + 1 < rows.size() ? ",\n" : "\n";
@@ -99,8 +126,8 @@ std::string ReportJson(const std::vector<BenchRow>& rows, size_t time_reps) {
     const BenchRow* base = FindRow(rows, pairs[i].baseline);
     const BenchRow* fast = FindRow(rows, pairs[i].fast);
     const double ratio =
-        (base != nullptr && fast != nullptr && fast->NsPerOp() > 0.0)
-            ? base->NsPerOp() / fast->NsPerOp()
+        (base != nullptr && fast != nullptr && fast->MedianNsPerOp() > 0.0)
+            ? base->MedianNsPerOp() / fast->MedianNsPerOp()
             : 0.0;
     out += "    \"" + pairs[i].label + "\": " + FormatDouble(ratio, 2);
     out += i + 1 < pairs.size() ? ",\n" : "\n";
@@ -125,25 +152,29 @@ int Run(int argc, char** argv) {
   std::string* out_path = flags.Path("out", "write BENCH_micro.json here (default BENCH_micro.json)");
   std::string* golden_path = flags.Path("golden", "golden checksum file to compare against");
   size_t* update_golden = flags.Size("update-golden", 0, "1 = rewrite --golden from this run");
-  size_t* time_reps = flags.Size("time-reps", 3, "timing repetitions per bench");
+  size_t* time_reps = flags.Size("time-reps", 3, "timed repetitions per bench (each timed alone)");
   flags.ParseOrDie(argc, argv);
 
   std::vector<MicroBench> benches = AllBenches();
   std::vector<BenchRow> rows;
   rows.reserve(benches.size());
   std::printf("perfcheck: %zu benches, %zu timing rep(s)\n\n", benches.size(), *time_reps);
-  std::printf("%-20s %14s %12s %16s  %s\n", "bench", "ops", "ns/op", "ops/s", "checksum");
+  std::printf("%-20s %12s %10s %10s %10s %14s  %s\n", "bench", "ops/rep", "min ns/op",
+              "med ns/op", "mad ns/op", "ops/s", "checksum");
   for (MicroBench& bench : benches) {
     BenchRow row;
     row.name = bench.name;
     row.checksum = bench.checksum();
-    WallTimer timer;
-    row.ops = bench.run(*time_reps);
-    row.seconds = timer.Seconds();
-    std::printf("%-20s %14llu %12.2f %16.0f  %s\n", row.name.c_str(),
-                static_cast<unsigned long long>(row.ops), row.NsPerOp(), row.OpsPerS(),
-                Hex(row.checksum).c_str());
-    rows.push_back(row);
+    for (size_t rep = 0; rep < *time_reps; ++rep) {
+      WallTimer timer;
+      row.ops = bench.run();
+      const double seconds = timer.Seconds();
+      row.ns_per_op.push_back(row.ops > 0 ? seconds * 1e9 / static_cast<double>(row.ops) : 0.0);
+    }
+    std::printf("%-20s %12llu %10.2f %10.2f %10.2f %14.0f  %s\n", row.name.c_str(),
+                static_cast<unsigned long long>(row.ops), row.MinNsPerOp(), row.MedianNsPerOp(),
+                row.MadNsPerOp(), row.OpsPerS(), Hex(row.checksum).c_str());
+    rows.push_back(std::move(row));
   }
 
   int failures = 0;
@@ -160,14 +191,14 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::printf("\nspeedups (baseline ns/op / optimized ns/op):\n");
+  std::printf("\nspeedups (baseline median ns/op / optimized median ns/op):\n");
   for (const SpeedupPair& pair : Speedups()) {
     const BenchRow* base = FindRow(rows, pair.baseline);
     const BenchRow* fast = FindRow(rows, pair.fast);
-    if (base != nullptr && fast != nullptr && fast->NsPerOp() > 0.0) {
+    if (base != nullptr && fast != nullptr && fast->MedianNsPerOp() > 0.0) {
       std::printf("  %-14s %6.2fx  (%s %.2f ns/op -> %s %.2f ns/op)\n", pair.label.c_str(),
-                  base->NsPerOp() / fast->NsPerOp(), pair.baseline.c_str(), base->NsPerOp(),
-                  pair.fast.c_str(), fast->NsPerOp());
+                  base->MedianNsPerOp() / fast->MedianNsPerOp(), pair.baseline.c_str(),
+                  base->MedianNsPerOp(), pair.fast.c_str(), fast->MedianNsPerOp());
     }
   }
 

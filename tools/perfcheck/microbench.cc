@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "src/flash/cell_tech.h"
 #include "src/flash/error_model.h"
 #include "src/flash/nand_device.h"
-#include "src/flash/rber_cache.h"
 #include "src/flash/voltage_model.h"
 #include "src/ftl/ftl.h"
 #include "src/ftl/l2p.h"
@@ -24,7 +22,7 @@
 namespace sos::perfcheck {
 namespace {
 
-// Inner passes per timing rep for the sub-microsecond benches; keeps one
+// Workload passes per timing rep for the sub-microsecond benches; keeps one
 // rep long enough for the wall timer to resolve. Checksums always fold a
 // single pass, so these never leak into the golden.
 constexpr uint32_t kPhenoPasses = 30;
@@ -75,39 +73,35 @@ uint64_t L2pWorkload(uint64_t* ops) {
 }
 
 // ---------------------------------------------------------------------------
-// RBER: full wear x retention x disturb x retry grid through one RberCache.
-// The cache is shared across checksum and timing calls (see AllBenches), so
-// timing measures the warm inner-loop cost the lifetime sim actually pays;
-// memo values are pure functions of the inputs, so warm state never changes
-// the checksum.
+// RBER: full wear x retention x disturb x retry grid through ComputeRber,
+// the evaluation NandDevice::Read pays on every page read.
 // ---------------------------------------------------------------------------
 
-uint64_t PhenoWorkload(const RberCache& cache, uint32_t passes, uint64_t* ops) {
+uint64_t PhenoWorkload(uint64_t* ops) {
   static constexpr double kTs[] = {0.0, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0};
   static constexpr uint32_t kReads[] = {0, 1000, 100000};
   static constexpr int kRetries[] = {0, 2};
   static constexpr CellTech kModes[] = {CellTech::kQlc, CellTech::kPlc};
   uint64_t acc = 0x52424552ull;
-  for (uint32_t pass = 0; pass < passes; ++pass) {
-    for (CellTech mode : kModes) {
-      const CellTechInfo& info = GetCellTechInfo(mode);
-      const double endurance = static_cast<double>(info.rated_endurance_pec) *
-                               PseudoModeEnduranceBonus(CellTech::kPlc, mode);
-      for (uint32_t i = 0; i < 32; ++i) {
-        const uint32_t pec =
-            static_cast<uint32_t>(endurance * 1.5 * static_cast<double>(i) / 31.0);
-        for (double t : kTs) {
-          for (uint32_t reads : kReads) {
-            for (int retry : kRetries) {
-              PageErrorState state;
-              state.mode = mode;
-              state.endurance_pec = endurance;
-              state.pec_at_program = pec;
-              state.retention_years = t;
-              state.reads_since_program = reads;
-              acc = FoldDouble(acc, cache.Rber(state, retry), 1e15);
-              ++*ops;
-            }
+  for (CellTech mode : kModes) {
+    const CellTechInfo& info = GetCellTechInfo(mode);
+    const double endurance = static_cast<double>(info.rated_endurance_pec) *
+                             PseudoModeEnduranceBonus(CellTech::kPlc, mode);
+    for (uint32_t i = 0; i < 32; ++i) {
+      const uint32_t pec =
+          static_cast<uint32_t>(endurance * 1.5 * static_cast<double>(i) / 31.0);
+      for (double t : kTs) {
+        for (uint32_t reads : kReads) {
+          for (int retry : kRetries) {
+            PageErrorState state;
+            state.mode = mode;
+            state.endurance_pec = endurance;
+            state.pec_at_program = pec;
+            state.retention_years = t;
+            state.reads_since_program = reads;
+            acc = FoldDouble(acc, ComputeRber(ErrorModelKind::kPhenomenological, state, retry),
+                             1e15);
+            ++*ops;
           }
         }
       }
@@ -116,32 +110,30 @@ uint64_t PhenoWorkload(const RberCache& cache, uint32_t passes, uint64_t* ops) {
   return acc;
 }
 
-uint64_t VoltageWorkload(const RberCache& cache, uint32_t passes, uint64_t* ops) {
+uint64_t VoltageWorkload(uint64_t* ops) {
   static constexpr double kTs[] = {0.0, 0.01, 0.1, 1.0, 3.0, 10.0};
   static constexpr uint32_t kReads[] = {0, 5000};
   static constexpr int kRetries[] = {0, 1};
   static constexpr CellTech kModes[] = {CellTech::kQlc, CellTech::kPlc};
   uint64_t acc = 0x564f4c54ull;
-  for (uint32_t pass = 0; pass < passes; ++pass) {
-    for (CellTech mode : kModes) {
-      const CellTechInfo& info = GetCellTechInfo(mode);
-      const double endurance = static_cast<double>(info.rated_endurance_pec) *
-                               PseudoModeEnduranceBonus(CellTech::kPlc, mode);
-      for (uint32_t i = 0; i < 10; ++i) {
-        const uint32_t pec =
-            static_cast<uint32_t>(endurance * 1.6 * static_cast<double>(i) / 9.0);
-        for (double t : kTs) {
-          for (uint32_t reads : kReads) {
-            for (int retry : kRetries) {
-              PageErrorState state;
-              state.mode = mode;
-              state.endurance_pec = endurance;
-              state.pec_at_program = pec;
-              state.retention_years = t;
-              state.reads_since_program = reads;
-              acc = FoldDouble(acc, cache.Rber(state, retry), 1e15);
-              ++*ops;
-            }
+  for (CellTech mode : kModes) {
+    const CellTechInfo& info = GetCellTechInfo(mode);
+    const double endurance = static_cast<double>(info.rated_endurance_pec) *
+                             PseudoModeEnduranceBonus(CellTech::kPlc, mode);
+    for (uint32_t i = 0; i < 10; ++i) {
+      const uint32_t pec =
+          static_cast<uint32_t>(endurance * 1.6 * static_cast<double>(i) / 9.0);
+      for (double t : kTs) {
+        for (uint32_t reads : kReads) {
+          for (int retry : kRetries) {
+            PageErrorState state;
+            state.mode = mode;
+            state.endurance_pec = endurance;
+            state.pec_at_program = pec;
+            state.retention_years = t;
+            state.reads_since_program = reads;
+            acc = FoldDouble(acc, ComputeRber(ErrorModelKind::kVoltage, state, retry), 1e15);
+            ++*ops;
           }
         }
       }
@@ -374,42 +366,20 @@ uint64_t LifetimeWorkload(uint64_t* ops) {
   return acc;
 }
 
-MicroBench Repeated(std::string name, std::function<uint64_t(uint64_t*)> workload) {
+// One timing repetition runs `passes` fresh workload calls; the checksum is
+// always a single call.
+MicroBench Repeated(std::string name, std::function<uint64_t(uint64_t*)> workload,
+                    uint32_t passes = 1) {
   MicroBench bench;
   bench.name = std::move(name);
   bench.checksum = [workload] {
     uint64_t ops = 0;
     return workload(&ops);
   };
-  bench.run = [workload](uint64_t reps) {
+  bench.run = [workload, passes] {
     uint64_t ops = 0;
-    for (uint64_t r = 0; r < reps; ++r) {
+    for (uint32_t p = 0; p < passes; ++p) {
       (void)workload(&ops);
-    }
-    return ops;
-  };
-  return bench;
-}
-
-MicroBench CachedRber(std::string name, ErrorModelKind kind, bool memo,
-                      uint64_t (*workload)(const RberCache&, uint32_t, uint64_t*),
-                      uint32_t passes) {
-  // One cache per bench, shared between checksum and timing: timing then
-  // measures the warm per-eval cost (the memo's one-time table build is paid
-  // by the checksum pass, just as a real run amortizes it over millions of
-  // reads). Values are pure functions of the inputs, so sharing cannot
-  // change the checksum.
-  auto cache = std::make_shared<RberCache>(kind, memo);
-  MicroBench bench;
-  bench.name = std::move(name);
-  bench.checksum = [cache, workload] {
-    uint64_t ops = 0;
-    return workload(*cache, 1, &ops);
-  };
-  bench.run = [cache, workload, passes](uint64_t reps) {
-    uint64_t ops = 0;
-    for (uint64_t r = 0; r < reps; ++r) {
-      (void)workload(*cache, passes, &ops);
     }
     return ops;
   };
@@ -423,14 +393,8 @@ std::vector<MicroBench> AllBenches() {
   benches.push_back(Repeated("l2p_flat", [](uint64_t* ops) { return L2pWorkload<L2pTable>(ops); }));
   benches.push_back(
       Repeated("l2p_map", [](uint64_t* ops) { return L2pWorkload<ReferenceL2pMap>(ops); }));
-  benches.push_back(CachedRber("rber_exact", ErrorModelKind::kPhenomenological, false,
-                               &PhenoWorkload, kPhenoPasses));
-  benches.push_back(CachedRber("rber_memo", ErrorModelKind::kPhenomenological, true,
-                               &PhenoWorkload, kPhenoPasses));
-  benches.push_back(CachedRber("rber_voltage_exact", ErrorModelKind::kVoltage, false,
-                               &VoltageWorkload, kVoltagePasses));
-  benches.push_back(CachedRber("rber_voltage_memo", ErrorModelKind::kVoltage, true,
-                               &VoltageWorkload, kVoltagePasses));
+  benches.push_back(Repeated("rber_exact", &PhenoWorkload, kPhenoPasses));
+  benches.push_back(Repeated("rber_voltage_exact", &VoltageWorkload, kVoltagePasses));
   benches.push_back(Repeated("ecc_decode", [](uint64_t* ops) { return EccWorkload(1, ops); }));
   benches.push_back(
       Repeated("nand_read_serial", [](uint64_t* ops) { return NandReadWorkload(false, ops); }));
@@ -456,9 +420,7 @@ std::vector<EqualPair> MustMatch() {
 }
 
 std::vector<SpeedupPair> Speedups() {
-  return {{"l2p", "l2p_map", "l2p_flat"},
-          {"rber", "rber_exact", "rber_memo"},
-          {"rber_voltage", "rber_voltage_exact", "rber_voltage_memo"}};
+  return {{"l2p", "l2p_map", "l2p_flat"}};
 }
 
 }  // namespace sos::perfcheck

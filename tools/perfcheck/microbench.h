@@ -33,9 +33,9 @@ struct MicroBench {
   // checksum. Deterministic and iteration-count independent: equal bytes on
   // every invocation, on every machine.
   std::function<uint64_t()> checksum;
-  // Runs `reps` repetitions of the canonical workload (fresh state each rep)
-  // and returns the total number of operations performed, for ns/op math.
-  std::function<uint64_t(uint64_t reps)> run;
+  // Runs one timing repetition of the canonical workload from fresh state
+  // and returns the number of operations performed, for ns/op math.
+  std::function<uint64_t()> run;
 };
 
 // The full bench list, in canonical (golden-file) order.
@@ -49,7 +49,8 @@ struct EqualPair {
 };
 std::vector<EqualPair> MustMatch();
 
-// Speedup pairs reported in BENCH_micro.json: ns/op(baseline) / ns/op(fast).
+// Speedup pairs reported in BENCH_micro.json: median ns/op(baseline) /
+// median ns/op(fast).
 struct SpeedupPair {
   std::string label;
   std::string baseline;
