@@ -38,6 +38,16 @@ class BinaryClassifier {
   // P(positive) in [0, 1].
   virtual double Score(const FileMeta& meta, SimTimeUs now_us) const = 0;
 
+  // Score() for a caller that already holds the file's static features
+  // (ExtractStaticFeatures(meta), cached by the file system at creation).
+  // Must return exactly Score(meta, now_us); the default simply forwards, so
+  // a decorator that overrides only Score keeps working. A distinct name,
+  // not an overload, so such an override cannot hide it.
+  virtual double ScoreCached(const FileMeta& meta, const StaticFeatures& /*features*/,
+                             SimTimeUs now_us) const {
+    return Score(meta, now_us);
+  }
+
   // Hard decision at `threshold` (default 0.5). Higher thresholds are more
   // conservative about declaring a file expendable/deletable.
   bool Predict(const FileMeta& meta, SimTimeUs now_us, double threshold = 0.5) const {

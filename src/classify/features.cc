@@ -2,6 +2,7 @@
 
 #include "src/classify/features.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <string_view>
@@ -29,11 +30,34 @@ uint64_t HashToken(std::string_view token) {
 
 }  // namespace
 
-FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
+StaticFeatures ExtractStaticFeatures(const FileMeta& meta) {
+  StaticFeatures s;
+  s.log_size = LogBytes(meta.size_bytes);
+  // Hashed path tokens ('/'-separated components, lowercase assumed).
+  std::string_view path = meta.path;
+  size_t start = 0;
+  while (start < path.size()) {
+    size_t end = path.find('/', start);
+    if (end == std::string_view::npos) {
+      end = path.size();
+    }
+    if (end > start) {
+      const uint64_t h = HashToken(path.substr(start, end - start));
+      uint8_t& count = s.path_buckets[h % kPathHashBuckets];
+      assert(count < UINT8_MAX);
+      ++count;
+    }
+    start = end + 1;
+  }
+  return s;
+}
+
+FeatureVector CompleteFeatures(const StaticFeatures& features, const FileMeta& meta,
+                               SimTimeUs now_us) {
   FeatureVector f{};
   size_t i = 0;
   // Numeric block.
-  f[i++] = LogBytes(meta.size_bytes);
+  f[i++] = features.log_size;
   f[i++] = std::log1p(AgeDays(now_us, meta.created_us)) / 3.0;
   f[i++] = std::log1p(AgeDays(now_us, meta.last_accessed_us)) / 3.0;
   // Reads per day of life; +1 day avoids the new-file singularity.
@@ -46,22 +70,16 @@ FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
   // One-hot file type.
   f[kNumericFeatures + static_cast<size_t>(meta.type)] = 1.0;
 
-  // Hashed path tokens ('/'-separated components, lowercase assumed).
+  // Path-token counts (small integers, so exact as doubles).
   const size_t base = kNumericFeatures + kNumFileTypes;
-  std::string_view path = meta.path;
-  size_t start = 0;
-  while (start < path.size()) {
-    size_t end = path.find('/', start);
-    if (end == std::string_view::npos) {
-      end = path.size();
-    }
-    if (end > start) {
-      const uint64_t h = HashToken(path.substr(start, end - start));
-      f[base + h % kPathHashBuckets] += 1.0;
-    }
-    start = end + 1;
+  for (size_t b = 0; b < kPathHashBuckets; ++b) {
+    f[base + b] = static_cast<double>(features.path_buckets[b]);
   }
   return f;
+}
+
+FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
+  return CompleteFeatures(ExtractStaticFeatures(meta), meta, now_us);
 }
 
 const char* FeatureName(size_t i) {

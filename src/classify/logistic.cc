@@ -87,13 +87,22 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
   return model;
 }
 
-double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
-  const auto x = Standardize(ExtractFeatures(meta, now_us));
+double LogisticClassifier::ScoreVector(const FeatureVector& f) const {
+  const auto x = Standardize(f);
   double z = b_;
   for (size_t j = 0; j < kFeatureDim; ++j) {
     z += w_[j] * x[j];
   }
   return Sigmoid(z);
+}
+
+double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
+  return ScoreVector(ExtractFeatures(meta, now_us));
+}
+
+double LogisticClassifier::ScoreCached(const FileMeta& meta, const StaticFeatures& features,
+                                       SimTimeUs now_us) const {
+  return ScoreVector(CompleteFeatures(features, meta, now_us));
 }
 
 }  // namespace sos

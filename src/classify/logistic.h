@@ -30,6 +30,8 @@ class LogisticClassifier final : public BinaryClassifier {
                                   SimTimeUs now_us, const LogisticConfig& config = {});
 
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
+  double ScoreCached(const FileMeta& meta, const StaticFeatures& features,
+                     SimTimeUs now_us) const override;
 
   const std::array<double, kFeatureDim>& weights() const { return w_; }
   double bias() const { return b_; }
@@ -38,6 +40,8 @@ class LogisticClassifier final : public BinaryClassifier {
   LogisticClassifier() = default;
 
   std::array<double, kFeatureDim> Standardize(const FeatureVector& f) const;
+  // The one scoring kernel behind Score and ScoreCached.
+  double ScoreVector(const FeatureVector& f) const;
 
   std::array<double, kFeatureDim> w_{};
   double b_ = 0.0;

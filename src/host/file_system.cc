@@ -4,10 +4,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/ecc/parity.h"
 
 namespace sos {
+namespace {
+
+// Tombstones are compacted away once they exceed live files / this divisor,
+// bounding a scan's wasted slot visits at a fifth of the table.
+constexpr size_t kDeadSlotDivisor = 4;
+
+}  // namespace
 
 ExtentFileSystem::ExtentFileSystem(BlockDevice* device, SimClock* clock)
     : device_(device), clock_(clock) {
@@ -103,16 +111,23 @@ Result<uint64_t> ExtentFileSystem::CreateFile(FileMeta meta, std::span<const uin
   }
 
   const uint64_t id = file.meta.file_id;
-  files_.emplace(id, std::move(file));
+  file.static_features = ExtractStaticFeatures(file.meta);
+  // Ids only grow, so appending keeps the table in id order; ids a failed
+  // create consumed stay unmapped.
+  assert(files_.size() < kNoSlot);
+  slot_of_.resize(id, kNoSlot);
+  slot_of_[id - 1] = static_cast<uint32_t>(files_.size());
+  files_.push_back(std::move(file));
+  ++live_;
   return id;
 }
 
 Result<FileReadResult> ExtentFileSystem::ReadFile(uint64_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  FsFile* found = Find(file_id);
+  if (found == nullptr) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = *found;
   FileReadResult result;
   result.data.reserve(file.content_bytes);
   const uint32_t bs = device_->block_size();
@@ -156,11 +171,11 @@ Result<FileReadResult> ExtentFileSystem::ReadFile(uint64_t file_id) {
 }
 
 Status ExtentFileSystem::OverwriteFile(uint64_t file_id, std::span<const uint8_t> content) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  FsFile* found = Find(file_id);
+  if (found == nullptr) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = *found;
   const uint32_t bs = device_->block_size();
   uint64_t allocated_bytes = 0;
   for (const auto& e : file.extents) {
@@ -195,26 +210,49 @@ Status ExtentFileSystem::OverwriteFile(uint64_t file_id, std::span<const uint8_t
 }
 
 Status ExtentFileSystem::DeleteFile(uint64_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  FsFile* file = Find(file_id);
+  if (file == nullptr) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  for (const auto& e : it->second.extents) {
+  for (const auto& e : file->extents) {
     for (uint32_t i = 0; i < e.blocks; ++i) {
       IgnoreResult(device_->Trim(e.lba + i));  // trim failures are advisory
     }
   }
-  Release(it->second.extents);
-  files_.erase(it);
+  Release(file->extents);
+  // Tombstone the slot; the exchanged-out entry takes the path and extent
+  // storage with it.
+  (void)std::exchange(*file, FsFile{});
+  slot_of_[file_id - 1] = kNoSlot;
+  --live_;
+  if (files_.size() - live_ > live_ / kDeadSlotDivisor) {
+    Compact();
+  }
   return Status::Ok();
 }
 
+void ExtentFileSystem::Compact() {
+  size_t out = 0;
+  for (size_t slot = 0; slot < files_.size(); ++slot) {
+    if (files_[slot].meta.file_id == kTombstone) {
+      continue;
+    }
+    if (out != slot) {
+      files_[out] = std::move(files_[slot]);
+    }
+    slot_of_[files_[out].meta.file_id - 1] = static_cast<uint32_t>(out);
+    ++out;
+  }
+  files_.resize(out);
+  assert(out == live_);
+}
+
 Status ExtentFileSystem::ReclassifyFile(uint64_t file_id, PlacementHandle placement) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  FsFile* found = Find(file_id);
+  if (found == nullptr) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = *found;
   if (file.placement == placement) {
     return Status::Ok();
   }
@@ -229,51 +267,54 @@ Status ExtentFileSystem::ReclassifyFile(uint64_t file_id, PlacementHandle placem
   return Status::Ok();
 }
 
+uint32_t ExtentFileSystem::SlotOf(uint64_t file_id) const {
+  // Id 0 wraps to an index past the end.
+  return file_id - 1 < slot_of_.size() ? slot_of_[file_id - 1] : kNoSlot;
+}
+
+ExtentFileSystem::FsFile* ExtentFileSystem::Find(uint64_t file_id) {
+  const uint32_t slot = SlotOf(file_id);
+  return slot == kNoSlot ? nullptr : &files_[slot];
+}
+
+const ExtentFileSystem::FsFile* ExtentFileSystem::Find(uint64_t file_id) const {
+  const uint32_t slot = SlotOf(file_id);
+  return slot == kNoSlot ? nullptr : &files_[slot];
+}
+
 const FileMeta* ExtentFileSystem::Lookup(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  return it == files_.end() ? nullptr : &it->second.meta;
+  const FsFile* file = Find(file_id);
+  return file == nullptr ? nullptr : &file->meta;
 }
 
 PlacementHandle ExtentFileSystem::PlacementOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  assert(it != files_.end());
-  return it->second.placement;
+  const FsFile* file = Find(file_id);
+  assert(file != nullptr);
+  return file->placement;
 }
 
 Result<PlacementSpec> ExtentFileSystem::PlacementSpecOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  const FsFile* file = Find(file_id);
+  if (file == nullptr) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  return device_->DescribePlacement(it->second.placement);
+  return DescribePlacement(file->placement);
 }
 
-std::vector<uint64_t> ExtentFileSystem::FileIds() const {
-  std::vector<uint64_t> ids;
-  ids.reserve(files_.size());
-  for (const auto& [id, file] : files_) {
-    ids.push_back(id);
-  }
-  return ids;
+Result<PlacementSpec> ExtentFileSystem::DescribePlacement(PlacementHandle handle) const {
+  return device_->DescribePlacement(handle);
 }
 
 std::vector<const FileMeta*> ExtentFileSystem::ScanFiles() const {
   std::vector<const FileMeta*> metas;
-  metas.reserve(files_.size());
-  for (const auto& [id, file] : files_) {
-    metas.push_back(&file.meta);
-  }
+  metas.reserve(live_);
+  ForEachFile([&metas](const FileView& file) { metas.push_back(&file.meta); });
   return metas;
-}
-
-std::vector<Extent> ExtentFileSystem::ExtentsOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  return it == files_.end() ? std::vector<Extent>{} : it->second.extents;
 }
 
 FsStats ExtentFileSystem::Stats() const {
   FsStats stats;
-  stats.files = files_.size();
+  stats.files = live_;
   stats.used_blocks = used_blocks_;
   stats.capacity_blocks = capacity_blocks_;
   stats.writes_issued = writes_issued_;

@@ -11,15 +11,28 @@
 //   3. capacity variance: tolerate the device shrinking underneath it.
 // File content integrity is tracked with a CRC32 of the written content, so
 // reads can report whether degradation touched the file.
+//
+// The file table is flat: live files sit in ascending id order in one
+// vector, found through a dense id -> slot index. A delete tombstones its
+// slot; tombstones are compacted away in place once they outnumber a fixed
+// fraction of the live files. Ids are never reused. Each file also carries
+// its static classifier features, computed once at creation, so the SOS
+// daemons' periodic scans (ForEachFile) score it without re-hashing its path.
+//
+// Pointer stability: the FileMeta pointers from Lookup and ScanFiles, and
+// the references a ForEachFile callback receives, are invalidated by
+// CreateFile (the table may grow) and DeleteFile (it may compact), but not
+// by ReadFile, OverwriteFile or ReclassifyFile.
 
 #ifndef SOS_SRC_HOST_FILE_SYSTEM_H_
 #define SOS_SRC_HOST_FILE_SYSTEM_H_
 
+#include <cassert>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
+#include "src/classify/features.h"
 #include "src/classify/file_meta.h"
 #include "src/common/sim_clock.h"
 #include "src/common/status.h"
@@ -37,6 +50,16 @@ struct FileReadResult {
   uint64_t residual_bit_errors = 0;   // total across the file's blocks
   bool degraded = false;              // any block returned degraded
   bool crc_ok = true;                 // matches the CRC at write time
+};
+
+// One live file as ForEachFile presents it. The references are valid for
+// the duration of the callback.
+struct FileView {
+  uint64_t id;
+  const FileMeta& meta;
+  const StaticFeatures& static_features;
+  PlacementHandle placement;
+  std::span<const Extent> extents;
 };
 
 struct FsStats {
@@ -82,25 +105,45 @@ class ExtentFileSystem {
 
   // --- Introspection -------------------------------------------------------
 
+  // Null for unknown (never created or deleted) ids.
   const FileMeta* Lookup(uint64_t file_id) const;
   PlacementHandle PlacementOf(uint64_t file_id) const;
   // The spec behind the file's handle (device lookup); errors if the handle
   // was closed out from under the file.
   [[nodiscard]] Result<PlacementSpec> PlacementSpecOf(uint64_t file_id) const;
-  std::vector<uint64_t> FileIds() const;
+  // The spec behind an open handle, e.g. FileView::placement; errors if the
+  // handle was closed.
+  [[nodiscard]] Result<PlacementSpec> DescribePlacement(PlacementHandle handle) const;
   FsStats Stats() const;
   uint64_t FreeBlocks() const;
 
-  // All file metadata, for the classification daemon's periodic scan.
+  // All file metadata in ascending id order (e.g. for retraining on the
+  // live population).
   std::vector<const FileMeta*> ScanFiles() const;
 
-  // The file's allocated extents (device-level daemons map them to LBAs).
-  // Empty for unknown ids.
-  std::vector<Extent> ExtentsOf(uint64_t file_id) const;
+  // Calls fn(const FileView&) once per live file, in ascending id order: the
+  // daemons' one-pass scan. `fn` may read, overwrite or reclassify files but
+  // must not create or delete any.
+  template <typename Fn>
+  void ForEachFile(Fn&& fn) const {
+    const size_t slots = files_.size();
+    [[maybe_unused]] const size_t live = live_;
+    for (size_t slot = 0; slot < slots; ++slot) {
+      const FsFile& file = files_[slot];
+      if (file.meta.file_id == kTombstone) {
+        continue;
+      }
+      fn(FileView{file.meta.file_id, file.meta, file.static_features, file.placement,
+                  file.extents});
+      assert(files_.size() == slots && live_ == live &&
+             "ForEachFile callbacks must not create or delete files");
+    }
+  }
 
  private:
   struct FsFile {
-    FileMeta meta;
+    FileMeta meta;  // meta.file_id == kTombstone marks a deleted slot
+    StaticFeatures static_features;
     std::vector<Extent> extents;
     PlacementHandle placement;  // open handle the file was last written under
     uint32_t content_crc = 0;
@@ -108,13 +151,24 @@ class ExtentFileSystem {
     bool synthetic = false;      // sized-but-empty content (metadata-only sims)
   };
 
+  // Ids start at 1, so id 0 marks a tombstoned slot.
+  static constexpr uint64_t kTombstone = 0;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  uint32_t SlotOf(uint64_t file_id) const;  // kNoSlot for unknown ids
+  FsFile* Find(uint64_t file_id);
+  const FsFile* Find(uint64_t file_id) const;
+  // Drops tombstoned slots, keeping live files in id order.
+  void Compact();
   [[nodiscard]] Result<std::vector<Extent>> Allocate(uint64_t blocks_needed);
   void Release(const std::vector<Extent>& extents);
   void OnCapacityChange(uint64_t new_capacity_blocks);
 
   BlockDevice* device_;
   SimClock* clock_;
-  std::map<uint64_t, FsFile> files_;
+  std::vector<FsFile> files_;        // ascending id order, tombstones included
+  std::vector<uint32_t> slot_of_;    // file id - 1 -> slot in files_, or kNoSlot
+  size_t live_ = 0;                  // non-tombstoned slots
   std::vector<uint64_t> free_lbas_;  // LIFO free list
   uint64_t next_unused_lba_ = 0;     // bump allocator frontier
   uint64_t capacity_blocks_ = 0;     // tracks device shrink

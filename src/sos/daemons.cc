@@ -35,35 +35,33 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     }
     return fs_->ReclassifyFile(id, handle.value()).ok();
   };
-  for (uint64_t id : fs_->FileIds()) {
-    const FileMeta* meta = fs_->Lookup(id);
-    if (meta == nullptr) {
-      continue;  // deleted between listing and scan
-    }
+  // One pass in id order; reclassifying inside the walk is allowed (it
+  // neither creates nor deletes files).
+  fs_->ForEachFile([&](const FileView& file) {
     ++stats.scanned;
     const double score =
-        std::clamp(model_->Score(*meta, now) +
-                       config_.type_score_bias[static_cast<size_t>(meta->type)],
+        std::clamp(model_->ScoreCached(file.meta, file.static_features, now) +
+                       config_.type_score_bias[static_cast<size_t>(file.meta.type)],
                    0.0, 1.0);
-    const auto spec = fs_->PlacementSpecOf(id);
+    const auto spec = fs_->DescribePlacement(file.placement);
     if (!spec.ok()) {
-      continue;  // handle closed out from under the file: nothing safe to do
+      return;  // handle closed out from under the file: nothing safe to do
     }
     const Durability durability = spec.value().durability;
     if (durability == Durability::kCritical && score >= config_.demote_threshold &&
-        now >= meta->created_us + config_.min_age_us) {
-      if (reclassify(id, *meta, Durability::kDegradable)) {
+        now >= file.meta.created_us + config_.min_age_us) {
+      if (reclassify(file.id, file.meta, Durability::kDegradable)) {
         ++stats.demoted;
       } else {
         ++stats.demote_failures;
       }
     } else if (config_.allow_promotion && durability == Durability::kDegradable &&
                score <= config_.promote_threshold) {
-      if (reclassify(id, *meta, Durability::kCritical)) {
+      if (reclassify(file.id, file.meta, Durability::kCritical)) {
         ++stats.promoted;
       }
     }
-  }
+  });
   lifetime_.scanned += stats.scanned;
   lifetime_.demoted += stats.demoted;
   lifetime_.promoted += stats.promoted;
@@ -131,13 +129,14 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
   // risk ("SOS does not inherently rely on such redundant copies", §4.3).
   if (config_.cloud_repair) {
     Ftl& ftl = device_->ftl();
-    for (uint64_t id : fs_->FileIds()) {
-      const auto spec = fs_->PlacementSpecOf(id);
+    // Repair overwrites in place, which the walk allows.
+    fs_->ForEachFile([&](const FileView& file) {
+      const auto spec = fs_->DescribePlacement(file.placement);
       if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
-        continue;  // only degradable data may rot; critical files stay exact
+        return;  // only degradable data may rot; critical files stay exact
       }
       bool tainted = false;
-      for (const Extent& extent : fs_->ExtentsOf(id)) {
+      for (const Extent& extent : file.extents) {
         for (uint32_t i = 0; i < extent.blocks && !tainted; ++i) {
           tainted = ftl.IsTainted(extent.lba + i);
         }
@@ -146,17 +145,17 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
         }
       }
       if (!tainted) {
-        continue;
+        return;
       }
-      if (cloud_ != nullptr && cloud_->Has(id)) {
-        const std::vector<uint8_t> pristine = cloud_->Fetch(id);
-        if (fs_->OverwriteFile(id, pristine).ok()) {
+      if (cloud_ != nullptr && cloud_->Has(file.id)) {
+        const std::vector<uint8_t> pristine = cloud_->Fetch(file.id);
+        if (fs_->OverwriteFile(file.id, pristine).ok()) {
           ++stats.files_repaired;
         }
       } else {
         ++stats.files_at_risk;
       }
-    }
+    });
   }
 
   lifetime_.pages_scanned += stats.pages_scanned;
@@ -206,17 +205,15 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
     uint64_t bytes;
   };
   std::vector<Candidate> candidates;
-  for (uint64_t id : fs_->FileIds()) {
-    const auto spec = fs_->PlacementSpecOf(id);
+  fs_->ForEachFile([&](const FileView& file) {
+    const auto spec = fs_->DescribePlacement(file.placement);
     if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
-      continue;
+      return;
     }
-    const FileMeta* meta = fs_->Lookup(id);
-    if (meta == nullptr) {
-      continue;
-    }
-    candidates.push_back({id, deletion_model_->Score(*meta, now), meta->size_bytes});
-  }
+    candidates.push_back({file.id,
+                          deletion_model_->ScoreCached(file.meta, file.static_features, now),
+                          file.meta.size_bytes});
+  });
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
     return a.score > b.score;
   });

@@ -4,6 +4,10 @@
 // distributions, both learned models vs the rule baseline, the evaluation
 // machinery, and the paper's ~79% auto-delete accuracy anchor.
 
+#include <cmath>
+#include <cstring>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "src/classify/classifier.h"
@@ -59,6 +63,70 @@ TEST(FeaturesTest, AgeFeatureGrowsWithTime) {
   const FeatureVector young = ExtractFeatures(meta, kUsPerDay);
   const FeatureVector old = ExtractFeatures(meta, 100 * kUsPerDay);
   EXPECT_GT(old[1], young[1]);  // log_age is feature index 1
+}
+
+// The pre-split single-pass extractor, kept verbatim as the oracle the
+// static/complete split must reproduce bit for bit.
+double AgeDays(SimTimeUs now, SimTimeUs then) {
+  return now >= then ? UsToDays(now - then) : 0.0;
+}
+
+FeatureVector ReferenceExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
+  FeatureVector f{};
+  size_t i = 0;
+  f[i++] = std::log2(static_cast<double>(meta.size_bytes) + 1.0);
+  f[i++] = std::log1p(AgeDays(now_us, meta.created_us)) / 3.0;
+  f[i++] = std::log1p(AgeDays(now_us, meta.last_accessed_us)) / 3.0;
+  const double life_days = AgeDays(now_us, meta.created_us) + 1.0;
+  f[i++] = std::log1p(static_cast<double>(meta.read_count) / life_days);
+  f[i++] = std::log1p(static_cast<double>(meta.write_count) / life_days);
+  f[i++] = meta.entropy_bits_per_byte / 8.0;
+  f[i++] = meta.personal_signal;
+  f[kNumericFeatures + static_cast<size_t>(meta.type)] = 1.0;
+  const size_t base = kNumericFeatures + kNumFileTypes;
+  std::string_view path = meta.path;
+  size_t start = 0;
+  while (start < path.size()) {
+    size_t end = path.find('/', start);
+    if (end == std::string_view::npos) {
+      end = path.size();
+    }
+    if (end > start) {
+      uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+      for (char c : path.substr(start, end - start)) {
+        h ^= static_cast<uint8_t>(c);
+        h *= 0x100000001b3ull;
+      }
+      f[base + h % kPathHashBuckets] += 1.0;
+    }
+    start = end + 1;
+  }
+  return f;
+}
+
+TEST(FeaturesTest, CachedStaticFeaturesAreBitwiseTheSinglePassExtraction) {
+  CorpusConfig config = TestCorpusConfig();
+  config.num_files = 1500;
+  const auto corpus = GenerateCorpus(config);
+  const LogisticClassifier model =
+      LogisticClassifier::Train(AsPointers(corpus), &ExpendableLabel, config.device_age_us);
+  for (SimTimeUs now : {SimTimeUs{0}, kUsPerDay, config.device_age_us / 2, config.device_age_us,
+                        5 * kUsPerYear}) {
+    SCOPED_TRACE("now " + std::to_string(now));
+    for (const FileMeta& meta : corpus) {
+      const StaticFeatures cached = ExtractStaticFeatures(meta);
+      const FeatureVector completed = CompleteFeatures(cached, meta, now);
+      const FeatureVector extracted = ExtractFeatures(meta, now);
+      const FeatureVector reference = ReferenceExtractFeatures(meta, now);
+      ASSERT_EQ(std::memcmp(completed.data(), reference.data(), sizeof(reference)), 0)
+          << meta.path;
+      ASSERT_EQ(std::memcmp(extracted.data(), reference.data(), sizeof(reference)), 0)
+          << meta.path;
+      const double score = model.Score(meta, now);
+      const double score_cached = model.ScoreCached(meta, cached, now);
+      ASSERT_EQ(std::memcmp(&score, &score_cached, sizeof(score)), 0) << meta.path;
+    }
+  }
 }
 
 TEST(FeaturesTest, NamesAreStable) {

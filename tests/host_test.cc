@@ -178,11 +178,23 @@ TEST(FileSystemTest, ReclassifyMovesPools) {
 
 TEST(FileSystemTest, ScanFilesSeesAll) {
   FsFixture f;
+  std::vector<uint64_t> created;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(f.fs.CreateFile(PhotoMeta(512), Content(512, 1), f.critical).ok());
+    auto id = f.fs.CreateFile(PhotoMeta(512), Content(512, 1), f.critical);
+    ASSERT_TRUE(id.ok());
+    created.push_back(id.value());
   }
-  EXPECT_EQ(f.fs.ScanFiles().size(), 5u);
-  EXPECT_EQ(f.fs.FileIds().size(), 5u);
+  const std::vector<const FileMeta*> metas = f.fs.ScanFiles();
+  ASSERT_EQ(metas.size(), 5u);
+  std::vector<uint64_t> walked;
+  f.fs.ForEachFile([&](const FileView& file) {
+    EXPECT_EQ(file.meta.file_id, file.id);
+    EXPECT_EQ(&file.meta, metas[walked.size()]);
+    EXPECT_EQ(file.placement, f.critical);
+    EXPECT_EQ(file.extents.size(), 1u);
+    walked.push_back(file.id);
+  });
+  EXPECT_EQ(walked, created);  // every file, ascending id order
 }
 
 // --- Degraded reads at the device boundary ----------------------------------
@@ -212,7 +224,7 @@ TEST(SosDeviceDegradedReadTest, SpareServesAgedDataDegradedButFlagged) {
     if (wrong) {
       EXPECT_TRUE(read.value().degraded) << "silently corrupted SPARE read";
     }
-    degraded += read.value().degraded ? 1 : 0;
+    degraded += read.value().degraded ? 1u : 0u;
   }
   EXPECT_GT(degraded, 0u) << "aging produced no corruption; tune the test";
 }

@@ -329,6 +329,72 @@ TEST(MigrationDaemonTest, RespectsMinAge) {
   EXPECT_EQ(f.DurabilityOf(id.value()), Durability::kCritical);
 }
 
+// Overrides only Score, like a timing decorator: the daemons' ScoreCached
+// calls reach it through BinaryClassifier's forwarding default.
+class ScoreOnlyDecorator final : public BinaryClassifier {
+ public:
+  explicit ScoreOnlyDecorator(const BinaryClassifier* inner) : inner_(inner) {}
+  double Score(const FileMeta& meta, SimTimeUs now_us) const override {
+    ++calls_;
+    return inner_->Score(meta, now_us);
+  }
+  uint64_t calls() const { return calls_; }
+
+ private:
+  const BinaryClassifier* inner_;
+  mutable uint64_t calls_ = 0;
+};
+
+TEST(MigrationDaemonTest, ScoreOnlyDecoratorMatchesBareModel) {
+  struct Outcome {
+    std::vector<uint64_t> stats;  // scanned/demoted/promoted/failures per pass
+    std::vector<std::pair<uint64_t, uint32_t>> placements;  // (id, handle id)
+    uint64_t decorator_calls = 0;
+  };
+  auto run = [](bool decorated) {
+    DaemonFixture f;
+    for (size_t i = 0; i < 80; ++i) {
+      f.AddFile(i, 512);
+    }
+    // Corpus timestamps span the corpus device's age; start the scans after it.
+    f.clock.Advance(CorpusConfig{}.device_age_us);
+    ScoreOnlyDecorator decorator(&f.priority);
+    const BinaryClassifier* model =
+        decorated ? static_cast<const BinaryClassifier*>(&decorator) : &f.priority;
+    // Two demoting passes, then two under a user preference protecting
+    // every type, which promotes data back.
+    MigrationDaemon demoter(&f.fs, &f.placements, model, {});
+    MigrationDaemonConfig protective;
+    protective.type_score_bias.fill(-1.0);
+    MigrationDaemon promoter(&f.fs, &f.placements, model, protective);
+    Outcome out;
+    for (int pass = 0; pass < 4; ++pass) {
+      f.clock.Advance(9 * kUsPerDay);
+      // Reads move the access features between passes.
+      for (size_t i = static_cast<size_t>(pass); i < 80; i += 3) {
+        EXPECT_TRUE(f.fs.ReadFile(i + 1).ok());
+      }
+      const MigrationDaemon::RunStats stats =
+          (pass < 2 ? demoter : promoter).RunOnce(f.clock.now());
+      out.stats.insert(out.stats.end(),
+                       {stats.scanned, stats.demoted, stats.promoted, stats.demote_failures});
+    }
+    f.fs.ForEachFile([&](const FileView& file) {
+      out.placements.emplace_back(file.id, file.placement.id());
+    });
+    out.decorator_calls = decorator.calls();
+    return out;
+  };
+  const Outcome bare = run(false);
+  const Outcome decorated = run(true);
+  EXPECT_EQ(decorated.stats, bare.stats);
+  EXPECT_EQ(decorated.placements, bare.placements);
+  EXPECT_EQ(bare.decorator_calls, 0u);
+  EXPECT_EQ(decorated.decorator_calls, 4u * 80u);  // every scored file went through Score
+  EXPECT_GT(bare.stats[1], 0u);   // first pass demoted
+  EXPECT_EQ(bare.stats[10], bare.stats[1]);  // the protective pass promoted them all back
+}
+
 TEST(MigrationDaemonTest, HigherThresholdDemotesLess) {
   auto demoted_at = [](double threshold) {
     DaemonFixture f;

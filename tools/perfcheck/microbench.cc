@@ -2,12 +2,16 @@
 
 #include "tools/perfcheck/microbench.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "src/classify/corpus.h"
+#include "src/classify/features.h"
+#include "src/classify/logistic.h"
 #include "src/common/rng.h"
 #include "src/common/sim_clock.h"
 #include "src/ecc/ecc_scheme.h"
@@ -27,6 +31,7 @@ namespace {
 // single pass, so these never leak into the golden.
 constexpr uint32_t kPhenoPasses = 30;
 constexpr uint32_t kVoltagePasses = 40;
+constexpr uint32_t kScorePasses = 10;
 
 uint64_t FoldDouble(uint64_t acc, double value, double scale) {
   return DeriveSeed({acc, static_cast<uint64_t>(std::llround(value * scale))});
@@ -366,6 +371,55 @@ uint64_t LifetimeWorkload(uint64_t* ops) {
   return acc;
 }
 
+// ---------------------------------------------------------------------------
+// Classifier scoring: the migration daemon's per-file work over a fixed
+// corpus at fixed scan times, once extracting every feature from scratch
+// (Score) and once from static features precomputed the way the file table
+// caches them at creation (ScoreCached). The two fold the same score bit
+// patterns, so their checksums must be equal.
+// ---------------------------------------------------------------------------
+
+struct ScoreCorpus {
+  std::vector<FileMeta> files;
+  std::vector<StaticFeatures> cached;
+  LogisticClassifier model;
+};
+
+const ScoreCorpus& SharedScoreCorpus() {
+  static const ScoreCorpus corpus = [] {
+    CorpusConfig config;
+    config.num_files = 2000;
+    config.seed = 0x53434f52ull;  // "SCOR"
+    std::vector<FileMeta> files = GenerateCorpus(config);
+    std::vector<StaticFeatures> cached;
+    cached.reserve(files.size());
+    for (const FileMeta& meta : files) {
+      cached.push_back(ExtractStaticFeatures(meta));
+    }
+    LogisticClassifier model =
+        LogisticClassifier::Train(AsPointers(files), &ExpendableLabel, config.device_age_us);
+    return ScoreCorpus{std::move(files), std::move(cached), std::move(model)};
+  }();
+  return corpus;
+}
+
+uint64_t ScoreWorkload(bool cached, uint64_t* ops) {
+  const ScoreCorpus& corpus = SharedScoreCorpus();
+  const SimTimeUs device_age = CorpusConfig{}.device_age_us;
+  const SimTimeUs times[] = {kUsPerDay, device_age / 2, device_age, device_age + kUsPerYear};
+  uint64_t acc = 0x53434f53ull;
+  for (SimTimeUs now : times) {
+    for (size_t i = 0; i < corpus.files.size(); ++i) {
+      const double score = cached
+                               ? corpus.model.ScoreCached(corpus.files[i], corpus.cached[i], now)
+                               : corpus.model.Score(corpus.files[i], now);
+      acc = DeriveSeed({acc, std::bit_cast<uint64_t>(score)});
+      ++*ops;
+    }
+  }
+  return acc;
+}
+
 // One timing repetition runs `passes` fresh workload calls; the checksum is
 // always a single call.
 MicroBench Repeated(std::string name, std::function<uint64_t(uint64_t*)> workload,
@@ -412,15 +466,24 @@ std::vector<MicroBench> AllBenches() {
   }));
   benches.push_back(
       Repeated("bit_flip_apply", [](uint64_t* ops) { return BitFlipWorkload(ops); }));
+  benches.push_back(Repeated(
+      "classify_score_extract", [](uint64_t* ops) { return ScoreWorkload(false, ops); },
+      kScorePasses));
+  benches.push_back(Repeated(
+      "classify_score_cached", [](uint64_t* ops) { return ScoreWorkload(true, ops); },
+      kScorePasses));
   return benches;
 }
 
 std::vector<EqualPair> MustMatch() {
-  return {{"l2p_flat", "l2p_map"}, {"nand_read_serial", "nand_read_batched"}};
+  return {{"l2p_flat", "l2p_map"},
+          {"nand_read_serial", "nand_read_batched"},
+          {"classify_score_extract", "classify_score_cached"}};
 }
 
 std::vector<SpeedupPair> Speedups() {
-  return {{"l2p", "l2p_map", "l2p_flat"}};
+  return {{"l2p", "l2p_map", "l2p_flat"},
+          {"classify_score", "classify_score_extract", "classify_score_cached"}};
 }
 
 }  // namespace sos::perfcheck
