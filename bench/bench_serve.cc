@@ -118,7 +118,7 @@ ArmResult RunArm(bool qos, size_t rounds, uint64_t seed) {
   for (size_t round = 0; round < rounds; ++round) {
     const uint32_t version = static_cast<uint32_t>(round) + 2;
     // Bulk pressure first in FIFO order: 24 random-LBA writes plus one
-    // sequential 8-LBA stretch (which the service coalesces to WriteBatch).
+    // sequential 8-LBA stretch (which the service coalesces into one dispatch).
     for (int w = 0; w < 24; ++w) {
       ServeRequest req;
       req.op = ServeOp::kWrite;

@@ -290,44 +290,6 @@ Result<double> NandDevice::PredictRber(PageAddr addr, double ahead_years) const 
   return ComputeRber(config_.error_model, state, 0);
 }
 
-std::vector<Result<ReadResult>> NandDevice::ReadRun(uint32_t block, uint32_t start_page,
-                                                    uint32_t count, int retry_level) {
-  std::vector<Result<ReadResult>> results;
-  results.reserve(count);
-  // Delegating per page keeps the run byte-identical to a serial loop by
-  // construction (same gating, clock and error-stream derivation); the
-  // batching win is the amortized call overhead in the FTL's loops.
-  for (uint32_t i = 0; i < count; ++i) {
-    results.push_back(Read({block, start_page + i}, retry_level));
-  }
-  return results;
-}
-
-Status NandDevice::ProgramRun(uint32_t block, std::span<const std::span<const uint8_t>> payloads,
-                              const PageOob& first) {
-  if (block >= blocks_.size()) {
-    return Status(StatusCode::kInvalidArgument, "block out of range");
-  }
-  PageOob oob = first;
-  for (size_t i = 0; i < payloads.size(); ++i, ++oob.lba, ++oob.seq) {
-    const PageAddr addr{block, blocks_[block].info.next_page};
-    if (Status s = Program(addr, payloads[i], &oob); !s.ok()) {
-      return s;  // pages programmed so far remain, as in a serial loop
-    }
-  }
-  return Status::Ok();
-}
-
-std::vector<Result<PageOob>> NandDevice::ReadOobRun(uint32_t block, uint32_t start_page,
-                                                    uint32_t count) const {
-  std::vector<Result<PageOob>> results;
-  results.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    results.push_back(ReadOob({block, start_page + i}));
-  }
-  return results;
-}
-
 double NandDevice::MaxWearRatio() const {
   double worst = 0.0;
   for (uint32_t b = 0; b < blocks_.size(); ++b) {

@@ -199,33 +199,6 @@ class NandDevice {
   // an independent error sample (each re-read is a fresh analog measurement).
   [[nodiscard]] Result<ReadResult> Read(PageAddr addr, int retry_level = 0);
 
-  // --- Batched multi-page entry points --------------------------------------
-  //
-  // One device call per contiguous page run instead of per page, for the
-  // FTL's GC/migration/recovery loops. Per-page semantics (clock advance,
-  // fault gating, error sampling, stats) are exactly those of the single-page
-  // ops issued in sequence -- a power cut mid-run fails the remaining pages
-  // with kPowerLost just as a serial loop would -- so a batched run is
-  // byte-identical to the loop it replaces.
-
-  // Reads `count` consecutive pages starting at `start_page`; result i is
-  // page start_page + i.
-  [[nodiscard]] std::vector<Result<ReadResult>> ReadRun(uint32_t block, uint32_t start_page,
-                                                        uint32_t count, int retry_level = 0);
-
-  // Programs payloads[i] at the block's sequential program cursor, stamping
-  // page i with `first` advanced by i in both `lba` and `seq` -- a run of
-  // consecutive LBAs written in sequence. Stops at the first failure and
-  // returns its Status; previously programmed pages of the run remain.
-  [[nodiscard]] Status ProgramRun(uint32_t block,
-                                  std::span<const std::span<const uint8_t>> payloads,
-                                  const PageOob& first);
-
-  // OOB metadata of `count` consecutive pages. Like ReadOob: pure -- no
-  // clock advance, no error injection, no fault-hook consultation.
-  [[nodiscard]] std::vector<Result<PageOob>> ReadOobRun(uint32_t block, uint32_t start_page,
-                                                        uint32_t count) const;
-
   // Returns the stored payload of a programmed page *without* error injection
   // and without advancing time. This is the "ECC succeeded" backdoor: the
   // ECC layer models correction on error counts, and when a codeword is

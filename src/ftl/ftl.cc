@@ -217,7 +217,7 @@ std::optional<uint32_t> Ftl::AllocateBlock(Pool& pool, LifetimeHint lifetime) {
 Ftl::ActiveSlot& Ftl::SlotFor(Pool& pool, bool cold, uint32_t stream) {
   // Relocated data always takes the legacy slots: a per-stream slot for GC
   // traffic would let a nested relocation grow `active_streams` while an
-  // outer AppendRun holds a reference into it. Stream slots are for fresh
+  // outer AppendPage holds a reference into it. Stream slots are for fresh
   // host writes only.
   if (cold || stream == 0 || config_.placement_policy == PlacementPolicy::kLegacy) {
     return cold && pool.config.hot_cold_separation ? pool.active_cold : pool.active_host;
@@ -331,10 +331,8 @@ Status Ftl::CheckDirective(const WriteDirective& directive) const {
   return Status::Ok();
 }
 
-Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_t>> pages,
-                      const WriteDirective& where, AppendKind kind, bool tainted,
-                      uint64_t* written) {
-  *written = 0;
+Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteDirective& where,
+                       AppendKind kind, bool tainted) {
   const uint32_t pool_id = where.pool_id;
   const uint32_t stream = where.stream;
   Pool& pool = pools_[pool_id];
@@ -342,12 +340,8 @@ Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_
   ActiveSlot& slot = SlotFor(pool, /*cold=*/relocation || kind == AppendKind::kRefresh, stream);
   // The retry budget absorbs stripe-boundary reseals, transient program
   // faults and grown-bad-block drops; each attempt starts from a usable
-  // append point, and every landed page refills the budget.
-  int attempts = 0;
-  while (*written < pages.size()) {
-    if (++attempts > 5) {
-      return Status(StatusCode::kOutOfSpace, "append retry budget exhausted");
-    }
+  // append point.
+  for (int attempt = 0; attempt < 5; ++attempt) {
     if (!EnsureWritable(pool_id, slot, /*allow_gc=*/!relocation, where.lifetime)) {
       return Status(StatusCode::kOutOfSpace,
                     "pool '" + pool.config.name + "' has no writable blocks");
@@ -362,32 +356,19 @@ Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_
       page = nand_.block_info(bid).next_page;
     }
     if (status.ok() && slot.block.has_value()) {
-      // The contiguous data-slot stretch from the cursor: up to the next
-      // parity slot, the end of the block or the end of the run.
-      uint32_t n = 0;
-      while (*written + n < pages.size() && page + n < PagesPerBlock(pool) &&
-             !IsParitySlot(pool, page + n)) {
-        ++n;
-      }
-      PageOob first;
-      first.lba = start_lba + *written;
-      first.seq = write_seq_;
-      first.pool = pool_id;
-      first.flags = tainted ? kOobFlagTainted : 0;
-      status = nand_.ProgramRun(bid, pages.subspan(*written, n), first);
-      // Pages that physically landed: the program cursor is the ground
-      // truth. A post-op power cut advances it for the torn page, which was
-      // never acknowledged -- leave that one uncommitted.
-      uint32_t landed = nand_.block_info(bid).next_page - page;
-      if (status.code() == StatusCode::kPowerLost && landed > 0) {
-        --landed;
-      }
-      for (uint32_t j = 0; j < landed; ++j, ++*written) {
-        const uint64_t lba = start_lba + *written;
-        const uint32_t pg = page + j;
+      PageOob oob;
+      oob.lba = lba;
+      oob.seq = write_seq_;
+      oob.pool = pool_id;
+      oob.flags = tainted ? kOobFlagTainted : 0;
+      // A post-op power cut advances the program cursor for a page the host
+      // never saw acknowledged: only an Ok program commits.
+      status = nand_.Program({bid, page}, data, &oob);
+      if (status.ok()) {
         ++write_seq_;
-        P2lRow(bid)[pg] = lba;
-        page_stream_[static_cast<size_t>(bid) * page_stride_ + pg] = static_cast<uint8_t>(stream);
+        P2lRow(bid)[page] = lba;
+        page_stream_[static_cast<size_t>(bid) * page_stride_ + page] =
+            static_cast<uint8_t>(stream);
         ++block_valid_[bid];
         ++pool.valid_pages;
         block_last_write_[bid] = clock_->now();
@@ -396,19 +377,16 @@ Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_
           ++StreamEntry(stream).nand_writes;
         }
         if (pool.config.parity_stripe > 0 && config_.nand.store_payloads) {
-          const std::span<const uint8_t> data = pages[*written];
           for (size_t b = 0; b < data.size() && b < slot.stripe_xor.size(); ++b) {
             slot.stripe_xor[b] = static_cast<uint8_t>(slot.stripe_xor[b] ^ data[b]);
           }
           ++slot.stripe_fill;
         }
-        // Commit now, before any DropBadBlock below: its rescue loop moves
-        // only pages the mapping points at. Re-look the old copy up -- GC
-        // run by EnsureWritable may have moved it.
+        // Re-look the old copy up: GC run by EnsureWritable may have moved it.
         if (auto old = l2p_.Find(lba); old.has_value()) {
           InvalidateLoc(*old);
         }
-        l2p_.Set(lba, PhysLoc{pool_id, bid, pg, tainted});
+        l2p_.Set(lba, PhysLoc{pool_id, bid, page, tainted});
         switch (kind) {
           case AppendKind::kHostWrite:
             ++pool.stats.host_writes_;
@@ -429,12 +407,11 @@ Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_
             ++pool.stats.wl_relocations_;
             break;
         }
-        attempts = 0;
-      }
-      if (status.code() != StatusCode::kPowerLost &&
-          nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
-        block_sealed_[bid] = 1;
-        slot.block.reset();
+        if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
+          block_sealed_[bid] = 1;
+          slot.block.reset();
+        }
+        return Status::Ok();
       }
     }
     if (status.code() == StatusCode::kPowerLost) {
@@ -446,17 +423,10 @@ Status Ftl::AppendRun(uint64_t start_lba, std::span<const std::span<const uint8_
         return drop;
       }
     }
-    // Otherwise a transient failure, a full block or a finished stretch:
-    // retry on a fresh append point.
+    // Otherwise a transient failure or a sealed block: retry on a fresh
+    // append point.
   }
-  return Status::Ok();
-}
-
-Status Ftl::AppendOne(uint64_t lba, std::span<const uint8_t> data, const WriteDirective& where,
-                      AppendKind kind, bool tainted) {
-  const std::span<const uint8_t> page[] = {data};
-  uint64_t written = 0;
-  return AppendRun(lba, page, where, kind, tainted, &written);
+  return Status(StatusCode::kOutOfSpace, "append retry budget exhausted");
 }
 
 void Ftl::InvalidateLoc(const PhysLoc& loc) {
@@ -485,7 +455,7 @@ Status Ftl::Write(uint64_t lba, std::span<const uint8_t> data,
   }
   obs::ScopedLatency timer(clock_, &write_latency_);
   // Fresh host data supersedes any corruption: never tainted.
-  return AppendOne(lba, data, directive, AppendKind::kHostWrite, /*tainted=*/false);
+  return AppendPage(lba, data, directive, AppendKind::kHostWrite, /*tainted=*/false);
 }
 
 Result<FtlReadResult> Ftl::ReadInternal(uint64_t lba, bool count_stats) {
@@ -617,64 +587,6 @@ Result<FtlReadResult> Ftl::Read(uint64_t lba) {
   return ReadInternal(lba, /*count_stats=*/true);
 }
 
-std::vector<Result<FtlReadResult>> Ftl::ReadRun(uint64_t start_lba, uint32_t count) {
-  std::vector<Result<FtlReadResult>> out;
-  out.reserve(count);
-  uint32_t i = 0;
-  while (i < count) {
-    const auto first = l2p_.Find(start_lba + i);
-    if (!first.has_value()) {
-      out.push_back(Status(StatusCode::kNotFound, "unmapped LBA"));
-      ++i;
-      continue;
-    }
-    // Extend the stretch while the next LBA maps to the next physical page
-    // of the same block -- the layout sequential batched writes produce.
-    std::vector<PhysLoc> locs{*first};
-    while (i + locs.size() < count) {
-      const auto next = l2p_.Find(start_lba + i + locs.size());
-      if (!next.has_value() || next->block != first->block ||
-          next->page != first->page + locs.size()) {
-        break;
-      }
-      locs.push_back(*next);
-    }
-    obs::ScopedLatency timer(clock_, &read_latency_);
-    auto raws = nand_.ReadRun(first->block, first->page, static_cast<uint32_t>(locs.size()));
-    for (size_t j = 0; j < locs.size(); ++j) {
-      Result<ReadResult> raw = std::move(raws[j]);
-      if (!raw.ok() && raw.status().code() == StatusCode::kUnavailable) {
-        // Same single deterministic retry as ReadInternal.
-        raw = nand_.Read({locs[j].block, locs[j].page});
-      }
-      if (!raw.ok()) {
-        out.push_back(raw.status());
-        continue;
-      }
-      out.push_back(DecodeRead(locs[j], std::move(raw.value()), /*count_stats=*/true));
-    }
-    i += static_cast<uint32_t>(locs.size());
-  }
-  return out;
-}
-
-Status Ftl::WriteRun(uint64_t start_lba, std::span<const std::vector<uint8_t>> pages,
-                     const WriteDirective& directive, uint64_t* written) {
-  *written = 0;
-  if (Status s = CheckDirective(directive); !s.ok()) {
-    return s;
-  }
-  for (const std::vector<uint8_t>& page : pages) {
-    if (page.size() > config_.nand.page_size_bytes) {
-      return Status(StatusCode::kInvalidArgument, "payload exceeds page size");
-    }
-  }
-  obs::ScopedLatency timer(clock_, &write_latency_);
-  const std::vector<std::span<const uint8_t>> views(pages.begin(), pages.end());
-  return AppendRun(start_lba, views, directive, AppendKind::kHostWrite, /*tainted=*/false,
-                   written);
-}
-
 Status Ftl::Trim(uint64_t lba) {
   const auto loc = l2p_.Find(lba);
   if (!loc.has_value()) {
@@ -703,7 +615,7 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   }
   const bool tainted = cur->tainted || read.value().degraded;
   const uint32_t source_pool = cur->pool;
-  if (Status s = AppendOne(lba, read.value().data, directive, AppendKind::kMigration, tainted);
+  if (Status s = AppendPage(lba, read.value().data, directive, AppendKind::kMigration, tainted);
       !s.ok()) {
     return s;
   }
@@ -730,9 +642,9 @@ Status Ftl::Refresh(uint64_t lba) {
     return read.status();
   }
   const bool tainted = cur->tainted || read.value().degraded;
-  return AppendOne(lba, read.value().data,
-                   WriteDirective{pool_id, LifetimeHint::kUnknown, stream}, AppendKind::kRefresh,
-                   tainted);
+  return AppendPage(lba, read.value().data,
+                    WriteDirective{pool_id, LifetimeHint::kUnknown, stream}, AppendKind::kRefresh,
+                    tainted);
 }
 
 uint32_t Ftl::BackgroundCollect(uint32_t max_blocks_per_pool) {
@@ -821,8 +733,8 @@ Status Ftl::RelocatePage(uint32_t pool_id, uint64_t lba, const FtlReadResult& re
       cur.has_value()
           ? page_stream_[static_cast<size_t>(cur->block) * page_stride_ + cur->page]
           : 0;
-  return AppendOne(lba, read.data, WriteDirective{pool_id, LifetimeHint::kUnknown, stream},
-                   count_as_wl ? AppendKind::kWlRelocation : AppendKind::kGcRelocation, tainted);
+  return AppendPage(lba, read.data, WriteDirective{pool_id, LifetimeHint::kUnknown, stream},
+                    count_as_wl ? AppendKind::kWlRelocation : AppendKind::kGcRelocation, tainted);
 }
 
 Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_as_wl) {
@@ -1150,18 +1062,17 @@ Status Ftl::RecoverFromFlash() {
       pool.free_blocks.push_back(b);  // block order => deterministic free list
       continue;
     }
-    // One batched OOB read per block instead of one device call per page;
-    // OOB reads are pure (no clock, no error injection), so batching them
-    // cannot perturb a single simulated byte.
+    // OOB reads are pure (no clock, no error injection), so the scan cannot
+    // perturb a single simulated byte.
     const uint32_t scan = std::min(info.next_page, pages);
-    const auto oobs = nand_.ReadOobRun(b, 0, scan);
     uint64_t* row = P2lRow(b);
     for (uint32_t p = 0; p < scan; ++p) {
-      if (!oobs[p].ok()) {
+      const auto oob = nand_.ReadOob({b, p});
+      if (!oob.ok()) {
         continue;  // page predates OOB stamping; treated as garbage
       }
       ++last_recovery_.scanned_pages;
-      const PageOob& meta = oobs[p].value();
+      const PageOob& meta = oob.value();
       max_seq = std::max(max_seq, meta.seq);
       if ((meta.flags & kOobFlagParity) != 0) {
         row[p] = kLbaParity;

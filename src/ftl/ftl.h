@@ -273,33 +273,6 @@ class Ftl {
   // Reads a logical page through the owning pool's ECC/parity path.
   [[nodiscard]] Result<FtlReadResult> Read(uint64_t lba);
 
-  // --- Batched host entry points (serve-layer coalescing, DESIGN.md §14) ---
-  //
-  // Op-schedule-equivalent to the serial loops they replace: per-page NAND
-  // semantics (clock advance, fault gating, error sampling, bookkeeping
-  // order) are exactly those of Read()/Write() issued in sequence -- only
-  // the number of device calls shrinks. The sim-latency histograms record
-  // one observation per physical run rather than one per page (the honest
-  // cost model for a queued batch); nothing on the historical single-page
-  // path changes, so all pre-existing goldens stay byte-identical.
-
-  // Reads `count` consecutive LBAs; result i is start_lba + i. Physically
-  // contiguous mappings are fetched with one NandDevice::ReadRun per
-  // stretch; unmapped LBAs yield kNotFound in their slot.
-  [[nodiscard]] std::vector<Result<FtlReadResult>> ReadRun(uint64_t start_lba, uint32_t count);
-
-  // Writes pages[i] at start_lba + i under `directive`, filling each
-  // contiguous free data-slot stretch of the active block with one
-  // NandDevice::ProgramRun -- the append primitive Write() runs with one
-  // page. Mappings commit page by page; on error `*written` tells how many
-  // leading pages were acknowledged (their mappings installed) and the
-  // status describes the first failure. After a mid-run power cut the final
-  // physically landed page is conservatively reported unacknowledged (the
-  // torn-write window): recovery may surface either version, which is the
-  // same contract the serial path gives an interrupted caller.
-  [[nodiscard]] Status WriteRun(uint64_t start_lba, std::span<const std::vector<uint8_t>> pages,
-                                const WriteDirective& directive, uint64_t* written);
-
   // Invalidates a logical page.
   [[nodiscard]] Status Trim(uint64_t lba);
 
@@ -523,26 +496,15 @@ class Ftl {
     kWlRelocation,  // cold slot, no GC, wl_relocations
   };
 
-  // The one append primitive: writes pages[i] as `start_lba + i` into
-  // `where.pool_id`, one NandDevice::ProgramRun per contiguous data-slot
-  // stretch of the active block (a single page is a run of one). Flushes
-  // parity slots, drops grown-bad blocks, and gives up after 5 consecutive
-  // attempts without progress. Each page that lands is committed at once
-  // (old copy invalidated, mapping installed) -- always before a bad-block
-  // drop in the same call, whose rescue loop moves only mapped pages.
-  // `tainted` is stamped into the durable OOB so recovery preserves the
-  // corruption marker; `where.stream`/`lifetime` feed per-handle accounting
-  // and (non-legacy policies) slot/block selection. `*written` counts the
-  // committed leading pages; after a post-op power cut the torn page is not
-  // among them.
-  [[nodiscard]] Status AppendRun(uint64_t start_lba,
-                                 std::span<const std::span<const uint8_t>> pages,
-                                 const WriteDirective& where, AppendKind kind, bool tainted,
-                                 uint64_t* written);
-
-  // AppendRun of the single page `data` at `lba`.
-  [[nodiscard]] Status AppendOne(uint64_t lba, std::span<const uint8_t> data,
-                                 const WriteDirective& where, AppendKind kind, bool tainted);
+  // The one append primitive: writes the single page `data` as `lba` into
+  // `where.pool_id`. Flushes parity slots, drops grown-bad blocks, and gives
+  // up after 5 attempts. The page is committed (old copy invalidated,
+  // mapping installed) only once its program returned Ok. `tainted` is
+  // stamped into the durable OOB so recovery preserves the corruption
+  // marker; `where.stream`/`lifetime` feed per-handle accounting and
+  // (non-legacy policies) slot/block selection.
+  [[nodiscard]] Status AppendPage(uint64_t lba, std::span<const uint8_t> data,
+                                  const WriteDirective& where, AppendKind kind, bool tainted);
 
   // Rejects directives naming no pool or a stream tag wider than a byte.
   [[nodiscard]] Status CheckDirective(const WriteDirective& directive) const;
@@ -583,8 +545,7 @@ class Ftl {
   [[nodiscard]] Result<FtlReadResult> ReadInternal(uint64_t lba, bool count_stats);
 
   // Everything downstream of the initial NAND read: ECC decode, read-retry,
-  // parity rescue, fidelity policy. Split out so ReadRun can feed it raw
-  // results from a NandDevice::ReadRun.
+  // parity rescue, fidelity policy.
   [[nodiscard]] Result<FtlReadResult> DecodeRead(const PhysLoc& loc, ReadResult raw,
                                                  bool count_stats);
 

@@ -59,7 +59,7 @@ class QosScheduler {
   // same class, op and handle, scanning at most `window` entries of the
   // class queue -- the coalescing probe. `lba` is the exclusive end of the
   // run built so far; only forward-adjacent requests merge, which keeps the
-  // batch a single ascending ReadRun/ProgramRun stretch.
+  // batch one ascending LBA run.
   std::optional<Pending> TakeAdjacent(QosClass cls, ServeOp op, uint64_t lba,
                                       PlacementHandle handle, uint32_t window);
 

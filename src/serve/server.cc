@@ -83,7 +83,7 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
     }
     case FrameType::kRead: {
       // Fan out per block; the service coalesces adjacent submissions back
-      // into one device ReadBatch.
+      // into one dispatch.
       std::vector<std::future<ServeResponse>> futures;
       futures.reserve(frame.count);
       for (uint32_t i = 0; i < frame.count; ++i) {

@@ -5,13 +5,22 @@
 #include <utility>
 
 namespace sos::serve {
+namespace {
+
+// Coalescing: merge up to kMaxCoalesce forward-adjacent same-class same-op
+// same-handle requests per dispatch, scanning at most kCoalesceWindow queued
+// entries per probe.
+constexpr size_t kMaxCoalesce = 8;
+constexpr uint32_t kCoalesceWindow = 32;
+
+}  // namespace
 
 AsyncBlockService::AsyncBlockService(SosDevice* device, SimClock* clock,
                                      const ServeConfig& config)
     : device_(device),
       clock_(clock),
       config_(config),
-      scheduler_(config.qos, config.weights),
+      scheduler_(config.qos, QosWeights{}),
       sim_now_us_(clock->now()) {
   if (config_.workers > 0) {
     completions_ = std::make_unique<BoundedQueue<Completion>>(config_.submission_depth);
@@ -120,10 +129,10 @@ bool AsyncBlockService::PopBatchLocked(Batch* batch) {
   const uint64_t start_lba = first->req.lba;
   const PlacementHandle handle = first->req.handle;
   batch->reqs.push_back(std::move(*first));
-  if (config_.coalesce && (op == ServeOp::kRead || op == ServeOp::kWrite)) {
-    while (batch->reqs.size() < config_.max_coalesce) {
+  if (op == ServeOp::kRead || op == ServeOp::kWrite) {
+    while (batch->reqs.size() < kMaxCoalesce) {
       std::optional<Pending> next = scheduler_.TakeAdjacent(
-          cls, op, start_lba + batch->reqs.size(), handle, config_.coalesce_window);
+          cls, op, start_lba + batch->reqs.size(), handle, kCoalesceWindow);
       if (!next.has_value()) {
         break;
       }
@@ -138,67 +147,48 @@ void AsyncBlockService::ExecuteBatch(Batch batch) {
   std::vector<ServeResponse> resps(n);
 
   std::unique_lock<std::mutex> gate(device_mu_);
-  const ServeOp op = batch.reqs.front().req.op;
-  if (op == ServeOp::kRead && n > 1) {
-    auto results = device_->ReadBatch(batch.reqs.front().req.lba, static_cast<uint32_t>(n));
-    for (size_t i = 0; i < n; ++i) {
-      if (results[i].ok()) {
-        resps[i].data = std::move(results[i].value().data);
-        resps[i].degraded = results[i].value().degraded;
-      } else {
-        resps[i].status = results[i].status();
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && resps[i - 1].status.code() == StatusCode::kPowerLost) {
+      // The device went dark mid-batch: the rest fail without touching it.
+      resps[i].status = resps[i - 1].status;
+      continue;
+    }
+    Pending& p = batch.reqs[i];
+    switch (p.req.op) {
+      case ServeOp::kRead: {
+        auto result = device_->Read(p.req.lba);
+        if (result.ok()) {
+          resps[i].data = std::move(result.value().data);
+          resps[i].degraded = result.value().degraded;
+        } else {
+          resps[i].status = result.status();
+        }
+        break;
       }
-    }
-  } else if (op == ServeOp::kWrite && n > 1) {
-    std::vector<std::vector<uint8_t>> pages;
-    pages.reserve(n);
-    for (Pending& p : batch.reqs) {
-      pages.push_back(std::move(p.req.data));
-    }
-    std::vector<Status> statuses =
-        device_->WriteBatch(batch.reqs.front().req.lba, pages, batch.reqs.front().req.handle);
-    for (size_t i = 0; i < n; ++i) {
-      resps[i].status = statuses[i];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      Pending& p = batch.reqs[i];
-      switch (p.req.op) {
-        case ServeOp::kRead: {
-          auto result = device_->Read(p.req.lba);
-          if (result.ok()) {
-            resps[i].data = std::move(result.value().data);
-            resps[i].degraded = result.value().degraded;
-          } else {
-            resps[i].status = result.status();
+      case ServeOp::kWrite:
+        resps[i].status = device_->Write(p.req.lba, p.req.data, p.req.handle);
+        break;
+      case ServeOp::kTrim:
+        resps[i].status = device_->Trim(p.req.lba);
+        break;
+      case ServeOp::kFlush: {
+        if (device_->staging_enabled()) {
+          auto flushed = device_->FlushStage();
+          if (!flushed.ok()) {
+            resps[i].status = flushed.status();
           }
-          break;
         }
-        case ServeOp::kWrite:
-          resps[i].status = device_->Write(p.req.lba, p.req.data, p.req.handle);
-          break;
-        case ServeOp::kTrim:
-          resps[i].status = device_->Trim(p.req.lba);
-          break;
-        case ServeOp::kFlush: {
-          if (device_->staging_enabled()) {
-            auto flushed = device_->FlushStage();
-            if (!flushed.ok()) {
-              resps[i].status = flushed.status();
-            }
-          }
-          device_->ftl().BackgroundCollect();
-          break;
+        device_->ftl().BackgroundCollect();
+        break;
+      }
+      case ServeOp::kDescribePlacement: {
+        auto described = device_->DescribePlacement(p.req.handle);
+        if (described.ok()) {
+          resps[i].spec = described.value();
+        } else {
+          resps[i].status = described.status();
         }
-        case ServeOp::kDescribePlacement: {
-          auto described = device_->DescribePlacement(p.req.handle);
-          if (described.ok()) {
-            resps[i].spec = described.value();
-          } else {
-            resps[i].status = described.status();
-          }
-          break;
-        }
+        break;
       }
     }
   }

@@ -16,8 +16,10 @@
 //      admission, so background work never starves SYS),
 //   3. dispatches via a weighted scheduler (qos.h) on a fixed worker pool
 //      (src/common/thread_pool), coalescing adjacent-LBA requests of the
-//      same class/op/handle into one ReadBatch/WriteBatch (which the device
-//      turns into physical ReadRun/ProgramRun stretches),
+//      same class/op/handle into one dispatch. Coalescing only groups
+//      requests under one hold of the device gate: the dispatch still runs
+//      one page per device call, in LBA order, and once a request returns
+//      kPowerLost the rest fail with it without touching the dark device,
 //   4. serializes all device + sim-clock access behind one device gate
 //      mutex, so the device itself never sees concurrency, and
 //   5. hands completions to a drain thread through a BoundedQueue -- the
@@ -63,14 +65,9 @@ struct ServeConfig {
   // Total submission-queue depth; bulk/maintenance classes are each capped
   // at half of it (see QosScheduler::HasRoom).
   size_t submission_depth = 256;
+  // Weighted per-class dispatch (default QosWeights); false = one global
+  // FIFO.
   bool qos = true;
-  QosWeights weights;
-  // Coalescing: merge up to max_coalesce forward-adjacent same-class
-  // same-op same-handle requests per dispatch, scanning at most
-  // coalesce_window queued entries per probe.
-  bool coalesce = true;
-  uint32_t max_coalesce = 8;
-  uint32_t coalesce_window = 32;
 };
 
 // Per-class completion statistics snapshot.
@@ -142,7 +139,7 @@ class AsyncBlockService {
   const ServeConfig& config() const { return config_; }
 
  private:
-  // One dispatched device batch: 1..max_coalesce requests, ascending
+  // One dispatch: 1..kMaxCoalesce requests (service.cc), ascending
   // contiguous LBAs when size > 1.
   struct Batch {
     std::vector<Pending> reqs;

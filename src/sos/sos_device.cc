@@ -189,65 +189,6 @@ Result<BlockReadResult> SosDevice::Read(uint64_t lba) {
   return result;
 }
 
-std::vector<Result<BlockReadResult>> SosDevice::ReadBatch(uint64_t lba, uint32_t count) {
-  std::vector<Result<BlockReadResult>> out;
-  out.reserve(count);
-  for (auto& read : ftl_->ReadRun(lba, count)) {
-    if (!read.ok()) {
-      out.push_back(read.status());
-      continue;
-    }
-    BlockReadResult result;
-    result.data = std::move(read.value().data);
-    result.residual_bit_errors = read.value().residual_bit_errors;
-    result.degraded = read.value().degraded;
-    out.push_back(std::move(result));
-  }
-  return out;
-}
-
-std::vector<Status> SosDevice::WriteBatch(uint64_t lba,
-                                          std::span<const std::vector<uint8_t>> pages,
-                                          PlacementHandle handle) {
-  std::vector<Status> out(pages.size(), Status::Ok());
-  if (Status s = handles_.Check(handle); !s.ok()) {
-    for (Status& slot : out) {
-      slot = s;
-    }
-    return out;
-  }
-  const PlacementSpec& spec = handles_.SpecOf(handle);
-  size_t done = 0;
-  // Fast path: one ProgramRun-backed stretch into the primary pool. Staged
-  // critical writes interleave flush migrations with appends, so with SLC
-  // staging on the batch keeps the serial path's exact schedule instead.
-  if (!(spec.durability == Durability::kCritical && stage_pool_.has_value())) {
-    const uint32_t primary =
-        spec.durability == Durability::kDegradable ? spare_pool_ : sys_pool_;
-    uint64_t written = 0;
-    Status run = ftl_->WriteRun(lba, pages, DirectiveFor(handle, spec, primary), &written);
-    done = written;  // leading pages acknowledged by the run are already Ok
-    if (!run.ok() && run.code() == StatusCode::kPowerLost) {
-      for (size_t i = done; i < pages.size(); ++i) {
-        out[i] = run;
-      }
-      return out;
-    }
-  }
-  // Remainder (overflow, transient failure, or the staging path): the
-  // serial write with its durability-ordered pool fallback.
-  for (size_t i = done; i < pages.size(); ++i) {
-    out[i] = Write(lba + static_cast<uint64_t>(i), pages[i], handle);
-    if (!out[i].ok() && out[i].code() == StatusCode::kPowerLost) {
-      for (size_t j = i + 1; j < pages.size(); ++j) {
-        out[j] = out[i];
-      }
-      break;
-    }
-  }
-  return out;
-}
-
 Status SosDevice::Trim(uint64_t lba) { return ftl_->Trim(lba); }
 
 Status SosDevice::Reclassify(uint64_t lba, PlacementHandle handle) {

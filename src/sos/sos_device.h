@@ -81,23 +81,6 @@ class SosDevice final : public BlockDevice {
   [[nodiscard]] Status Reclassify(uint64_t lba, PlacementHandle handle) override;
   void SetCapacityListener(CapacityListener listener) override;
 
-  // --- Batched entry points (serve-layer coalescing, DESIGN.md §14) -------
-
-  // Reads `count` consecutive LBAs; result i is lba + i. Contiguous
-  // physical stretches go through one NandDevice::ReadRun (Ftl::ReadRun);
-  // semantics per page are exactly Read()'s.
-  [[nodiscard]] std::vector<Result<BlockReadResult>> ReadBatch(uint64_t lba, uint32_t count);
-
-  // Writes pages[i] at lba + i under `handle`. The primary pool's stretch
-  // goes through the ProgramRun-backed Ftl::WriteRun; pages it cannot place
-  // (pool overflow, transient faults) fall back to the serial Write path
-  // with its durability-ordered overflow. Per-page status mirrors the
-  // equivalent serial loop; after a power cut the remaining pages report
-  // kPowerLost without touching the dark device.
-  [[nodiscard]] std::vector<Status> WriteBatch(uint64_t lba,
-                                               std::span<const std::vector<uint8_t>> pages,
-                                               PlacementHandle handle);
-
   // --- SOS introspection ---------------------------------------------------
 
   Ftl& ftl() { return *ftl_; }

@@ -618,11 +618,11 @@ TEST(FtlTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-// --- WriteRun: the batched face of the one append primitive ---------------
+// --- Faults in the middle of a write stream ----------------------------------
 
 // A 16-block PLC die: 20 pages per block, a parity slot every 4th page, so
-// 15 data pages per block. A 40-page run crosses stripes and blocks.
-constexpr uint64_t kRunPages = 40;
+// 15 data pages per block. A 40-page stream crosses stripes and blocks.
+constexpr uint64_t kStreamPages = 40;
 
 FtlConfig StripedPool() {
   FtlConfig config = SinglePool();
@@ -630,9 +630,9 @@ FtlConfig StripedPool() {
   return config;
 }
 
-std::vector<std::vector<uint8_t>> RunPages(uint8_t base) {
+std::vector<std::vector<uint8_t>> StreamPages(uint8_t base) {
   std::vector<std::vector<uint8_t>> pages;
-  for (uint64_t i = 0; i < kRunPages; ++i) {
+  for (uint64_t i = 0; i < kStreamPages; ++i) {
     pages.push_back(Page(static_cast<uint8_t>(base + i)));
   }
   return pages;
@@ -667,74 +667,24 @@ class ProgramFault : public NandFaultHook {
   std::optional<uint32_t> stuck_;
 };
 
-TEST(FtlWriteRunTest, MatchesSerialWritesAcrossStripesAndBlocks) {
-  const auto old_pages = RunPages(0x80);
-  const auto new_pages = RunPages(1);
-  SimClock serial_clock;
-  SimClock run_clock;
-  Ftl serial(StripedPool(), &serial_clock);
-  Ftl run(StripedPool(), &run_clock);
-  // Identical history first: the run then starts mid-stripe and overwrites.
-  for (Ftl* ftl : {&serial, &run}) {
-    for (uint64_t lba = 0; lba < kRunPages; ++lba) {
-      ASSERT_TRUE(ftl->Write(lba, old_pages[lba], 0).ok());
-    }
-  }
-  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
-    ASSERT_TRUE(serial.Write(lba, new_pages[lba], 0).ok());
-  }
-  uint64_t written = 0;
-  ASSERT_TRUE(run.WriteRun(0, new_pages, WriteDirective{}, &written).ok());
-  EXPECT_EQ(written, kRunPages);
-
-  EXPECT_EQ(run_clock.now(), serial_clock.now());
-  EXPECT_EQ(run.stats(), serial.stats());
-  EXPECT_GT(run.stats().parity_writes(), 0u);
-  const NandStats& a = run.nand().stats();
-  const NandStats& b = serial.nand().stats();
-  EXPECT_EQ(a.programs, b.programs);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.erases, b.erases);
-  EXPECT_EQ(a.busy_us, b.busy_us);
-  // Same physical layout: every programmed page carries the same OOB
-  // (LBA, write sequence, pool, flags) on both dies.
-  for (uint32_t block = 0; block < run.nand().config().num_blocks; ++block) {
-    const uint32_t programmed = run.nand().block_info(block).next_page;
-    ASSERT_EQ(programmed, serial.nand().block_info(block).next_page);
-    for (uint32_t page = 0; page < programmed; ++page) {
-      auto run_oob = run.nand().ReadOob({block, page});
-      auto serial_oob = serial.nand().ReadOob({block, page});
-      ASSERT_TRUE(run_oob.ok() && serial_oob.ok());
-      EXPECT_EQ(run_oob.value(), serial_oob.value()) << "block " << block << " page " << page;
-    }
-  }
-  EXPECT_EQ(run.LbasInPool(0), serial.LbasInPool(0));
-  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
-    auto read = run.Read(lba);
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(read.value().data, new_pages[lba]) << "lba " << lba;
-  }
-  EXPECT_TRUE(run.CheckInvariants().ok());
-}
-
-TEST(FtlWriteRunTest, GrownBadBlockMidRunKeepsAcknowledgedPages) {
-  const auto pages = RunPages(1);
+TEST(FtlFaultTest, GrownBadBlockMidStreamKeepsAcknowledgedPages) {
+  const auto pages = StreamPages(1);
   SimClock clock;
   Ftl ftl(StripedPool(), &clock);
   // Program op 6 is data page 5 of the first block (page 3 is parity): four
   // data pages have landed and been committed when the block goes bad.
   ProgramFault fault(NandFaultAction::Fail(StatusCode::kWornOut, "stuck block"), 6);
   ftl.nand().SetFaultHook(&fault);
-  uint64_t written = 0;
-  const Status status = ftl.WriteRun(0, pages, WriteDirective{}, &written);
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
+    const Status status = ftl.Write(lba, pages[lba], WriteDirective{});
+    ASSERT_TRUE(status.ok()) << "lba " << lba << ": " << status.ToString();
+  }
   ftl.nand().SetFaultHook(nullptr);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(written, kRunPages);
   EXPECT_EQ(ftl.stats().grown_bad_blocks(), 1u);
   // The drop rescued exactly the four pages committed before the fault.
   EXPECT_EQ(ftl.stats().gc_relocations(), 4u);
   EXPECT_EQ(ftl.stats().lost_pages(), 0u);
-  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
     auto read = ftl.Read(lba);
     ASSERT_TRUE(read.ok()) << "lba " << lba;
     EXPECT_EQ(read.value().data, pages[lba]) << "lba " << lba;
@@ -742,34 +692,41 @@ TEST(FtlWriteRunTest, GrownBadBlockMidRunKeepsAcknowledgedPages) {
   EXPECT_TRUE(ftl.CheckInvariants().ok());
 }
 
-TEST(FtlWriteRunTest, PowerCutMidRunReportsTheTornPageUnwritten) {
-  const auto old_pages = RunPages(0x80);
-  const auto new_pages = RunPages(1);
+TEST(FtlFaultTest, PowerCutMidStreamLeavesTheTornPageUnacknowledged) {
+  const auto old_pages = StreamPages(0x80);
+  const auto new_pages = StreamPages(1);
   SimClock clock;
   Ftl ftl(StripedPool(), &clock);
-  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
     ASSERT_TRUE(ftl.Write(lba, old_pages[lba], 0).ok());
   }
   // The prefill leaves the host cursor on page 13 of its third block (ten
   // data pages plus three parity pages). Program ops 1-2 land data pages
   // 13-14, op 3 fills the parity slot at 15, op 4 lands page 16, and op 5
-  // programs page 17 -- the run's fourth page -- as power dies.
+  // programs page 17 -- the fourth write -- as power dies.
   ProgramFault cut(NandFaultAction::PowerCut(/*after_op=*/true, "power cut"), 5);
   ftl.nand().SetFaultHook(&cut);
-  uint64_t written = 0;
-  const Status status = ftl.WriteRun(0, new_pages, WriteDirective{}, &written);
+  uint64_t acked = 0;
+  Status status = Status::Ok();
+  while (acked < kStreamPages) {
+    status = ftl.Write(acked, new_pages[acked], WriteDirective{});
+    if (!status.ok()) {
+      break;
+    }
+    ++acked;
+  }
   ftl.nand().SetFaultHook(nullptr);
   EXPECT_EQ(status.code(), StatusCode::kPowerLost);
-  ASSERT_EQ(written, 3u);  // the torn fourth page is not acknowledged
+  ASSERT_EQ(acked, 3u);  // the torn fourth write is not acknowledged
 
   ASSERT_TRUE(ftl.RecoverFromFlash().ok());
-  for (uint64_t lba = 0; lba < kRunPages; ++lba) {
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
     auto read = ftl.Read(lba);
     ASSERT_TRUE(read.ok()) << "lba " << lba;
     const std::vector<uint8_t>& data = read.value().data;
-    if (lba < written) {
+    if (lba < acked) {
       EXPECT_EQ(data, new_pages[lba]) << "acknowledged lba " << lba;
-    } else if (lba == written) {
+    } else if (lba == acked) {
       EXPECT_TRUE(data == old_pages[lba] || data == new_pages[lba]) << "torn lba " << lba;
     } else {
       EXPECT_EQ(data, old_pages[lba]) << "unwritten lba " << lba;

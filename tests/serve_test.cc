@@ -13,6 +13,8 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/flash/fault_hook.h"
+#include "src/obs/metrics.h"
 #include "src/serve/bounded_queue.h"
 #include "src/serve/client.h"
 #include "src/serve/qos.h"
@@ -435,32 +437,181 @@ TEST(ServeServiceTest, AdjacentReadsCoalesceIntoOneBatch) {
 }
 
 TEST(ServeServiceTest, BatchAndSerialPathsReturnIdenticalData) {
-  // Same seed, two devices: one written/read through coalesced batches, one
-  // through the serial device API. Every logical block must match bit for
-  // bit -- the coalescer may change op grouping but never content.
-  SimClock clock_a;
-  SosDevice device_a(SmallDeviceConfig(6), &clock_a);
-  AsyncBlockService service(&device_a, &clock_a, ServeConfig{});
-  InProcessClient client(&service);
-  auto handle_a = client.OpenPlacement({Durability::kCritical});
-  ASSERT_TRUE(handle_a.ok());
-
-  SimClock clock_b;
-  SosDevice device_b(SmallDeviceConfig(6), &clock_b);
-  auto handle_b = device_b.OpenPlacement({Durability::kCritical});
-  ASSERT_TRUE(handle_b.ok());
-
+  // Same seed, two devices: one read through coalesced batches, one through
+  // the serial device API. Every logical block, the FTL and NAND counters
+  // and the sim clock must match -- the coalescer may change op grouping
+  // but never what the device does.
+  //
+  // The second input makes SYS reads need parity rescue: a worn die, weak
+  // BCH, 4-page stripes, and per-handle append points whose stripes' first
+  // page was written ten years before the rest. (SYS's two read retries
+  // recover 90% of retention drift, so uniformly aged stripes never reach
+  // rescue.) A rescue re-reads the young stripe members right after the
+  // failed page; a batch that sensed the whole stretch before decoding any
+  // page would draw their error samples in a different order.
+  struct Step {
+    uint64_t lba;
+    size_t handle;
+    double wait_years;  // both clocks advance this much before the write
+  };
+  struct Input {
+    SosDeviceConfig config;
+    size_t handles;
+    std::vector<Step> writes;
+    double age_years;  // after the last write
+    uint64_t lbas;     // read back [0, lbas)
+  };
+  Input fresh{SmallDeviceConfig(6), 1, {}, 0.0, 24};
   for (uint64_t lba = 0; lba < 24; ++lba) {
-    const auto page = FillPage(lba, 7);
-    ASSERT_TRUE(client.Write(lba, page, handle_a.value()).ok());
-    ASSERT_TRUE(device_b.Write(lba, page, handle_b.value()).ok());
+    fresh.writes.push_back({lba, 0, 0.0});
   }
-  auto batched = client.ReadBatch(0, 24, handle_a.value());
-  ASSERT_TRUE(batched.ok());
-  for (uint64_t lba = 0; lba < 24; ++lba) {
-    auto serial = device_b.Read(lba);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(batched.value()[lba].data, serial.value().data) << "lba " << lba;
+  constexpr size_t kStripes = 8;  // one per handle; LBAs 3k..3k+2, then 3*kStripes+k
+  Input aged{SmallDeviceConfig(6), kStripes, {}, 0.3, 4 * kStripes};
+  aged.config.sys_ecc = EccPreset::kWeakBch;
+  aged.config.sys_parity_stripe = 4;
+  aged.config.placement_policy = PlacementPolicy::kStatic;
+  aged.config.nand.initial_pec = 5000;
+  for (size_t k = 0; k < kStripes; ++k) {
+    aged.writes.push_back({3 * k, k, 0.0});
+  }
+  for (size_t k = 0; k < kStripes; ++k) {
+    aged.writes.push_back({3 * k + 1, k, k == 0 ? 10.0 : 0.0});
+    aged.writes.push_back({3 * k + 2, k, 0.0});
+    aged.writes.push_back({3 * kStripes + k, k, 0.0});  // flushes the stripe's parity
+  }
+
+  for (const Input* input : {&fresh, &aged}) {
+    SCOPED_TRACE(input == &fresh ? "fresh" : "aged");
+    SimClock clock_a;
+    SosDevice device_a(input->config, &clock_a);
+    AsyncBlockService service(&device_a, &clock_a, ServeConfig{});
+    InProcessClient client(&service);
+    SimClock clock_b;
+    SosDevice device_b(input->config, &clock_b);
+    std::vector<PlacementHandle> handles_a;
+    std::vector<PlacementHandle> handles_b;
+    for (size_t h = 0; h < input->handles; ++h) {
+      auto a = client.OpenPlacement({Durability::kCritical});
+      auto b = device_b.OpenPlacement({Durability::kCritical});
+      ASSERT_TRUE(a.ok() && b.ok());
+      handles_a.push_back(a.value());
+      handles_b.push_back(b.value());
+    }
+    for (const Step& step : input->writes) {
+      clock_a.Advance(YearsToUs(step.wait_years));
+      clock_b.Advance(YearsToUs(step.wait_years));
+      const auto page = FillPage(step.lba, 7);
+      ASSERT_TRUE(client.Write(step.lba, page, handles_a[step.handle]).ok());
+      ASSERT_TRUE(device_b.Write(step.lba, page, handles_b[step.handle]).ok());
+    }
+    clock_a.Advance(YearsToUs(input->age_years));
+    clock_b.Advance(YearsToUs(input->age_years));
+
+    auto batched = client.ReadBatch(0, static_cast<uint32_t>(input->lbas), handles_a[0]);
+    EXPECT_TRUE(batched.ok()) << batched.status().ToString();
+    for (uint64_t lba = 0; lba < input->lbas; ++lba) {
+      auto serial = device_b.Read(lba);
+      ASSERT_TRUE(serial.ok()) << "lba " << lba << ": " << serial.status().ToString();
+      if (batched.ok()) {
+        EXPECT_EQ(batched.value()[lba].data, serial.value().data) << "lba " << lba;
+        EXPECT_EQ(batched.value()[lba].degraded, serial.value().degraded) << "lba " << lba;
+      }
+    }
+    EXPECT_GT(service.Stats().coalesced, 0u);
+    EXPECT_EQ(device_a.ftl().stats(), device_b.ftl().stats());
+    EXPECT_EQ(device_a.ftl().nand().stats().reads, device_b.ftl().nand().stats().reads);
+    EXPECT_EQ(device_a.ftl().nand().stats().bit_errors_injected,
+              device_b.ftl().nand().stats().bit_errors_injected);
+    EXPECT_EQ(clock_a.now(), clock_b.now());
+    if (input == &aged) {
+      EXPECT_GT(device_b.ftl().stats().parity_rescues(), 0u) << "no parity rescues; retune";
+    }
+  }
+}
+
+// Cuts power right after the `cut_at`-th program op (1-based) lands.
+class PowerCutAtProgram : public NandFaultHook {
+ public:
+  explicit PowerCutAtProgram(uint64_t cut_at) : cut_at_(cut_at) {}
+
+  NandFaultAction OnNandOp(NandOpKind op, uint32_t /*block*/, uint32_t /*page*/) override {
+    if (op == NandOpKind::kProgram && ++programs_ == cut_at_) {
+      return NandFaultAction::PowerCut(/*after_op=*/true, "power cut");
+    }
+    return NandFaultAction::None();
+  }
+
+ private:
+  uint64_t cut_at_;
+  uint64_t programs_ = 0;
+};
+
+// Host writes the FTL has seen (its write-latency histogram count).
+uint64_t FtlWriteCalls(const SosDevice& device) {
+  obs::MetricRegistry registry;
+  device.ftl().ToMetrics(registry);
+  for (const obs::MetricRow& row : registry.Snapshot()) {
+    if (row.name == "ftl.write.latency_us") {
+      return row.count;
+    }
+  }
+  return 0;
+}
+
+TEST(ServeServiceTest, PowerCutMidBatchFailsTheRestOfTheBatch) {
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(10), &clock);
+  AsyncBlockService service(&device, &clock, ServeConfig{});
+  InProcessClient client(&service);
+  auto handle = client.OpenPlacement({Durability::kCritical});
+  ASSERT_TRUE(handle.ok());
+  constexpr uint64_t kLbas = 8;
+  for (uint64_t lba = 0; lba < kLbas; ++lba) {
+    ASSERT_TRUE(client.Write(lba, FillPage(lba, 1), handle.value()).ok());
+  }
+
+  // SYS stripes are 16 pages, so the prefill leaves the cursor mid-stripe:
+  // the batch's first four programs are its first four data pages, and the
+  // fourth lands as power dies (acknowledged to nobody).
+  constexpr uint64_t kCut = 4;
+  PowerCutAtProgram cut(kCut);
+  const uint64_t programs_before = device.ftl().nand().stats().programs;
+  const uint64_t writes_before = FtlWriteCalls(device);
+  const uint64_t batches_before = service.Stats().batches;
+  device.ftl().nand().SetFaultHook(&cut);
+  std::vector<std::future<ServeResponse>> futures;
+  for (uint64_t lba = 0; lba < kLbas; ++lba) {
+    ServeRequest req;
+    req.op = ServeOp::kWrite;
+    req.lba = lba;
+    req.data = FillPage(lba, 2);
+    req.handle = handle.value();
+    futures.push_back(service.Submit(std::move(req)));
+  }
+  service.RunPending();
+  device.ftl().nand().SetFaultHook(nullptr);
+  EXPECT_EQ(service.Stats().batches, batches_before + 1);  // one coalesced dispatch
+
+  for (uint64_t lba = 0; lba < kLbas; ++lba) {
+    const StatusCode want = lba + 1 < kCut ? StatusCode::kOk : StatusCode::kPowerLost;
+    EXPECT_EQ(futures[lba].get().status.code(), want) << "lba " << lba;
+  }
+  EXPECT_EQ(device.ftl().nand().stats().programs, programs_before + kCut);
+  // The requests after the cut never reached the dark device.
+  EXPECT_EQ(FtlWriteCalls(device), writes_before + kCut);
+
+  ASSERT_TRUE(device.RecoverFromPowerLoss().ok());
+  for (uint64_t lba = 0; lba < kLbas; ++lba) {
+    auto read = device.Read(lba);
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    if (lba + 1 < kCut) {
+      EXPECT_EQ(read.value().data, FillPage(lba, 2)) << "acknowledged lba " << lba;
+    } else if (lba + 1 == kCut) {
+      EXPECT_TRUE(read.value().data == FillPage(lba, 1) || read.value().data == FillPage(lba, 2))
+          << "torn lba " << lba;
+    } else {
+      EXPECT_EQ(read.value().data, FillPage(lba, 1)) << "unwritten lba " << lba;
+    }
   }
 }
 

@@ -8,16 +8,16 @@
 //
 // Runs every inner-loop microbench (tools/perfcheck/microbench.h): L2P
 // lookup/update, phenomenological and voltage-model RBER evaluation, ECC
-// decode, bit-flip application, serial vs batched NAND reads, GC churn
-// through the FTL's one relocation loop, and end-to-end lifetime ops. Each
+// decode, bit-flip application, NAND reads, GC churn through the FTL's one
+// relocation loop, end-to-end lifetime ops, and classifier scoring. Each
 // of the --time-reps repetitions is timed on its own; BENCH_micro.json
 // carries per bench {ops per rep, min / median / MAD of ns/op over the reps,
 // ops/s at the median, workload checksum} plus the flat-vs-map L2P speedup
 // ratio, and perfcheck exits non-zero when
 //   - any workload checksum differs from the committed golden (simulated
 //     behaviour drifted), or
-//   - an implementation pair (flat L2P vs reference map, batched vs serial
-//     NAND reads) stops producing identical checksums.
+//   - an implementation pair (flat L2P vs reference map, single-pass vs
+//     cached-feature scoring) stops producing identical checksums.
 // Timing numbers are reported, never gated. CI runs this as a ctest and
 // uploads BENCH_micro.json as an artifact; see DESIGN.md §11.
 

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -222,10 +221,7 @@ uint64_t BitFlipWorkload(uint64_t* ops) {
 }
 
 // ---------------------------------------------------------------------------
-// NAND: program one block, read it back three times -- once through the
-// per-page loop, once through the batched run entry points. The two benches
-// fold identical observables in identical order, so their checksums must be
-// equal (ReadRun/ProgramRun are serial-equivalent by contract).
+// NAND: program one block page by page, then read it back three times.
 // ---------------------------------------------------------------------------
 
 uint64_t FoldRead(uint64_t acc, const Result<ReadResult>& r) {
@@ -241,7 +237,7 @@ uint64_t FoldRead(uint64_t acc, const Result<ReadResult>& r) {
                      rr.latency_us, h});
 }
 
-uint64_t NandReadWorkload(bool batched, uint64_t* ops) {
+uint64_t NandReadWorkload(uint64_t* ops) {
   SimClock clock;
   NandConfig cfg;
   cfg.num_blocks = 4;
@@ -262,30 +258,15 @@ uint64_t NandReadWorkload(bool batched, uint64_t* ops) {
     oobs[p].lba = p;
     oobs[p].seq = p;
   }
-  if (batched) {
-    const std::vector<std::span<const uint8_t>> views(payloads.begin(), payloads.end());
-    if (Status s = dev.ProgramRun(0, views, oobs[0]); !s.ok()) {
+  for (uint32_t p = 0; p < pages; ++p) {
+    if (Status s = dev.Program({0, p}, payloads[p], &oobs[p]); !s.ok()) {
       return DeriveSeed({0xbadull, static_cast<uint64_t>(s.code())});
     }
-  } else {
-    for (uint32_t p = 0; p < pages; ++p) {
-      if (Status s = dev.Program({0, p}, payloads[p], &oobs[p]); !s.ok()) {
-        return DeriveSeed({0xbadull, static_cast<uint64_t>(s.code())});
-      }
-    }
   }
-  // Fold the same post-program observable for both paths (not the per-call
-  // Status stream, whose shape differs between one run and `pages` calls).
   uint64_t acc = DeriveSeed({0x4e414e44ull, dev.block_info(0).programmed_pages});
   for (uint32_t pass = 0; pass < 3; ++pass) {
-    if (batched) {
-      for (const auto& r : dev.ReadRun(0, 0, pages)) {
-        acc = FoldRead(acc, r);
-      }
-    } else {
-      for (uint32_t p = 0; p < pages; ++p) {
-        acc = FoldRead(acc, dev.Read({0, p}));
-      }
+    for (uint32_t p = 0; p < pages; ++p) {
+      acc = FoldRead(acc, dev.Read({0, p}));
     }
     *ops += pages;
   }
@@ -450,10 +431,7 @@ std::vector<MicroBench> AllBenches() {
   benches.push_back(Repeated("rber_exact", &PhenoWorkload, kPhenoPasses));
   benches.push_back(Repeated("rber_voltage_exact", &VoltageWorkload, kVoltagePasses));
   benches.push_back(Repeated("ecc_decode", [](uint64_t* ops) { return EccWorkload(1, ops); }));
-  benches.push_back(
-      Repeated("nand_read_serial", [](uint64_t* ops) { return NandReadWorkload(false, ops); }));
-  benches.push_back(
-      Repeated("nand_read_batched", [](uint64_t* ops) { return NandReadWorkload(true, ops); }));
+  benches.push_back(Repeated("nand_read_serial", &NandReadWorkload));
   benches.push_back(Repeated("gc_churn", [](uint64_t* ops) { return GcChurnWorkload(ops); }));
   benches.push_back(Repeated("lifetime_ops", [](uint64_t* ops) { return LifetimeWorkload(ops); }));
   // Appended after the PR-9 fleet work; keep new benches below this line so
@@ -476,9 +454,7 @@ std::vector<MicroBench> AllBenches() {
 }
 
 std::vector<EqualPair> MustMatch() {
-  return {{"l2p_flat", "l2p_map"},
-          {"nand_read_serial", "nand_read_batched"},
-          {"classify_score_extract", "classify_score_cached"}};
+  return {{"l2p_flat", "l2p_map"}, {"classify_score_extract", "classify_score_cached"}};
 }
 
 std::vector<SpeedupPair> Speedups() {

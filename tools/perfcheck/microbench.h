@@ -12,8 +12,8 @@
 // reported but never gated (they vary by machine).
 //
 // Pairs of benches that run the same simulated workload through two
-// implementations (flat L2P vs. the reference map; batched NAND reads vs.
-// the serial loop) must produce *equal* checksums -- that equality is
+// implementations (flat L2P vs. the reference map; single-pass vs.
+// cached-feature scoring) must produce *equal* checksums -- that equality is
 // asserted on every run, making perfcheck an equivalence check as well as a
 // perf probe. See DESIGN.md §11 for how to read BENCH_micro.json.
 
