@@ -19,6 +19,8 @@
 #ifndef SOS_SRC_CLASSIFY_CLASSIFIER_H_
 #define SOS_SRC_CLASSIFY_CLASSIFIER_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -27,6 +29,15 @@
 #include "src/host/placement.h"
 
 namespace sos {
+
+// A file's score at one instant plus an enclosure of its score over a time
+// window during which the file's metadata does not change.
+struct ScoreSpan {
+  double at_t0 = 0.0;  // exactly ScoreCached(meta, features, t0)
+  // lo <= ScoreCached(meta, features, t) <= hi for every t in [t0, t1].
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
 
 // A binary classifier over FileMeta. Scores near 1 mean "positive class".
 // For priority models the positive class is EXPENDABLE (safe-to-degrade);
@@ -47,6 +58,22 @@ class BinaryClassifier {
                              SimTimeUs now_us) const {
     return Score(meta, now_us);
   }
+
+  // ScoreCached at `t0` plus a guaranteed enclosure of ScoreCached(meta,
+  // features, t) for every t in [t0, t1], valid while `meta` stays as it is.
+  // The default encloses nothing (infinite bounds), so a model or decorator
+  // that does not override it keeps being scored exactly on every call.
+  virtual ScoreSpan ScoreSpanCached(const FileMeta& meta, const StaticFeatures& features,
+                                    SimTimeUs t0, SimTimeUs /*t1*/) const {
+    ScoreSpan span;
+    span.at_t0 = ScoreCached(meta, features, t0);
+    return span;
+  }
+
+  // Identifies the parameters behind ScoreSpanCached's bounds: a caller
+  // holding bounds must drop them once this changes (a retrain assigned in
+  // place). Models whose spans enclose nothing need not override it.
+  virtual uint64_t Fingerprint() const { return 0; }
 
   // Hard decision at `threshold` (default 0.5). Higher thresholds are more
   // conservative about declaring a file expendable/deletable.

@@ -20,6 +20,18 @@ MigrationDaemon::MigrationDaemon(ExtentFileSystem* fs, PlacementDirectory* place
   assert(fs_ != nullptr && placements_ != nullptr && model_ != nullptr);
 }
 
+namespace {
+
+// A file's window horizon starts at ScoreWindow's default of 4 days, doubles
+// on every refresh after a certified window, up to this cap, and halves on
+// every failed certification, down to one day.
+constexpr uint8_t kMaxHorizonDays = 128;
+constexpr uint8_t kCertified = 1;
+constexpr uint8_t kDemoteSide = 2;   // score >= demote_threshold
+constexpr uint8_t kPromoteSide = 4;  // score <= promote_threshold
+
+}  // namespace
+
 MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
   RunStats stats;
   // Re-declares a file's placement with a fresh handle of the opposite
@@ -35,34 +47,74 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     }
     return fs_->ReclassifyFile(id, handle.value()).ok();
   };
+  // A retrain assigns the model in place; its windows die with it.
+  if (model_->Fingerprint() != fingerprint_) {
+    fingerprint_ = model_->Fingerprint();
+    windows_.clear();
+  }
   // One pass in id order; reclassifying inside the walk is allowed (it
   // neither creates nor deletes files).
   fs_->ForEachFile([&](const FileView& file) {
     ++stats.scanned;
-    const double score =
-        std::clamp(model_->ScoreCached(file.meta, file.static_features, now) +
-                       config_.type_score_bias[static_cast<size_t>(file.meta.type)],
-                   0.0, 1.0);
+    if (file.id > windows_.size()) {
+      windows_.resize(file.id);
+    }
+    ScoreWindow& window = windows_[file.id - 1];
+    const uint64_t accesses = file.meta.read_count + file.meta.write_count;
+    const SimTimeUs span_us = window.horizon_days * kUsPerDay;
+    const bool in_window = (window.flags & kCertified) != 0 && window.accesses == accesses &&
+                           now <= window.until && now + span_us >= window.until;
+    if (!in_window) {
+      ++stats.scored;
+      if ((window.flags & kCertified) != 0) {
+        window.horizon_days =
+            static_cast<uint8_t>(std::min(window.horizon_days * 2, int{kMaxHorizonDays}));
+      }
+      const SimTimeUs until = now + window.horizon_days * kUsPerDay;
+      const ScoreSpan span = model_->ScoreSpanCached(file.meta, file.static_features, now, until);
+      // Adding the bias and clamping are monotone, so they carry the bounds.
+      const double bias = config_.type_score_bias[static_cast<size_t>(file.meta.type)];
+      const double score = std::clamp(span.at_t0 + bias, 0.0, 1.0);
+      const double lo = std::clamp(span.lo + bias, 0.0, 1.0);
+      const double hi = std::clamp(span.hi + bias, 0.0, 1.0);
+      const bool demote_known = lo >= config_.demote_threshold || hi < config_.demote_threshold;
+      const bool promote_known = !config_.allow_promotion ||
+                                 hi <= config_.promote_threshold ||
+                                 lo > config_.promote_threshold;
+      window.flags = static_cast<uint8_t>(
+          (score >= config_.demote_threshold ? kDemoteSide : 0) |
+          (config_.allow_promotion && score <= config_.promote_threshold ? kPromoteSide : 0));
+      if (demote_known && promote_known) {
+        window.flags |= kCertified;
+        window.until = until;
+        window.accesses = accesses;
+      } else {
+        window.horizon_days = static_cast<uint8_t>(std::max(window.horizon_days / 2, 1));
+      }
+    }
+    if ((window.flags & (kDemoteSide | kPromoteSide)) == 0) {
+      return;  // no verdict can act, whatever the file's durability
+    }
     const auto spec = fs_->DescribePlacement(file.placement);
     if (!spec.ok()) {
       return;  // handle closed out from under the file: nothing safe to do
     }
     const Durability durability = spec.value().durability;
-    if (durability == Durability::kCritical && score >= config_.demote_threshold &&
+    if (durability == Durability::kCritical && (window.flags & kDemoteSide) != 0 &&
         now >= file.meta.created_us + config_.min_age_us) {
       if (reclassify(file.id, file.meta, Durability::kDegradable)) {
         ++stats.demoted;
       } else {
         ++stats.demote_failures;
       }
-    } else if (config_.allow_promotion && durability == Durability::kDegradable &&
-               score <= config_.promote_threshold) {
+    } else if (durability == Durability::kDegradable && (window.flags & kPromoteSide) != 0) {
       if (reclassify(file.id, file.meta, Durability::kCritical)) {
         ++stats.promoted;
       }
     }
   });
   lifetime_.scanned += stats.scanned;
+  lifetime_.scored += stats.scored;
   lifetime_.demoted += stats.demoted;
   lifetime_.promoted += stats.promoted;
   lifetime_.demote_failures += stats.demote_failures;

@@ -7,6 +7,9 @@
 //                      SYS partition to SPARE (and optionally promotes data
 //                      the model now considers critical). The decision
 //                      threshold encodes "erring on the side of caution".
+//                      A file whose score provably stays on one side of
+//                      both thresholds over a window is not re-scored
+//                      inside it (certified score windows, DESIGN.md §11).
 // DegradationMonitor-- the scrubber of §4.3: predicts near-future RBER for
 //                      approximate-pool pages, preemptively refreshes pages
 //                      on dangerously degraded blocks, and (when a cloud
@@ -59,6 +62,7 @@ class MigrationDaemon {
  public:
   struct RunStats {
     uint64_t scanned = 0;
+    uint64_t scored = 0;  // classifier calls: files scanned outside a window
     uint64_t demoted = 0;
     uint64_t promoted = 0;
     uint64_t demote_failures = 0;  // e.g. SPARE out of space
@@ -76,11 +80,26 @@ class MigrationDaemon {
   const RunStats& lifetime_stats() const { return lifetime_; }
 
  private:
+  // A file's certified score window: from `until` - horizon_days to `until`,
+  // while its read and write counts stay at `accesses`, its biased score
+  // stays on the recorded side of both thresholds. Outside a window the
+  // record keeps the horizon of its last attempt.
+  struct ScoreWindow {
+    SimTimeUs until = 0;
+    uint64_t accesses = 0;  // read_count + write_count; both only grow
+    uint8_t horizon_days = 4;
+    uint8_t flags = 0;  // kCertified | kDemoteSide | kPromoteSide
+  };
+  static_assert(sizeof(ScoreWindow) <= 24);
+
   ExtentFileSystem* fs_;
   PlacementDirectory* placements_;
   const BinaryClassifier* model_;
   MigrationDaemonConfig config_;
   RunStats lifetime_;
+  // Indexed by file id - 1: ids are dense and never reused.
+  std::vector<ScoreWindow> windows_;
+  uint64_t fingerprint_ = 0;  // model_->Fingerprint() the windows were certified under
 };
 
 // ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ void LifetimeResult::ToMetrics(obs::MetricRegistry& registry, const std::string&
   registry.SetCounter(prefix + "sos.daemon.activations", daemon_activations_);
   registry.SetCounter(prefix + "sos.health.transitions", health_transitions_);
   registry.SetCounter(prefix + "sos.migration.scanned", migration_.scanned);
+  registry.SetCounter(prefix + "sos.migration.scored", migration_.scored);
   registry.SetCounter(prefix + "sos.migration.demoted", migration_.demoted);
   registry.SetCounter(prefix + "sos.migration.promoted", migration_.promoted);
   registry.SetCounter(prefix + "sos.migration.demote_failures", migration_.demote_failures);

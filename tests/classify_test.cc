@@ -6,7 +6,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +131,84 @@ TEST(FeaturesTest, CachedStaticFeaturesAreBitwiseTheSinglePassExtraction) {
       ASSERT_EQ(std::memcmp(&score, &score_cached, sizeof(score)), 0) << meta.path;
     }
   }
+}
+
+// ScoreSpanCached's contract: at_t0 is ScoreCached(t0) bit for bit, and
+// [lo, hi] encloses ScoreCached(t) at every t of the window, endpoints
+// included. Windows start anywhere from before a file's creation (where its
+// age feature is pinned at zero) to well past the corpus, and span 1-128 days.
+TEST(ScoreSpanTest, EnclosesEveryScoreInTheWindow) {
+  CorpusConfig config = TestCorpusConfig();
+  config.num_files = 2400;
+  std::vector<FileMeta> corpus = GenerateCorpus(config);
+  const auto pointers = AsPointers(corpus);
+  // A training set without writes floors the write-rate feature's sigma at
+  // 1e-6; a written file's standardized rate is then in the millions, and
+  // the bounds must stay sound.
+  std::vector<FileMeta> unwritten = corpus;
+  for (FileMeta& meta : unwritten) {
+    meta.write_count = 0;
+  }
+  const std::vector<std::pair<std::string, LogisticClassifier>> models = {
+      {"expendable", LogisticClassifier::Train(pointers, &ExpendableLabel, config.device_age_us)},
+      {"deletion", LogisticClassifier::Train(pointers, &DeletionLabel, config.device_age_us)},
+      {"sigma-floored",
+       LogisticClassifier::Train(AsPointers(unwritten), &ExpendableLabel, config.device_age_us)},
+  };
+  Rng rng(DeriveSeed({0x7370616eull}));
+  constexpr int kSamples = 16;
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    uint64_t certified = 0;
+    for (const FileMeta& meta : corpus) {
+      const StaticFeatures features = ExtractStaticFeatures(meta);
+      const SimTimeUs t0 = rng.NextBounded(config.device_age_us + kUsPerYear);
+      const SimTimeUs t1 = t0 + kUsPerDay + rng.NextBounded(127 * kUsPerDay);
+      const ScoreSpan span = model.ScoreSpanCached(meta, features, t0, t1);
+      const double exact_t0 = model.ScoreCached(meta, features, t0);
+      ASSERT_EQ(std::memcmp(&span.at_t0, &exact_t0, sizeof(exact_t0)), 0) << meta.path;
+      ASSERT_LE(span.lo, span.hi);
+      for (int k = 0; k < kSamples; ++k) {
+        const SimTimeUs t = k == 0 ? t0 : k == 1 ? t1 : t0 + rng.NextBounded(t1 - t0 + 1);
+        const double score = model.ScoreCached(meta, features, t);
+        ASSERT_GE(score, span.lo) << meta.path << " t=" << t;
+        ASSERT_LE(score, span.hi) << meta.path << " t=" << t;
+      }
+      // The migration daemon's thresholds, both outside the enclosure.
+      for (const double threshold : {0.2, 0.6}) {
+        certified += (span.hi < threshold || span.lo > threshold) ? 1 : 0;
+      }
+    }
+    // The bounds are informative, not merely safe.
+    EXPECT_GT(certified, corpus.size());
+  }
+}
+
+TEST(ScoreSpanTest, DefaultSpanEnclosesNothing) {
+  FileMeta meta;
+  meta.type = FileType::kCache;
+  meta.path = "cache/a.tmp";
+  const RuleBasedClassifier rules;
+  const ScoreSpan span =
+      rules.ScoreSpanCached(meta, ExtractStaticFeatures(meta), kUsPerDay, 9 * kUsPerDay);
+  EXPECT_EQ(span.at_t0, rules.Score(meta, kUsPerDay));
+  EXPECT_EQ(span.lo, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(span.hi, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(rules.Fingerprint(), 0u);
+}
+
+TEST(ScoreSpanTest, FingerprintTracksTrainedParameters) {
+  const auto corpus = GenerateCorpus(TestCorpusConfig());
+  const auto pointers = AsPointers(corpus);
+  const LogisticClassifier a = LogisticClassifier::Train(pointers, &ExpendableLabel, kUsPerYear);
+  const LogisticClassifier b = LogisticClassifier::Train(pointers, &ExpendableLabel, kUsPerYear);
+  const LogisticClassifier c =
+      LogisticClassifier::Train(pointers, &ExpendableLabel, 2 * kUsPerYear);
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  EXPECT_NE(a.Fingerprint(), c.Fingerprint());
+  LogisticClassifier assigned = a;
+  assigned = c;  // a retrain assigned in place carries its fingerprint
+  EXPECT_EQ(assigned.Fingerprint(), c.Fingerprint());
 }
 
 TEST(FeaturesTest, NamesAreStable) {

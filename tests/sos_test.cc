@@ -3,6 +3,8 @@
 // Tests for the SOS core: device partitioning, the three daemons, and the
 // lifetime simulation driver.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/classify/corpus.h"
@@ -330,7 +332,8 @@ TEST(MigrationDaemonTest, RespectsMinAge) {
 }
 
 // Overrides only Score, like a timing decorator: the daemons' ScoreCached
-// calls reach it through BinaryClassifier's forwarding default.
+// and ScoreSpanCached calls reach it through BinaryClassifier's forwarding
+// defaults, and its spans enclose nothing, so every scan is an exact score.
 class ScoreOnlyDecorator final : public BinaryClassifier {
  public:
   explicit ScoreOnlyDecorator(const BinaryClassifier* inner) : inner_(inner) {}
@@ -393,6 +396,109 @@ TEST(MigrationDaemonTest, ScoreOnlyDecoratorMatchesBareModel) {
   EXPECT_EQ(decorated.decorator_calls, 4u * 80u);  // every scored file went through Score
   EXPECT_GT(bare.stats[1], 0u);   // first pass demoted
   EXPECT_EQ(bare.stats[10], bare.stats[1]);  // the protective pass promoted them all back
+}
+
+// Differential oracle for certified score windows: the bare model lets the
+// daemon skip files inside a window, the decorator forces an exact score on
+// every scan, and the two must make the same decision on every file on every
+// pass. The run moves every window key: reads and overwrites between passes,
+// creations and deletions, per-type biases, promotions, demotions that fail
+// once SPARE is full, and a retrain assigned in place mid-run.
+TEST(MigrationDaemonTest, ScoreWindowsMatchExactScoringEveryPass) {
+  constexpr int kPasses = 130;
+  constexpr int kRetrainPass = 70;
+  struct Outcome {
+    // Per pass: scanned/demoted/promoted/failures, then every (id, handle).
+    std::vector<std::vector<uint64_t>> passes;
+    MigrationDaemon::RunStats total;
+    uint64_t decorator_calls = 0;
+  };
+  auto run = [](bool decorated) {
+    SosDeviceConfig config = SmallSos();
+    config.sys_share = 0.9;  // a small SPARE pool, so demotions start failing
+    DaemonFixture f(config);
+    for (size_t i = 0; i < 150; ++i) {
+      f.AddFile(i, 512);
+    }
+    // Corpus timestamps span the corpus device's age; start the scans after it.
+    f.clock.Advance(CorpusConfig{}.device_age_us);
+    ScoreOnlyDecorator decorator(&f.priority);
+    const BinaryClassifier* model =
+        decorated ? static_cast<const BinaryClassifier*>(&decorator) : &f.priority;
+    MigrationDaemonConfig daemon_config;
+    daemon_config.type_score_bias[static_cast<size_t>(FileType::kDownload)] = 0.15;
+    daemon_config.type_score_bias[static_cast<size_t>(FileType::kPhoto)] = -0.1;
+    MigrationDaemon daemon(&f.fs, &f.placements, model, daemon_config);
+    Rng rng(DeriveSeed({0x77696e646f77ull}));  // same op stream in both runs
+    size_t next_corpus = 150;
+    Outcome out;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      f.clock.Advance(kUsPerDay);
+      const uint64_t max_id = next_corpus;  // ids are 1-based and dense
+      for (int op = 0; op < 12; ++op) {
+        // Half the ops go to the newest files, whose rates move fastest.
+        const uint64_t id = op % 2 == 0 ? 1 + rng.NextBounded(max_id)
+                                        : max_id - rng.NextBounded(std::min<uint64_t>(max_id, 20));
+        if (f.fs.Lookup(id) == nullptr) {
+          continue;
+        }
+        const uint64_t kind = rng.NextBounded(8);
+        if (kind < 4) {
+          EXPECT_TRUE(f.fs.ReadFile(id).ok());
+        } else if (kind < 7) {
+          // Overwrite bursts move the write-rate feature alone.
+          const uint64_t burst = 1 + rng.NextBounded(6);
+          for (uint64_t k = 0; k < burst; ++k) {
+            EXPECT_TRUE(f.fs.OverwriteFile(id, std::vector<uint8_t>(512, 0x3c)).ok());
+          }
+        } else {
+          EXPECT_TRUE(f.fs.DeleteFile(id).ok());
+        }
+      }
+      if (pass % 2 == 0 && next_corpus < f.corpus.size()) {
+        FileMeta meta = f.corpus[next_corpus++];
+        meta.size_bytes = 512;
+        meta.created_us = f.clock.now();
+        meta.last_accessed_us = f.clock.now();
+        meta.read_count = 0;
+        meta.write_count = 0;
+        // Refused alike in both runs once the file system is full.
+        IgnoreResult(f.fs.CreateFile(meta, std::vector<uint8_t>(512, 0x5a), f.critical));
+      }
+      if (pass == kRetrainPass) {
+        // A retrain assigned in place, as LifetimeSim assigns its retrains,
+        // to a model under which edited files are precious: from here on an
+        // overwrite alone can push a file's score across a threshold.
+        f.priority = LogisticClassifier::Train(
+            AsPointers(f.corpus), [](const FileMeta& meta) { return meta.write_count == 0; },
+            f.clock.now());
+      }
+      const MigrationDaemon::RunStats stats = daemon.RunOnce(f.clock.now());
+      std::vector<uint64_t> record = {stats.scanned, stats.demoted, stats.promoted,
+                                      stats.demote_failures};
+      f.fs.ForEachFile([&](const FileView& file) {
+        record.insert(record.end(), {file.id, file.placement.id()});
+      });
+      out.passes.push_back(std::move(record));
+    }
+    out.total = daemon.lifetime_stats();
+    out.decorator_calls = decorator.calls();
+    return out;
+  };
+  const Outcome windowed = run(false);
+  const Outcome exact = run(true);
+  ASSERT_EQ(windowed.passes.size(), exact.passes.size());
+  for (size_t pass = 0; pass < exact.passes.size(); ++pass) {
+    ASSERT_EQ(windowed.passes[pass], exact.passes[pass]) << "first divergence at pass " << pass;
+  }
+  // Every event the oracle is meant to cover happened.
+  EXPECT_GT(exact.total.demoted, 0u);
+  EXPECT_GT(exact.total.promoted, 0u);
+  EXPECT_GT(exact.total.demote_failures, 0u);
+  // The decorator never certifies a window; the bare model mostly does.
+  EXPECT_EQ(exact.total.scored, exact.total.scanned);
+  EXPECT_EQ(exact.decorator_calls, exact.total.scanned);
+  EXPECT_LT(windowed.total.scored * 2, windowed.total.scanned);
 }
 
 TEST(MigrationDaemonTest, HigherThresholdDemotesLess) {

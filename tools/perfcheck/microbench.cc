@@ -20,7 +20,10 @@
 #include "src/flash/voltage_model.h"
 #include "src/ftl/ftl.h"
 #include "src/ftl/l2p.h"
+#include "src/host/file_system.h"
+#include "src/sos/daemons.h"
 #include "src/sos/lifetime_sim.h"
+#include "src/sos/sos_device.h"
 
 namespace sos::perfcheck {
 namespace {
@@ -401,6 +404,70 @@ uint64_t ScoreWorkload(bool cached, uint64_t* ops) {
   return acc;
 }
 
+// ---------------------------------------------------------------------------
+// Migration scan: the daemon's daily review of the scoring corpus as a file
+// system, over half a year of reads and overwrites. Once the model is wrapped
+// in a decorator that forwards only Score and ScoreCached, so every scan is an
+// exact score (as before certified windows); once the bare model lets the
+// daemon skip files inside their windows. Both fold every pass's decisions
+// and the final placements, so their checksums must be equal.
+// ---------------------------------------------------------------------------
+
+class ExactScoring final : public BinaryClassifier {
+ public:
+  explicit ExactScoring(const BinaryClassifier* inner) : inner_(inner) {}
+  double Score(const FileMeta& meta, SimTimeUs now_us) const override {
+    return inner_->Score(meta, now_us);
+  }
+  double ScoreCached(const FileMeta& meta, const StaticFeatures& features,
+                     SimTimeUs now_us) const override {
+    return inner_->ScoreCached(meta, features, now_us);
+  }
+
+ private:
+  const BinaryClassifier* inner_;
+};
+
+uint64_t MigrationScanWorkload(bool windowed, uint64_t* ops) {
+  constexpr int kDays = 180;
+  constexpr int kAccessesPerDay = 24;
+  const ScoreCorpus& corpus = SharedScoreCorpus();
+  SimClock clock;
+  SosDeviceConfig config;
+  config.nand.store_payloads = false;
+  SosDevice device(config, &clock);
+  ExtentFileSystem fs(&device, &clock);
+  PlacementDirectory placements(&device);
+  const PlacementHandle critical = placements.For({Durability::kCritical}).value();
+  uint64_t acc = 0x4d494753ull;
+  for (FileMeta meta : corpus.files) {
+    meta.size_bytes = config.nand.page_size_bytes;
+    acc = DeriveSeed({acc, fs.CreateFile(std::move(meta), {}, critical).ok() ? 1u : 0u});
+  }
+  clock.Advance(CorpusConfig{}.device_age_us);
+  const ExactScoring exact(&corpus.model);
+  MigrationDaemon daemon(&fs, &placements,
+                         windowed ? static_cast<const BinaryClassifier*>(&corpus.model) : &exact,
+                         {});
+  Rng rng(DeriveSeed({0x4d494752ull}));  // "MIGR"
+  for (int day = 0; day < kDays; ++day) {
+    clock.Advance(kUsPerDay);
+    for (int i = 0; i < kAccessesPerDay; ++i) {
+      const uint64_t id = 1 + rng.NextBounded(corpus.files.size());
+      const Status s =
+          rng.NextBounded(4) == 0 ? fs.OverwriteFile(id, {}) : fs.ReadFile(id).status();
+      acc = DeriveSeed({acc, s.ok() ? 1u : 0u});
+    }
+    const MigrationDaemon::RunStats stats = daemon.RunOnce(clock.now());
+    acc = DeriveSeed({acc, stats.scanned, stats.demoted, stats.promoted, stats.demote_failures});
+    *ops += stats.scanned;
+  }
+  fs.ForEachFile([&acc](const FileView& file) {
+    acc = DeriveSeed({acc, file.id, file.placement.id()});
+  });
+  return acc;
+}
+
 // One timing repetition runs `passes` fresh workload calls; the checksum is
 // always a single call.
 MicroBench Repeated(std::string name, std::function<uint64_t(uint64_t*)> workload,
@@ -450,16 +517,23 @@ std::vector<MicroBench> AllBenches() {
   benches.push_back(Repeated(
       "classify_score_cached", [](uint64_t* ops) { return ScoreWorkload(true, ops); },
       kScorePasses));
+  benches.push_back(Repeated("migration_scan_exact",
+                             [](uint64_t* ops) { return MigrationScanWorkload(false, ops); }));
+  benches.push_back(Repeated("migration_scan_windowed",
+                             [](uint64_t* ops) { return MigrationScanWorkload(true, ops); }));
   return benches;
 }
 
 std::vector<EqualPair> MustMatch() {
-  return {{"l2p_flat", "l2p_map"}, {"classify_score_extract", "classify_score_cached"}};
+  return {{"l2p_flat", "l2p_map"},
+          {"classify_score_extract", "classify_score_cached"},
+          {"migration_scan_exact", "migration_scan_windowed"}};
 }
 
 std::vector<SpeedupPair> Speedups() {
   return {{"l2p", "l2p_map", "l2p_flat"},
-          {"classify_score", "classify_score_extract", "classify_score_cached"}};
+          {"classify_score", "classify_score_extract", "classify_score_cached"},
+          {"migration_scan", "migration_scan_exact", "migration_scan_windowed"}};
 }
 
 }  // namespace sos::perfcheck
