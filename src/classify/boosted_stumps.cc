@@ -18,11 +18,14 @@ double Sigmoid(double z) {
   return 1.0 / (1.0 + std::exp(-z));
 }
 
+constexpr int kRounds = 60;  // number of stumps
+constexpr double kLearningRate = 0.3;
+constexpr int kCandidateThresholds = 16;  // quantile cuts evaluated per feature
+
 }  // namespace
 
 BoostedStumpsClassifier BoostedStumpsClassifier::Train(
-    const std::vector<const FileMeta*>& corpus, LabelFn label_fn, SimTimeUs now_us,
-    const BoostedStumpsConfig& config) {
+    const std::vector<const FileMeta*>& corpus, LabelFn label_fn, SimTimeUs now_us) {
   BoostedStumpsClassifier model;
   const size_t n = corpus.size();
   if (n == 0) {
@@ -56,10 +59,10 @@ BoostedStumpsClassifier BoostedStumpsClassifier::Train(
       if (column.front() == column.back()) {
         continue;  // constant feature: no usable cut
       }
-      for (int q = 1; q <= config.candidate_thresholds; ++q) {
+      for (int q = 1; q <= kCandidateThresholds; ++q) {
         const size_t idx =
             std::min(n - 1, n * static_cast<size_t>(q) /
-                                (static_cast<size_t>(config.candidate_thresholds) + 1));
+                                (static_cast<size_t>(kCandidateThresholds) + 1));
         const double cut = column[idx];
         if (cuts[j].empty() || cuts[j].back() != cut) {
           cuts[j].push_back(cut);
@@ -69,7 +72,7 @@ BoostedStumpsClassifier BoostedStumpsClassifier::Train(
   }
 
   std::vector<double> margin(n, model.bias_);
-  for (int round = 0; round < config.rounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     // Logistic-loss gradients and curvature (Newton boosting).
     std::vector<double> grad(n);
     std::vector<double> hess(n);
@@ -105,8 +108,8 @@ BoostedStumpsClassifier BoostedStumpsClassifier::Train(
           best_gain = gain;
           best.feature = j;
           best.threshold = cut;
-          best.left_value = config.learning_rate * g_left / h_left;
-          best.right_value = config.learning_rate * g_right / h_right;
+          best.left_value = kLearningRate * g_left / h_left;
+          best.right_value = kLearningRate * g_right / h_right;
         }
       }
     }

@@ -18,17 +18,10 @@
 
 namespace sos {
 
-struct BoostedStumpsConfig {
-  int rounds = 60;           // number of stumps
-  double learning_rate = 0.3;
-  int candidate_thresholds = 16;  // quantile cuts evaluated per feature
-};
-
 class BoostedStumpsClassifier final : public BinaryClassifier {
  public:
   static BoostedStumpsClassifier Train(const std::vector<const FileMeta*>& corpus,
-                                       LabelFn label_fn, SimTimeUs now_us,
-                                       const BoostedStumpsConfig& config = {});
+                                       LabelFn label_fn, SimTimeUs now_us);
 
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
 

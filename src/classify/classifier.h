@@ -82,13 +82,6 @@ class BinaryClassifier {
   }
 };
 
-// Priority decision helper: maps a positive ("expendable") prediction to the
-// partition enum.
-inline Priority PredictPriority(const BinaryClassifier& model, const FileMeta& meta,
-                                SimTimeUs now_us, double threshold = 0.5) {
-  return model.Predict(meta, now_us, threshold) ? Priority::kExpendable : Priority::kCritical;
-}
-
 // File-type-only baseline: media/cache/download are expendable, everything
 // else critical. Ignores the personal-significance signal entirely.
 class RuleBasedClassifier final : public BinaryClassifier {

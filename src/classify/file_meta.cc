@@ -26,23 +26,4 @@ const char* FileTypeName(FileType type) {
   return "???";
 }
 
-MediaKind MediaKindForType(FileType type) {
-  switch (type) {
-    case FileType::kPhoto:
-      return MediaKind::kImage;
-    case FileType::kVideo:
-      return MediaKind::kVideo;
-    case FileType::kAudio:
-      return MediaKind::kAudio;
-    case FileType::kDocument:
-      return MediaKind::kDocument;
-    case FileType::kSystem:
-    case FileType::kAppData:
-    case FileType::kDownload:
-    case FileType::kCache:
-      return MediaKind::kBinary;
-  }
-  return MediaKind::kBinary;
-}
-
 }  // namespace sos

@@ -22,7 +22,6 @@
 #include <string>
 
 #include "src/common/units.h"
-#include "src/media/quality.h"
 
 namespace sos {
 
@@ -41,9 +40,6 @@ enum class FileType : uint8_t {
 inline constexpr int kNumFileTypes = 8;
 
 const char* FileTypeName(FileType type);
-
-// Media family used for degradation modeling of this file type.
-MediaKind MediaKindForType(FileType type);
 
 // Ground-truth / predicted placement class (paper §4.2).
 enum class Priority : uint8_t {

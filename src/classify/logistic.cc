@@ -36,6 +36,12 @@ constexpr double kSpanMarginEps = 4.0 * static_cast<double>(kFeatureDim + 16) * 
 // division each round by at most an ulp, and the exact sigmoid is monotone.
 constexpr double kSigmoidSlack = 8.0 * DBL_EPSILON;
 
+// SGD training schedule.
+constexpr int kEpochs = 30;
+constexpr double kLearningRate = 0.15;
+constexpr double kL2 = 1e-4;
+constexpr uint64_t kShuffleSeed = 7;  // shuffling
+
 }  // namespace
 
 std::array<double, kFeatureDim> LogisticClassifier::Standardize(const FeatureVector& f) const {
@@ -47,7 +53,7 @@ std::array<double, kFeatureDim> LogisticClassifier::Standardize(const FeatureVec
 }
 
 LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>& corpus, LabelFn label_fn,
-                                             SimTimeUs now_us, const LogisticConfig& config) {
+                                             SimTimeUs now_us) {
   LogisticClassifier model;
 
   std::vector<FeatureVector> features;
@@ -82,10 +88,10 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
   // SGD with per-epoch shuffling and 1/sqrt(epoch) learning-rate decay.
   std::vector<size_t> order(features.size());
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(DeriveSeed({config.seed, 0x6c6f67697374ull /* "logist" */}));
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  Rng rng(DeriveSeed({kShuffleSeed, 0x6c6f67697374ull /* "logist" */}));
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     rng.Shuffle(order);
-    const double lr = config.learning_rate / std::sqrt(static_cast<double>(epoch) + 1.0);
+    const double lr = kLearningRate / std::sqrt(static_cast<double>(epoch) + 1.0);
     for (size_t idx : order) {
       const auto x = model.Standardize(features[idx]);
       double z = model.b_;
@@ -94,7 +100,7 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
       }
       const double err = Sigmoid(z) - labels[idx];
       for (size_t j = 0; j < kFeatureDim; ++j) {
-        model.w_[j] -= lr * (err * x[j] + config.l2 * model.w_[j]);
+        model.w_[j] -= lr * (err * x[j] + kL2 * model.w_[j]);
       }
       model.b_ -= lr * err;
     }

@@ -21,17 +21,10 @@
 
 namespace sos {
 
-struct LogisticConfig {
-  int epochs = 30;
-  double learning_rate = 0.15;
-  double l2 = 1e-4;
-  uint64_t seed = 7;  // shuffling
-};
-
 class LogisticClassifier final : public BinaryClassifier {
  public:
   static LogisticClassifier Train(const std::vector<const FileMeta*>& corpus, LabelFn label_fn,
-                                  SimTimeUs now_us, const LogisticConfig& config = {});
+                                  SimTimeUs now_us);
 
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
   double ScoreCached(const FileMeta& meta, const StaticFeatures& features,

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace sos {
 
@@ -41,45 +40,6 @@ double Percentiles::Get(double p) {
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets > 0 ? buckets : 1)),
-      counts_(buckets > 0 ? buckets : 1, 0) {}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++counts_.front();
-    return;
-  }
-  size_t idx = static_cast<size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;
-  }
-  ++counts_[idx];
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-std::string Histogram::Render(size_t max_width) const {
-  uint64_t peak = 1;
-  for (uint64_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const size_t bar =
-        static_cast<size_t>(static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-                            static_cast<double>(max_width));
-    std::snprintf(line, sizeof(line), "[%10.3g, %10.3g) ", BucketLow(i), BucketLow(i + 1));
-    out += line;
-    out.append(bar, '#');
-    std::snprintf(line, sizeof(line), " %llu\n", static_cast<unsigned long long>(counts_[i]));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace sos

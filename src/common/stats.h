@@ -4,15 +4,13 @@
 //
 // RunningStats -- Welford-style online mean/variance/min/max, O(1) memory.
 // Percentiles  -- batch percentile computation over a retained sample vector.
-// Histogram    -- fixed-width bucket histogram with ASCII rendering, used by
-//                 benches to show latency and wear distributions.
 
 #ifndef SOS_SRC_COMMON_STATS_H_
 #define SOS_SRC_COMMON_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace sos {
@@ -56,32 +54,6 @@ class Percentiles {
  private:
   std::vector<double> samples_;
   bool sorted_ = false;
-};
-
-// Fixed-range, fixed-width bucket histogram. Values outside [lo, hi) land in
-// clamped edge buckets so no sample is dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-
-  uint64_t total() const { return total_; }
-  const std::vector<uint64_t>& buckets() const { return counts_; }
-
-  // Lower edge of bucket i.
-  double BucketLow(size_t i) const;
-
-  // Multi-line ASCII rendering ("[lo, hi) ####### count"), used in bench
-  // reports.
-  std::string Render(size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace sos

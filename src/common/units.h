@@ -77,7 +77,6 @@ inline constexpr double kGramsPerTonne = 1e6;
 inline constexpr double kGramsPerMegatonne = 1e12;
 
 constexpr double KgToGrams(double kg) { return kg * kGramsPerKg; }
-constexpr double GramsToKg(double g) { return g / kGramsPerKg; }
 constexpr double GramsToTonnes(double g) { return g / kGramsPerTonne; }
 constexpr double GramsToMegatonnes(double g) { return g / kGramsPerMegatonne; }
 

@@ -10,20 +10,6 @@
 
 namespace sos {
 
-std::string_view EccPresetName(EccPreset preset) {
-  switch (preset) {
-    case EccPreset::kNone:
-      return "none";
-    case EccPreset::kWeakBch:
-      return "weak-BCH(t=8)";
-    case EccPreset::kBch:
-      return "BCH(t=40)";
-    case EccPreset::kLdpc:
-      return "LDPC(t=72)";
-  }
-  return "???";
-}
-
 EccScheme EccScheme::FromPreset(EccPreset preset) {
   switch (preset) {
     case EccPreset::kNone:

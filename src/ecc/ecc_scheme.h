@@ -19,7 +19,6 @@
 #define SOS_SRC_ECC_ECC_SCHEME_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "src/common/units.h"
 
@@ -32,8 +31,6 @@ enum class EccPreset {
   kBch,       // t=40 per 1KiB codeword: standard QLC-grade BCH
   kLdpc,      // t=72 per 1KiB codeword: LDPC-class, dense-flash grade
 };
-
-std::string_view EccPresetName(EccPreset preset);
 
 struct EccScheme {
   EccPreset preset = EccPreset::kBch;

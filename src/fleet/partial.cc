@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/obs/metrics.h"
+
 namespace sos::fleet {
 
 // Assembles a ledger from parsed parts. Lives here (not in ledger.cc) so the
@@ -64,15 +66,6 @@ void AppendI64(std::string& out, int64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   out += buf;
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
 }
 
 void AppendHistogram(std::string& out, const char* name, const FleetHistogram& h) {
@@ -379,7 +372,7 @@ std::string PartialToJson(const FleetPartial& partial) {
   out += ",\n    \"fleet_devices\": ";
   AppendU64(out, partial.fleet_devices);
   out += ",\n    \"mix\": \"";
-  AppendEscaped(out, partial.mix);
+  obs::AppendJsonEscaped(out, partial.mix);
   out += "\",\n    \"shard_index\": ";
   AppendU64(out, partial.shard_index);
   out += ",\n    \"shard_count\": ";

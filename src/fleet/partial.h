@@ -5,9 +5,9 @@
 //
 // A shard run (`bench_fleet --shard=i/N --partial-out=...`) simulates every
 // device whose index i satisfies index % N == i and writes its FleetLedger
-// as a JSON partial. A merge step (tools/fleetmerge, or bench_fleet
-// --merge) reads any complete set of partials and reconstructs the exact
-// ledger a single-process run would have produced.
+// as a JSON partial. The merge step (`bench_fleet --merge`) reads any
+// complete set of partials and reconstructs the exact ledger a
+// single-process run would have produced.
 //
 // Everything a partial carries is an integer (counts and micro-unit fixed
 // point) or an echo string -- no doubles -- so serialization is trivially

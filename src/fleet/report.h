@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
-// Fleet report rendering, shared by bench_fleet and tools/fleetmerge so the
-// merged-from-partials path and the single-process path emit byte-identical
+// Fleet report rendering. bench_fleet renders both a single-process run and
+// a `--merge` of shard partials through it, so the two emit byte-identical
 // text and metrics JSON for the same population.
 
 #ifndef SOS_SRC_FLEET_REPORT_H_

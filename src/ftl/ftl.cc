@@ -13,6 +13,15 @@
 
 namespace sos {
 
+namespace {
+
+constexpr uint32_t kGcThresholdBlocks = 3;  // GC when free blocks <= this
+// Static WL kicks in when (max PEC - min PEC) exceeds this fraction of the
+// mode's endurance.
+constexpr double kStaticWlSpread = 0.10;
+
+}  // namespace
+
 void FtlStats::Accumulate(const FtlStats& other) {
   host_writes_ += other.host_writes_;
   nand_writes_ += other.nand_writes_;
@@ -261,7 +270,7 @@ bool Ftl::EnsureWritable(uint32_t pool_id, ActiveSlot& slot, bool allow_gc,
   // demand. Stop when the threshold is restored or no victim remains.
   if (allow_gc && !in_relocation_) {
     int guard = 0;
-    while (pool.free_blocks.size() <= pool.config.gc_threshold_blocks &&
+    while (pool.free_blocks.size() <= kGcThresholdBlocks &&
            guard++ < static_cast<int>(config_.nand.num_blocks)) {
       if (!CollectGarbage(pool_id)) {
         break;
@@ -653,7 +662,7 @@ uint32_t Ftl::BackgroundCollect(uint32_t max_blocks_per_pool) {
     Pool& pool = pools_[pool_id];
     uint32_t budget = max_blocks_per_pool;
     while (budget > 0 &&
-           pool.free_blocks.size() <= 2 * pool.config.gc_threshold_blocks) {
+           pool.free_blocks.size() <= 2 * kGcThresholdBlocks) {
       if (!CollectGarbage(pool_id)) {
         break;
       }
@@ -801,7 +810,7 @@ void Ftl::MaybeStaticWearLevel(uint32_t pool_id) {
   const double endurance =
       static_cast<double>(GetCellTechInfo(pool.config.mode).rated_endurance_pec);
   if (coldest.has_value() &&
-      static_cast<double>(max_pec - min_pec) > config_.static_wl_spread * endurance) {
+      static_cast<double>(max_pec - min_pec) > kStaticWlSpread * endurance) {
     // Best-effort: a failed leveling pass just postpones the spread fix to a
     // later GC cycle; the write path that triggered it must not fail on it.
     IgnoreResult(EvacuateAndRecycle(pool_id, *coldest, /*count_as_wl=*/true));
@@ -809,33 +818,13 @@ void Ftl::MaybeStaticWearLevel(uint32_t pool_id) {
 }
 
 bool Ftl::ShouldRetire(const Pool& pool, uint32_t block_id) const {
-  // Every owned block shares the pool's mode, endurance and nominal
-  // retention, so the exact model value is a pure function of the PEC: cache
-  // the computed double per PEC and replay it bit-for-bit on hits. This
-  // keeps the (pow-heavy) model call off the per-recycle hot path.
-  const uint32_t pec = nand_.block_info(block_id).pec;
-  auto exact = [&]() {
-    PageErrorState state;
-    state.mode = pool.config.mode;
-    state.endurance_pec = nand_.EffectiveEndurance(block_id);
-    state.pec_at_program = pec;
-    state.retention_years = pool.config.nominal_retention_years;
-    state.reads_since_program = 0;
-    return ErrorModel::Rber(state);
-  };
-  constexpr uint32_t kMaxMemoPec = 1u << 20;  // sanity cap on cache growth
-  if (pec >= kMaxMemoPec) {
-    return exact() > pool.retire_rber;
-  }
-  if (pool.retire_rber_by_pec.size() <= pec) {
-    const size_t grown = std::max<size_t>(pec + 1, pool.retire_rber_by_pec.size() * 2);
-    pool.retire_rber_by_pec.resize(grown, -1.0);
-  }
-  double& slot = pool.retire_rber_by_pec[pec];
-  if (slot < 0.0) {
-    slot = exact();
-  }
-  return slot > pool.retire_rber;
+  PageErrorState state;
+  state.mode = pool.config.mode;
+  state.endurance_pec = nand_.EffectiveEndurance(block_id);
+  state.pec_at_program = nand_.block_info(block_id).pec;
+  state.retention_years = pool.config.nominal_retention_years;
+  state.reads_since_program = 0;
+  return ErrorModel::Rber(state) > pool.retire_rber;
 }
 
 void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
@@ -1273,13 +1262,6 @@ void Ftl::RegisterStream(uint32_t stream, const std::string& name) {
     return;  // tag 0 is the shared stream; larger tags cannot be stamped
   }
   StreamEntry(stream).name = name;
-}
-
-Ftl::StreamStats Ftl::StreamStatsOf(uint32_t stream) const {
-  if (stream < stream_stats_.size()) {
-    return stream_stats_[stream];
-  }
-  return StreamStats{};
 }
 
 double Ftl::PecVariance() const {

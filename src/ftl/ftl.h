@@ -101,7 +101,6 @@ struct FtlPoolConfig {
   double retire_rber = 0.0;
   // When set, retired blocks change mode and join the pool with this name.
   std::optional<std::string> resuscitate_into;
-  uint32_t gc_threshold_blocks = 3;  // GC when free blocks <= this
   uint32_t min_live_blocks = 4;      // below this the pool is dead (no writes)
   // READ-RETRY attempts after an ECC failure: each re-reads the page with
   // reference voltages tracking the retention drift (lower RBER, +tR
@@ -125,9 +124,6 @@ struct FtlConfig {
   NandConfig nand;
   std::vector<FtlPoolConfig> pools;
   GcPolicy gc_policy = GcPolicy::kGreedy;
-  // Static WL kicks in when (max PEC - min PEC) exceeds this fraction of the
-  // mode's endurance.
-  double static_wl_spread = 0.10;
   // How placement directives steer the write path (see PlacementPolicy).
   // kLegacy keeps the historical schedule byte-identical.
   PlacementPolicy placement_policy = PlacementPolicy::kLegacy;
@@ -367,9 +363,6 @@ class Ftl {
   // one-byte per-page stamp: 1..255.
   void RegisterStream(uint32_t stream, const std::string& name);
 
-  // Stats for one stream tag (zeroes for tags never written).
-  StreamStats StreamStatsOf(uint32_t stream) const;
-
   // Population variance of PEC across all pool-owned blocks of the die.
   double PecVariance() const;
 
@@ -444,12 +437,6 @@ class Ftl {
     uint64_t valid_pages = 0;
     std::optional<uint32_t> resuscitate_pool;  // resolved target pool id
     FtlStats stats;                     // this pool's share of the counters
-    // Memo of ShouldRetire's ErrorModel::Rber result keyed by PEC (all owned
-    // blocks share the pool's mode and nominal retention, so PEC is the only
-    // free input). Stores the exact computed double -- a hit replays the
-    // identical value, so retirement decisions stay bit-for-bit the same.
-    // Mutable: ShouldRetire is morally const. -1 marks an empty slot.
-    mutable std::vector<double> retire_rber_by_pec;
 
     bool IsActive(uint32_t id) const {
       if ((active_host.block.has_value() && *active_host.block == id) ||

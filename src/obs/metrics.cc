@@ -5,39 +5,11 @@
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 namespace sos::obs {
 
 namespace {
-
-constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void AppendU64(std::string& out, uint64_t v) {
   char buf[32];
@@ -47,7 +19,7 @@ void AppendU64(std::string& out, uint64_t v) {
 
 void AppendRow(std::string& out, const MetricRow& row) {
   out += "    {\"name\": \"";
-  AppendEscaped(out, row.name);
+  AppendJsonEscaped(out, row.name);
   out += "\", ";
   switch (row.kind) {
     case MetricKind::kCounter:
@@ -129,134 +101,84 @@ Histogram Histogram::FromParts(std::vector<double> bounds, std::vector<uint64_t>
   return h;
 }
 
-Status Histogram::Merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    return Status(StatusCode::kInvalidArgument, "histogram merge: bucket bounds differ");
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  return Status::Ok();
-}
-
 // --- MetricRegistry ----------------------------------------------------------
 
-size_t MetricRegistry::Find(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? kNotFound : it->second;
-}
-
-MetricRegistry::Entry& MetricRegistry::NewEntry(const std::string& name, MetricKind kind) {
+MetricRow& MetricRegistry::Slot(const std::string& name, MetricKind kind) {
   assert(!name.empty() && "metric names must be non-empty");
-  assert(Find(name) == kNotFound && "metric registered twice");
-  Entry entry;
-  entry.name = name;
-  entry.kind = kind;
-  index_.emplace(name, entries_.size());
-  entries_.push_back(std::move(entry));
-  return entries_.back();
-}
-
-Counter* MetricRegistry::AddCounter(const std::string& name) {
-  Entry& entry = NewEntry(name, MetricKind::kCounter);
-  entry.counter = std::make_unique<Counter>();
-  return entry.counter.get();
-}
-
-Gauge* MetricRegistry::AddGauge(const std::string& name) {
-  Entry& entry = NewEntry(name, MetricKind::kGauge);
-  entry.gauge = std::make_unique<Gauge>();
-  return entry.gauge.get();
-}
-
-Histogram* MetricRegistry::AddHistogram(const std::string& name,
-                                        std::vector<double> upper_bounds) {
-  Entry& entry = NewEntry(name, MetricKind::kHistogram);
-  entry.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
-  return entry.histogram.get();
+  const auto [it, inserted] = index_.try_emplace(name, rows_.size());
+  if (inserted) {
+    MetricRow& row = rows_.emplace_back();
+    row.name = name;
+    row.kind = kind;
+  }
+  MetricRow& row = rows_[it->second];
+  assert(row.kind == kind && "metric kind mismatch");
+  return row;
 }
 
 void MetricRegistry::SetCounter(const std::string& name, uint64_t value) {
-  const size_t at = Find(name);
-  Counter* counter = at == kNotFound ? AddCounter(name) : entries_[at].counter.get();
-  assert(counter != nullptr && "metric kind mismatch");
-  counter->Add(value - counter->value());
+  Slot(name, MetricKind::kCounter).counter = value;
 }
 
 void MetricRegistry::SetGauge(const std::string& name, double value) {
-  const size_t at = Find(name);
-  Gauge* gauge = at == kNotFound ? AddGauge(name) : entries_[at].gauge.get();
-  assert(gauge != nullptr && "metric kind mismatch");
-  gauge->Set(value);
+  Slot(name, MetricKind::kGauge).gauge = value;
 }
 
 void MetricRegistry::SetHistogram(const std::string& name, const Histogram& histogram) {
-  const size_t at = Find(name);
-  Histogram* target =
-      at == kNotFound ? AddHistogram(name, histogram.bounds()) : entries_[at].histogram.get();
-  assert(target != nullptr && "metric kind mismatch");
-  *target = histogram;
+  MetricRow& row = Slot(name, MetricKind::kHistogram);
+  row.bounds = histogram.bounds();
+  row.buckets = histogram.buckets();
+  row.count = histogram.count();
+  row.sum = histogram.sum();
 }
 
 void MetricRegistry::Append(const MetricsSnapshot& snapshot, const std::string& prefix) {
   for (const MetricRow& row : snapshot) {
-    const std::string name = prefix + row.name;
-    switch (row.kind) {
-      case MetricKind::kCounter:
-        SetCounter(name, row.counter);
-        break;
-      case MetricKind::kGauge:
-        SetGauge(name, row.gauge);
-        break;
-      case MetricKind::kHistogram:
-        SetHistogram(name,
-                     Histogram::FromParts(row.bounds, row.buckets, row.count, row.sum));
-        break;
-    }
+    MetricRow copy = row;
+    copy.name = prefix + row.name;
+    MetricRow& dst = Slot(copy.name, copy.kind);
+    dst = std::move(copy);
   }
 }
 
-MetricsSnapshot MetricRegistry::Snapshot() const {
-  MetricsSnapshot snapshot;
-  snapshot.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    MetricRow row;
-    row.name = entry.name;
-    row.kind = entry.kind;
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        row.counter = entry.counter->value();
-        break;
-      case MetricKind::kGauge:
-        row.gauge = entry.gauge->value();
-        break;
-      case MetricKind::kHistogram:
-        row.bounds = entry.histogram->bounds();
-        row.buckets = entry.histogram->buckets();
-        row.count = entry.histogram->count();
-        row.sum = entry.histogram->sum();
-        break;
-    }
-    snapshot.push_back(std::move(row));
-  }
-  return snapshot;
-}
-
-std::string MetricRegistry::ToJson() const { return MetricsToJson(Snapshot()); }
-
-std::string MetricsToJson(const MetricsSnapshot& snapshot) {
+std::string MetricRegistry::ToJson() const {
   std::string out = "{\n  \"metrics\": [\n";
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    AppendRow(out, snapshot[i]);
-    if (i + 1 < snapshot.size()) {
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    AppendRow(out, rows_[i]);
+    if (i + 1 < rows_.size()) {
       out += ",";
     }
     out += "\n";
   }
   out += "  ]\n}\n";
   return out;
+}
+
+void AppendJsonEscaped(std::string& out, const std::string& s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 std::string FormatJsonDouble(double v) {

@@ -3,8 +3,8 @@
 // Deterministic metrics layer (DESIGN.md §9).
 //
 // Every quantitative signal the simulator emits beyond its ASCII reports
-// flows through a MetricRegistry: named counters, gauges and fixed-bucket
-// histograms whose *registration order is the export order*. That single
+// flows through a MetricRegistry: named counter, gauge and fixed-bucket
+// histogram rows whose *registration order is the export order*. That single
 // rule is what makes telemetry part of the repo's determinism contract --
 // the JSON rendered from a registry is byte-identical across reruns and for
 // any --jobs value, because nothing about it depends on hash order, wall
@@ -19,7 +19,6 @@
 #define SOS_SRC_OBS_METRICS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,27 +26,6 @@
 #include "src/common/status.h"
 
 namespace sos::obs {
-
-// Monotonic event count. Wraps a plain integer so call sites read as
-// telemetry, and so a future sharded registry can swap the representation.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-// Last-write-wins instantaneous value (free blocks, quality score, ...).
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 // Fixed-bucket histogram. Buckets are defined by ascending inclusive upper
 // bounds; one implicit overflow bucket catches everything above the last
@@ -74,18 +52,11 @@ class Histogram {
   static Histogram Rber();
 
   // Rebuilds a histogram from exported state (bounds/buckets/count/sum as a
-  // MetricRow carries them). Used when replaying snapshots into a registry;
-  // Observe() cannot reproduce exact per-bucket counts.
+  // MetricRow carries them). Observe() cannot reproduce exact per-bucket
+  // counts, so state kept in another form (the fleet ledger's fixed-point
+  // histograms) comes back through here.
   static Histogram FromParts(std::vector<double> bounds, std::vector<uint64_t> buckets,
                              uint64_t count, double sum);
-
-  // Folds `other` into this histogram bucket by bucket. The bucket counts
-  // and total count are integer sums, so merging is exactly associative and
-  // commutative; `sum` is a double and therefore only order-stable if the
-  // caller merges in a canonical order (the fleet ledger avoids the issue by
-  // carrying fixed-point sums and materializing the double at render time).
-  // kInvalidArgument if the bucket bounds differ.
-  [[nodiscard]] Status Merge(const Histogram& other);
 
  private:
   std::vector<double> bounds_;
@@ -96,10 +67,10 @@ class Histogram {
 
 enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
 
-// One exported metric row: a point-in-time value detached from the live
-// objects above. A vector of these is the portable form results carry
-// across threads (LifetimeResult::device_metrics) and what the JSON
-// renderer consumes.
+// One metric row: a named point-in-time value. The registry stores these
+// directly; a vector of them is the portable form results carry across
+// threads (LifetimeResult::device_metrics) and what the JSON renderer
+// consumes.
 struct MetricRow {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -115,63 +86,49 @@ struct MetricRow {
 
 using MetricsSnapshot = std::vector<MetricRow>;
 
-// Named metric container. Registration order is stable export order; names
-// must be unique (re-registering a name asserts -- a duplicate would make
-// export order depend on call-site luck). The name index is a hash map used
-// for lookup only; every walk of the registry goes through the ordered
-// entry vector (soslint R1).
+// Named metric rows. Registration order is stable export order. Each name
+// holds one row: a repeated Set* of the name overwrites that row in place,
+// and setting it as another kind asserts. The name index is a hash map used
+// for lookup only; every walk of the registry goes through the ordered row
+// vector (soslint R1).
 class MetricRegistry {
  public:
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  // Live instruments, owned by the registry. Pointers stay valid for the
-  // registry's lifetime.
-  Counter* AddCounter(const std::string& name);
-  Gauge* AddGauge(const std::string& name);
-  Histogram* AddHistogram(const std::string& name, std::vector<double> upper_bounds);
-
-  // Export-time value setters: register-and-assign in one step. Used by
-  // ToMetrics()/ExportMetrics() implementations that keep their counters as
-  // plain struct fields and only materialize metric rows on demand.
+  // Register-and-assign in one step. Exporters (the ToMetrics()
+  // implementations) keep their counters as plain struct fields and call
+  // these at export time.
   void SetCounter(const std::string& name, uint64_t value);
   void SetGauge(const std::string& name, double value);
   void SetHistogram(const std::string& name, const Histogram& histogram);
 
-  // Replays snapshot rows into this registry (each name prefixed with
+  // Copies snapshot rows into this registry (each name prefixed with
   // `prefix`), preserving their order. Lets a result captured in a worker
   // thread be merged into a report registry deterministically.
   void Append(const MetricsSnapshot& snapshot, const std::string& prefix = "");
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return rows_.size(); }
 
   // Rows in registration order.
-  MetricsSnapshot Snapshot() const;
+  const MetricsSnapshot& Snapshot() const { return rows_; }
 
   // Deterministic JSON document (see DESIGN.md §9 for the schema). Doubles
   // are rendered with %.17g so the round trip is exact and byte-stable.
   std::string ToJson() const;
 
  private:
-  struct Entry {
-    std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
+  // The row named `name`, appended with `kind` on first use.
+  MetricRow& Slot(const std::string& name, MetricKind kind);
 
-  Entry& NewEntry(const std::string& name, MetricKind kind);
-  // Returns the entry index for `name`, or SIZE_MAX.
-  size_t Find(const std::string& name) const;
-
-  std::vector<Entry> entries_;                      // export order
+  MetricsSnapshot rows_;                            // export order
   std::unordered_map<std::string, size_t> index_;   // lookup only, never iterated
 };
 
-// Renders one snapshot as the same JSON document ToJson() produces.
-std::string MetricsToJson(const MetricsSnapshot& snapshot);
+// Appends `s` to `out` with JSON string escaping (quote, backslash and
+// control characters; no surrounding quotes).
+void AppendJsonEscaped(std::string& out, const std::string& s);
 
 // %.17g double formatting shared by the JSON emitters (exact round trip,
 // byte-stable across reruns on one platform).

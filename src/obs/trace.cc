@@ -23,33 +23,6 @@ std::string FormatI64(int64_t v) {
   return buf;
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 // Field values are rendered by the With*() helpers; numeric ones arrive as
 // already-formatted decimal/%.17g strings and are emitted bare, everything
 // else is quoted. A value is "numeric" if the helper produced it, which we
@@ -117,17 +90,17 @@ std::string TraceEventToJson(const TraceEvent& event) {
   std::string out = "{\"t_us\": ";
   out += FormatU64(event.t_us);
   out += ", \"type\": \"";
-  AppendEscaped(out, event.type);
+  AppendJsonEscaped(out, event.type);
   out += "\"";
   for (const auto& [key, value] : event.fields) {
     out += ", \"";
-    AppendEscaped(out, key);
+    AppendJsonEscaped(out, key);
     out += "\": ";
     if (LooksNumeric(value)) {
       out += value;
     } else {
       out += "\"";
-      AppendEscaped(out, value);
+      AppendJsonEscaped(out, value);
       out += "\"";
     }
   }
@@ -147,10 +120,6 @@ std::string TraceToJsonl(const std::vector<TraceEvent>& events, uint64_t dropped
     out += "}\n";
   }
   return out;
-}
-
-Status WriteTraceFile(const std::string& path, const TraceSink& sink) {
-  return WriteFile(path, TraceToJsonl(sink.events(), sink.dropped()));
 }
 
 }  // namespace sos::obs

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/common/units.h"
 
 namespace sos::obs {
@@ -87,9 +86,6 @@ std::string TraceEventToJson(const TraceEvent& event);
 // All events, one JSON object per line, newline-terminated. A final
 // "trace.dropped" summary line records the overflow count when non-zero.
 std::string TraceToJsonl(const std::vector<TraceEvent>& events, uint64_t dropped);
-
-// Renders `sink` with TraceToJsonl and writes it to `path`.
-[[nodiscard]] Status WriteTraceFile(const std::string& path, const TraceSink& sink);
 
 }  // namespace sos::obs
 

@@ -31,22 +31,6 @@ enum class ServeOp : uint8_t {
   kDescribePlacement = 4,
 };
 
-inline const char* ServeOpName(ServeOp op) {
-  switch (op) {
-    case ServeOp::kRead:
-      return "read";
-    case ServeOp::kWrite:
-      return "write";
-    case ServeOp::kTrim:
-      return "trim";
-    case ServeOp::kFlush:
-      return "flush";
-    case ServeOp::kDescribePlacement:
-      return "describe";
-  }
-  return "?";
-}
-
 // QoS classes in strict priority order of the weighted scheduler. The class
 // is derived, never declared: critical-handle traffic is SYS-bound, so it
 // must not queue behind SPARE bulk writes or maintenance work (the per-pool

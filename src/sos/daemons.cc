@@ -28,7 +28,26 @@ namespace {
 constexpr uint8_t kMaxHorizonDays = 128;
 constexpr uint8_t kCertified = 1;
 constexpr uint8_t kDemoteSide = 2;   // score >= demote_threshold
-constexpr uint8_t kPromoteSide = 4;  // score <= promote_threshold
+constexpr uint8_t kPromoteSide = 4;  // score <= kPromoteThreshold
+
+// Promote back to SYS when P(expendable) <= this (preferences drift, §4.4).
+constexpr double kPromoteThreshold = 0.2;
+// Never demote files younger than this (fresh data is still hot and its
+// access features unsettled).
+constexpr SimTimeUs kMinDemoteAgeUs = kUsPerDay;
+
+// Prediction horizon: refresh pages that would cross the threshold within
+// one scrub period.
+constexpr double kLookaheadYears = 0.25;
+// Refresh a page when its predicted RBER exceeds this fraction of the
+// pool's quality budget (the SPARE retirement bound). 0.15 of the 2e-3
+// default budget is ~3e-4 raw BER -- the point where video quality dips
+// below ~0.8 and the paper's "dangerously degraded" rescue should fire.
+constexpr double kRefreshFraction = 0.15;
+
+// Auto-delete: only delete files the predictor scores at least this
+// likely-to-delete.
+constexpr double kMinDeleteScore = 0.3;
 
 }  // namespace
 
@@ -78,12 +97,10 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
       const double lo = std::clamp(span.lo + bias, 0.0, 1.0);
       const double hi = std::clamp(span.hi + bias, 0.0, 1.0);
       const bool demote_known = lo >= config_.demote_threshold || hi < config_.demote_threshold;
-      const bool promote_known = !config_.allow_promotion ||
-                                 hi <= config_.promote_threshold ||
-                                 lo > config_.promote_threshold;
-      window.flags = static_cast<uint8_t>(
-          (score >= config_.demote_threshold ? kDemoteSide : 0) |
-          (config_.allow_promotion && score <= config_.promote_threshold ? kPromoteSide : 0));
+      const bool promote_known = hi <= kPromoteThreshold || lo > kPromoteThreshold;
+      window.flags =
+          static_cast<uint8_t>((score >= config_.demote_threshold ? kDemoteSide : 0) |
+                               (score <= kPromoteThreshold ? kPromoteSide : 0));
       if (demote_known && promote_known) {
         window.flags |= kCertified;
         window.until = until;
@@ -101,7 +118,7 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     }
     const Durability durability = spec.value().durability;
     if (durability == Durability::kCritical && (window.flags & kDemoteSide) != 0 &&
-        now >= file.meta.created_us + config_.min_age_us) {
+        now >= file.meta.created_us + kMinDemoteAgeUs) {
       if (reclassify(file.id, file.meta, Durability::kDegradable)) {
         ++stats.demoted;
       } else {
@@ -134,7 +151,7 @@ DegradationMonitor::DegradationMonitor(ExtentFileSystem* fs, SosDevice* device,
 void DegradationMonitor::ScrubPool(uint32_t pool_id, RunStats& stats) {
   Ftl& ftl = device_->ftl();
   const double budget = device_->config().spare_retire_rber;
-  const double refresh_at = budget * config_.refresh_fraction;
+  const double refresh_at = budget * kRefreshFraction;
 
   // Futility guard: refreshing rewrites data onto another block of the same
   // pool, which resets *retention* but not *wear*. Once the pool is worn
@@ -157,7 +174,7 @@ void DegradationMonitor::ScrubPool(uint32_t pool_id, RunStats& stats) {
 
   for (uint64_t lba : ftl.LbasInPool(pool_id)) {
     ++stats.pages_scanned;
-    auto predicted = ftl.PredictLbaRber(lba, config_.lookahead_years);
+    auto predicted = ftl.PredictLbaRber(lba, kLookaheadYears);
     if (!predicted.ok()) {
       continue;  // trimmed mid-scan
     }
@@ -279,10 +296,10 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
       if (FreeFraction() >= config_.high_water_free) {
         break;
       }
-      if (gated && c.score < config_.min_delete_score) {
+      if (gated && c.score < kMinDeleteScore) {
         break;  // candidates are sorted; the rest score lower
       }
-      if (!gated && c.score >= config_.min_delete_score) {
+      if (!gated && c.score >= kMinDeleteScore) {
         continue;  // already handled by the gated pass
       }
       if (fs_->DeleteFile(c.id).ok()) {

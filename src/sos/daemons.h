@@ -45,12 +45,6 @@ struct MigrationDaemonConfig {
   // Demote to SPARE when P(expendable) >= this. Higher = more conservative
   // (fewer precious files at risk, less density benefit realized).
   double demote_threshold = 0.6;
-  // Promote back to SYS when P(expendable) <= this (preferences drift, §4.4).
-  double promote_threshold = 0.2;
-  bool allow_promotion = true;
-  // Never demote files younger than this (fresh data is still hot and its
-  // access features unsettled).
-  SimTimeUs min_age_us = kUsPerDay;
   // User preference bias per file type, added to the classifier score before
   // thresholding (paper §4.4: "prompting users for general preferences on
   // device setup"). Negative values protect a type ("never risk my photos"),
@@ -131,14 +125,6 @@ class InMemoryCloud final : public CloudBackup {
 };
 
 struct DegradationMonitorConfig {
-  // Prediction horizon: refresh pages that would cross the threshold within
-  // one scrub period.
-  double lookahead_years = 0.25;
-  // Refresh a page when its predicted RBER exceeds this fraction of the
-  // pool's quality budget (the SPARE retirement bound). 0.15 of the 2e-3
-  // default budget is ~3e-4 raw BER -- the point where video quality dips
-  // below ~0.8 and the paper's "dangerously degraded" rescue should fire.
-  double refresh_fraction = 0.15;
   // Attempt cloud repair of a file when a read of it comes back degraded
   // with CRC mismatch.
   bool cloud_repair = true;
@@ -179,8 +165,6 @@ class DegradationMonitor {
 struct AutoDeleteConfig {
   double low_water_free = 0.03;   // activate below 3% free (paper §4.5)
   double high_water_free = 0.06;  // delete until this much is free
-  // Only delete files the predictor scores at least this likely-to-delete.
-  double min_delete_score = 0.3;
 };
 
 class AutoDeleteManager {

@@ -39,16 +39,6 @@ const char* DeviceKindSlug(DeviceKind kind) {
   return "unknown";
 }
 
-const char* WorkloadKindName(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kMobile:
-      return "mobile";
-    case WorkloadKind::kFlashCache:
-      return "flash_cache";
-  }
-  return "unknown";
-}
-
 const char* HealthStateName(HealthState state) {
   switch (state) {
     case HealthState::kHealthy:

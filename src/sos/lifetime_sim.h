@@ -58,8 +58,6 @@ enum class WorkloadKind : uint8_t {
   kFlashCache,  // CacheLib-style TTL churn (src/host/cache_workload.h)
 };
 
-const char* WorkloadKindName(WorkloadKind kind);
-
 struct LifetimeSimConfig {
   DeviceKind kind = DeviceKind::kSos;
   uint64_t seed = 1;

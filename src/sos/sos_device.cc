@@ -9,6 +9,9 @@
 namespace sos {
 namespace {
 
+constexpr double kStageFlushHigh = 0.70;  // flush when stage fills past this...
+constexpr double kStageFlushLow = 0.30;   // ...down to this utilization
+
 FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   FtlConfig ftl;
   ftl.nand = config.nand;
@@ -95,7 +98,7 @@ Result<uint64_t> SosDevice::FlushStage() {
     return uint64_t{0};
   }
   const uint64_t target_valid = static_cast<uint64_t>(
-      static_cast<double>(before.exported_pages) * config_.stage_flush_low);
+      static_cast<double>(before.exported_pages) * kStageFlushLow);
   for (uint64_t lba : ftl_->LbasInPool(*stage_pool_)) {
     if (ftl_->Snapshot(*stage_pool_).valid_pages <= target_valid) {
       break;
@@ -148,7 +151,7 @@ Status SosDevice::Write(uint64_t lba, std::span<const uint8_t> data, PlacementHa
     const PoolSnapshot stage = ftl_->Snapshot(*stage_pool_);
     if (stage.exported_pages > 0 &&
         static_cast<double>(stage.valid_pages) >
-            static_cast<double>(stage.exported_pages) * config_.stage_flush_high) {
+            static_cast<double>(stage.exported_pages) * kStageFlushHigh) {
       if (auto flushed = FlushStage(); !flushed.ok()) {
         return flushed.status();  // power/data loss mid-flush: the write fails too
       }
@@ -327,11 +330,6 @@ Status BaselineDevice::Reclassify(uint64_t lba, PlacementHandle handle) {
 
 void BaselineDevice::SetCapacityListener(CapacityListener listener) {
   ftl_->SetCapacityListener(std::move(listener));
-}
-
-std::unique_ptr<BlockDevice> MakeBaselineDevice(const NandConfig& nand, SimClock* clock,
-                                                EccPreset ecc, GcPolicy gc) {
-  return std::make_unique<BaselineDevice>(nand, clock, ecc, gc);
 }
 
 }  // namespace sos

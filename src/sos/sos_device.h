@@ -20,7 +20,7 @@
 // the BlockDevice capacity listener.
 //
 // Baseline devices for the E12 comparison (pure TLC / pure QLC, uniform
-// strong ECC) are built with MakeBaselineDevice().
+// strong ECC) are BaselineDevice instances.
 
 #ifndef SOS_SRC_SOS_SOS_DEVICE_H_
 #define SOS_SRC_SOS_SOS_DEVICE_H_
@@ -56,8 +56,6 @@ struct SosDeviceConfig {
   // endurance; a background flush migrates staged data into pseudo-QLC.
   bool enable_slc_staging = false;
   double stage_share = 0.06;          // fraction of blocks, carved out of SYS
-  double stage_flush_high = 0.70;     // flush when stage fills past this...
-  double stage_flush_low = 0.30;      // ...down to this utilization
 
   SosDeviceConfig() { nand.tech = CellTech::kPlc; }
 };
@@ -101,7 +99,7 @@ class SosDevice final : public BlockDevice {
   PoolSnapshot StageSnapshot() const { return ftl_->Snapshot(*stage_pool_); }
 
   // Migrates staged data into SYS until stage utilization reaches
-  // `stage_flush_low` (or the stage empties). Returns pages flushed. Called
+  // its low-water mark (or the stage empties). Returns pages flushed. Called
   // automatically when the stage passes its high-water mark; hosts may also
   // call it during idle periods (the background flush of §4.4).
   //
@@ -146,11 +144,6 @@ class SosDevice final : public BlockDevice {
 // A conventional single-pool device of the given technology with uniform
 // strong ECC and wear leveling -- the TLC/QLC baselines of experiment E12.
 // Geometry (blocks/wordlines/page size) is taken from `nand`.
-std::unique_ptr<BlockDevice> MakeBaselineDevice(const NandConfig& nand, SimClock* clock,
-                                                EccPreset ecc = EccPreset::kBch,
-                                                GcPolicy gc = GcPolicy::kGreedy);
-
-// Baseline implementation exposed for benches that need FTL stats access.
 class BaselineDevice final : public BlockDevice {
  public:
   BaselineDevice(const NandConfig& nand, SimClock* clock, EccPreset ecc, GcPolicy gc);

@@ -205,18 +205,6 @@ TEST(PercentilesTest, EmptyReturnsZero) {
   EXPECT_EQ(p.Get(50), 0.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);   // clamps to first bucket
-  h.Add(0.5);
-  h.Add(9.9);
-  h.Add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets().front(), 2u);
-  EXPECT_EQ(h.buckets().back(), 2u);
-  EXPECT_FALSE(h.Render().empty());
-}
-
 // --- Status / Result -------------------------------------------------------
 
 TEST(StatusTest, OkAndError) {

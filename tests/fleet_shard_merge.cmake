@@ -5,19 +5,16 @@
 # The fleet contract (DESIGN.md §13): the aggregate a fleet run reports is a
 # pure function of (seed, devices, mix) -- never of --jobs or of how the
 # population was split across shard processes. This script runs the same
-# small fleet four ways and requires the metrics JSON and stdout report to
+# small fleet three ways and requires the metrics JSON and stdout report to
 # be byte-identical across all of them:
 #   1. one process, --jobs=1          (reference)
 #   2. one process, --jobs=4          (thread fan-out)
-#   3. two shards -> bench_fleet --merge   (process fan-out, bench merge)
-#   4. two shards -> fleetmerge            (standalone merge tool)
+#   3. two shards -> bench_fleet --merge   (process fan-out)
 #
-# Expects -DBENCH=<bench_fleet>, -DMERGE_TOOL=<fleetmerge>,
-# -DWORK_DIR=<scratch dir>.
+# Expects -DBENCH=<bench_fleet> and -DWORK_DIR=<scratch dir>.
 
-if(NOT DEFINED BENCH OR NOT DEFINED MERGE_TOOL OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR
-      "pass -DBENCH=<bench_fleet>, -DMERGE_TOOL=<fleetmerge> and -DWORK_DIR=<scratch dir>")
+if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "pass -DBENCH=<bench_fleet> and -DWORK_DIR=<scratch dir>")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -41,8 +38,8 @@ run_or_die(serial "${BENCH}" --devices=${devices} --seed=${seed} --jobs=1
 run_or_die(parallel "${BENCH}" --devices=${devices} --seed=${seed} --jobs=4
     --metrics-out=${WORK_DIR}/metrics_parallel.json)
 
-# Arms 3 and 4: two shard processes, merged by the bench and by fleetmerge.
-# Shard 1 runs threaded to also cross jobs with sharding.
+# Arm 3: two shard processes, merged by the bench. Shard 1 runs threaded to
+# also cross jobs with sharding.
 run_or_die(shard0 "${BENCH}" --devices=${devices} --seed=${seed} --jobs=1
     --shard=0/2 --partial-out=${WORK_DIR}/p0.json)
 run_or_die(shard1 "${BENCH}" --devices=${devices} --seed=${seed} --jobs=4
@@ -50,8 +47,6 @@ run_or_die(shard1 "${BENCH}" --devices=${devices} --seed=${seed} --jobs=4
 # Merge in reversed order: the merge must canonicalize, not rely on input order.
 run_or_die(merged "${BENCH}" --merge=${WORK_DIR}/p1.json --merge=${WORK_DIR}/p0.json
     --metrics-out=${WORK_DIR}/metrics_merged.json)
-run_or_die(fleetmerge "${MERGE_TOOL}" --metrics-out=${WORK_DIR}/metrics_fleetmerge.json
-    --report=1 ${WORK_DIR}/p1.json ${WORK_DIR}/p0.json)
 
 foreach(arm IN ITEMS parallel merged)
   foreach(kind IN ITEMS metrics stdout)
@@ -73,17 +68,5 @@ foreach(arm IN ITEMS parallel merged)
   endforeach()
 endforeach()
 
-# fleetmerge prints the report without the bench banner, so only its metrics
-# artifact is compared.
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-      "${WORK_DIR}/metrics_serial.json" "${WORK_DIR}/metrics_fleetmerge.json"
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "fleetmerge metrics differ from the unsharded run: the standalone merge "
-      "tool does not reconstruct the exact ledger")
-endif()
-
 message(STATUS
-    "fleet aggregate byte-identical for jobs=1, jobs=4, 2-shard bench merge and fleetmerge")
+    "fleet aggregate byte-identical for jobs=1, jobs=4 and 2-shard bench merge")

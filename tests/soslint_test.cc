@@ -17,7 +17,6 @@
 namespace sos {
 namespace {
 
-using lint::Baseline;
 using lint::Diagnostic;
 using lint::SourceFile;
 
@@ -801,82 +800,6 @@ TEST(SoslintOutputTest, JsonReportEscapesAndCounts) {
   EXPECT_NE(json.find("\"files_scanned\": 17"), std::string::npos);
   EXPECT_NE(json.find("\\\"rand\\\""), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"R2\""), std::string::npos);
-}
-
-// --- Baseline: enumerated, justified debt ------------------------------------
-
-TEST(SoslintBaselineTest, RoundTripSuppressesOnlyEnumeratedDebt) {
-  const std::vector<Diagnostic> old_debt = {
-      {"src/legacy.cc", 10, "R10", "raw unit literal 1024"},
-  };
-  // load...
-  Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(lint::ParseBaselineJson(lint::WriteBaselineJson(old_debt), &baseline, &error))
-      << error;
-  ASSERT_EQ(baseline.entries.size(), 1u);
-  EXPECT_EQ(baseline.entries[0].file, "src/legacy.cc");
-
-  // ...suppress...
-  const std::vector<Diagnostic> now = {
-      {"src/legacy.cc", 10, "R10", "raw unit literal 1024"},
-      {"src/fresh.cc", 4, "R7", "discarding the Status of 'Flush'"},
-  };
-  const auto remaining = lint::ApplyBaseline(now, baseline);
-  // ...new violation still fails.
-  ASSERT_EQ(remaining.size(), 1u);
-  EXPECT_EQ(remaining[0].file, "src/fresh.cc");
-  EXPECT_EQ(remaining[0].rule, "R7");
-}
-
-TEST(SoslintBaselineTest, StaleEntryIsItselfAViolation) {
-  Baseline baseline;
-  baseline.entries.push_back({"src/gone.cc", 9, "R1", "fixed long ago"});
-  const auto remaining = lint::ApplyBaseline({}, baseline);
-  ASSERT_EQ(remaining.size(), 1u);
-  EXPECT_EQ(remaining[0].rule, "R5");
-  EXPECT_NE(remaining[0].message.find("stale"), std::string::npos);
-}
-
-TEST(SoslintBaselineTest, MatchRequiresFileLineAndRule) {
-  Baseline baseline;
-  baseline.entries.push_back({"src/a.cc", 10, "R10", "justified"});
-  // Same file+line, different rule: not suppressed (and the entry is stale).
-  const std::vector<Diagnostic> diags = {{"src/a.cc", 10, "R9", "streamed double"}};
-  const auto remaining = lint::ApplyBaseline(diags, baseline);
-  EXPECT_EQ(CountRule(remaining, "R9"), 1);
-  EXPECT_EQ(CountRule(remaining, "R5"), 1);
-}
-
-TEST(SoslintBaselineTest, RejectsMalformedAndUnjustifiedBaselines) {
-  Baseline baseline;
-  std::string error;
-  EXPECT_FALSE(lint::ParseBaselineJson("not json", &baseline, &error));
-  EXPECT_FALSE(lint::ParseBaselineJson("{\"schema\": 2, \"entries\": []}", &baseline, &error));
-  EXPECT_NE(error.find("schema"), std::string::npos);
-  // A note is mandatory: debt without a justification is not reviewable.
-  const std::string no_note =
-      "{\"schema\": 1, \"entries\": ["
-      "{\"file\": \"src/a.cc\", \"line\": 3, \"rule\": \"R1\", \"note\": \"\"}]}";
-  EXPECT_FALSE(lint::ParseBaselineJson(no_note, &baseline, &error));
-  EXPECT_NE(error.find("note"), std::string::npos);
-  // Unknown rules cannot be baselined.
-  const std::string bad_rule =
-      "{\"schema\": 1, \"entries\": ["
-      "{\"file\": \"src/a.cc\", \"line\": 3, \"rule\": \"R42\", \"note\": \"x\"}]}";
-  EXPECT_FALSE(lint::ParseBaselineJson(bad_rule, &baseline, &error));
-  EXPECT_NE(error.find("R42"), std::string::npos);
-}
-
-TEST(SoslintBaselineTest, EmptyBaselineParsesAndSuppressesNothing) {
-  Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(
-      lint::ParseBaselineJson("{\n  \"schema\": 1,\n  \"entries\": []\n}\n", &baseline, &error))
-      << error;
-  EXPECT_TRUE(baseline.entries.empty());
-  const std::vector<Diagnostic> diags = {{"src/a.cc", 1, "R1", "m"}};
-  EXPECT_EQ(lint::ApplyBaseline(diags, baseline).size(), 1u);
 }
 
 }  // namespace

@@ -8,13 +8,6 @@
 //   --format=text|json        diagnostic output format (default text)
 //   --json-out=<path>         additionally write the JSON report to a file
 //                             (for CI artifacts, regardless of --format)
-//   --baseline=<path>         suppress diagnostics enumerated in a baseline
-//                             file; stale entries are themselves violations.
-//                             Defaults to <root>/tools/soslint/baseline.json
-//                             when that file exists. --baseline=none disables.
-//   --write-baseline=<path>   write the current diagnostics as a baseline
-//                             file (notes prefilled for human editing) and
-//                             exit 0. Used once when a new rule lands.
 //
 // With no subdirs, lints src/ tests/ bench/ examples/ tools/. Text output is
 // one diagnostic per line in file:line: [Rn] form (sorted, so output is
@@ -69,8 +62,7 @@ std::string RelativePath(const fs::path& root, const fs::path& path) {
 int Usage() {
   std::fprintf(stderr,
                "usage: soslint <repo-root> [subdir ...] [--format=text|json]\n"
-               "               [--json-out=<path>] [--baseline=<path>|none]\n"
-               "               [--write-baseline=<path>]\n");
+               "               [--json-out=<path>]\n");
   return 2;
 }
 
@@ -81,8 +73,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> subdirs;
   std::string format = "text";
   std::string json_out;
-  std::string baseline_path;  // empty = auto-detect, "none" = disabled
-  std::string write_baseline_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -96,10 +86,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_out = value_of("--json-out=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value_of("--baseline=");
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = value_of("--write-baseline=");
     } else if (arg.rfind("--", 0) == 0) {
       return Usage();
     } else if (root_arg.empty()) {
@@ -139,31 +125,7 @@ int main(int argc, char** argv) {
               return a.path < b.path;
             });
 
-  std::vector<sos::lint::Diagnostic> diags = sos::lint::LintTree(files);
-
-  if (!write_baseline_path.empty()) {
-    WriteFileOrDie(write_baseline_path, sos::lint::WriteBaselineJson(diags));
-    std::fprintf(stderr, "soslint: wrote %zu baseline entries to %s\n", diags.size(),
-                 write_baseline_path.c_str());
-    return 0;
-  }
-
-  if (baseline_path.empty()) {
-    const fs::path auto_baseline = root / "tools" / "soslint" / "baseline.json";
-    if (fs::exists(auto_baseline)) {
-      baseline_path = auto_baseline.string();
-    }
-  }
-  if (!baseline_path.empty() && baseline_path != "none") {
-    sos::lint::Baseline baseline;
-    std::string error;
-    if (!sos::lint::ParseBaselineJson(ReadFileOrDie(baseline_path), &baseline, &error)) {
-      std::fprintf(stderr, "soslint: bad baseline %s: %s\n", baseline_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    diags = sos::lint::ApplyBaseline(std::move(diags), baseline);
-  }
+  const std::vector<sos::lint::Diagnostic> diags = sos::lint::LintTree(files);
 
   const std::string json = sos::lint::FormatReportJson(diags, files.size());
   if (!json_out.empty()) {

@@ -1139,7 +1139,7 @@ void CheckUnitHygiene(const SourceFile& file, const std::vector<Token>& tokens,
 }
 
 // ---------------------------------------------------------------------------
-// JSON helpers (emission + the minimal parser the baseline needs).
+// JSON emission.
 // ---------------------------------------------------------------------------
 
 void AppendJsonString(std::string* out, const std::string& s) {
@@ -1170,100 +1170,6 @@ void AppendJsonString(std::string* out, const std::string& s) {
   }
   *out += '"';
 }
-
-// A deliberately tiny JSON reader: objects, arrays, strings, and integers --
-// the baseline grammar. Anything else is a parse error.
-struct JsonReader {
-  const std::string& src;
-  size_t pos = 0;
-  std::string error;
-
-  explicit JsonReader(const std::string& s) : src(s) {}
-
-  void SkipWs() {
-    while (pos < src.size() && std::isspace(static_cast<unsigned char>(src[pos])) != 0) {
-      ++pos;
-    }
-  }
-  bool Fail(const std::string& message) {
-    if (error.empty()) {
-      error = message + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-  bool Expect(char c) {
-    SkipWs();
-    if (pos >= src.size() || src[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return pos < src.size() && src[pos] == c;
-  }
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= src.size() || src[pos] != '"') {
-      return Fail("expected string");
-    }
-    ++pos;
-    out->clear();
-    while (pos < src.size() && src[pos] != '"') {
-      char c = src[pos++];
-      if (c == '\\' && pos < src.size()) {
-        const char esc = src[pos++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case '"':
-          case '\\':
-          case '/':
-            c = esc;
-            break;
-          case 'u': {
-            // Baseline strings only ever escape control characters; decode
-            // the code unit as a byte and move on.
-            if (pos + 4 > src.size()) {
-              return Fail("truncated \\u escape");
-            }
-            c = static_cast<char>(std::stoi(src.substr(pos, 4), nullptr, 16));
-            pos += 4;
-            break;
-          }
-          default:
-            return Fail("unsupported escape");
-        }
-      }
-      *out += c;
-    }
-    if (pos >= src.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos;  // closing quote
-    return true;
-  }
-  bool ParseInt(int* out) {
-    SkipWs();
-    const size_t start = pos;
-    if (pos < src.size() && src[pos] == '-') {
-      ++pos;
-    }
-    while (pos < src.size() && std::isdigit(static_cast<unsigned char>(src[pos])) != 0) {
-      ++pos;
-    }
-    if (pos == start) {
-      return Fail("expected integer");
-    }
-    *out = std::stoi(src.substr(start, pos - start));
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -1463,168 +1369,6 @@ std::string FormatReportJson(const std::vector<Diagnostic>& diags, size_t files_
     out += "}";
   }
   out += diags.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-std::string WriteBaselineJson(const std::vector<Diagnostic>& diags) {
-  std::string out = "{\n  \"schema\": 1,\n  \"entries\": [";
-  for (size_t i = 0; i < diags.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"file\": ";
-    AppendJsonString(&out, diags[i].file);
-    out += ", \"line\": " + std::to_string(diags[i].line) + ", \"rule\": ";
-    AppendJsonString(&out, diags[i].rule);
-    out += ", \"note\": ";
-    AppendJsonString(&out, "TODO: justify this entry or fix it");
-    out += "}";
-  }
-  out += diags.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-bool ParseBaselineJson(const std::string& json, Baseline* out, std::string* error) {
-  out->entries.clear();
-  JsonReader reader(json);
-  auto fail = [&](const std::string& fallback) {
-    *error = reader.error.empty() ? fallback : reader.error;
-    return false;
-  };
-  if (!reader.Expect('{')) {
-    return fail("baseline is not a JSON object");
-  }
-  bool first_key = true;
-  while (true) {
-    reader.SkipWs();
-    if (reader.Peek('}')) {
-      ++reader.pos;
-      break;
-    }
-    if (!first_key && !reader.Expect(',')) {
-      return fail("malformed baseline object");
-    }
-    first_key = false;
-    std::string key;
-    if (!reader.ParseString(&key) || !reader.Expect(':')) {
-      return fail("malformed baseline key");
-    }
-    if (key == "schema") {
-      int schema = 0;
-      if (!reader.ParseInt(&schema)) {
-        return fail("malformed schema");
-      }
-      if (schema != 1) {
-        *error = "unsupported baseline schema " + std::to_string(schema);
-        return false;
-      }
-    } else if (key == "entries") {
-      if (!reader.Expect('[')) {
-        return fail("entries is not an array");
-      }
-      bool first_entry = true;
-      while (true) {
-        reader.SkipWs();
-        if (reader.Peek(']')) {
-          ++reader.pos;
-          break;
-        }
-        if (!first_entry && !reader.Expect(',')) {
-          return fail("malformed entries array");
-        }
-        first_entry = false;
-        if (!reader.Expect('{')) {
-          return fail("baseline entry is not an object");
-        }
-        BaselineEntry entry;
-        bool first_field = true;
-        while (true) {
-          reader.SkipWs();
-          if (reader.Peek('}')) {
-            ++reader.pos;
-            break;
-          }
-          if (!first_field && !reader.Expect(',')) {
-            return fail("malformed baseline entry");
-          }
-          first_field = false;
-          std::string field;
-          if (!reader.ParseString(&field) || !reader.Expect(':')) {
-            return fail("malformed baseline entry field");
-          }
-          if (field == "line") {
-            if (!reader.ParseInt(&entry.line)) {
-              return fail("malformed line");
-            }
-          } else {
-            std::string value;
-            if (!reader.ParseString(&value)) {
-              return fail("malformed value for '" + field + "'");
-            }
-            if (field == "file") {
-              entry.file = value;
-            } else if (field == "rule") {
-              entry.rule = value;
-            } else if (field == "note") {
-              entry.note = value;
-            } else {
-              *error = "unknown baseline entry field '" + field + "'";
-              return false;
-            }
-          }
-        }
-        if (entry.file.empty() || entry.rule.empty() || entry.line <= 0) {
-          *error = "baseline entry missing file/line/rule";
-          return false;
-        }
-        if (!IsKnownRule(entry.rule)) {
-          *error = "baseline entry names unknown rule '" + entry.rule + "'";
-          return false;
-        }
-        if (entry.note.empty()) {
-          *error = "baseline entry for " + entry.file + ":" + std::to_string(entry.line) +
-                   " has no note -- every suppression needs a justification";
-          return false;
-        }
-        out->entries.push_back(std::move(entry));
-      }
-    } else {
-      *error = "unknown baseline key '" + key + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Diagnostic> ApplyBaseline(std::vector<Diagnostic> diags, const Baseline& baseline) {
-  std::vector<Diagnostic> out;
-  std::vector<bool> used(baseline.entries.size(), false);
-  for (Diagnostic& diag : diags) {
-    bool suppressed = false;
-    for (size_t i = 0; i < baseline.entries.size(); ++i) {
-      const BaselineEntry& entry = baseline.entries[i];
-      if (entry.file == diag.file && entry.line == diag.line && entry.rule == diag.rule) {
-        used[i] = true;
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) {
-      out.push_back(std::move(diag));
-    }
-  }
-  for (size_t i = 0; i < baseline.entries.size(); ++i) {
-    if (used[i]) {
-      continue;
-    }
-    const BaselineEntry& entry = baseline.entries[i];
-    out.push_back({entry.file, entry.line, "R5",
-                   "stale baseline entry (" + entry.rule +
-                       ") no longer matches any diagnostic; delete it from "
-                       "tools/soslint/baseline.json -- the baseline only shrinks"});
-  }
-  std::sort(out.begin(), out.end(), [](const Diagnostic& a, const Diagnostic& b) {
-    return std::tie(a.file, a.line, a.rule, a.message) <
-           std::tie(b.file, b.line, b.rule, b.message);
-  });
   return out;
 }
 

@@ -28,9 +28,8 @@
 //       NDEBUG build must not change simulation results.
 //   R5  Escape-hatch hygiene: a comment `soslint:allow(R1) keys sorted below`
 //       on the violating line or the line above suppresses the named rule
-//       there. The reason text is mandatory; naming an unknown rule is itself
-//       a violation, and so is a baseline entry that no longer matches any
-//       diagnostic (stale debt must be deleted, not hoarded).
+//       there. The reason text is mandatory, and naming an unknown rule is
+//       itself a violation.
 //   R6  On recovery/fault paths (src/fault, src/ftl, src/sos) the Status of
 //       Recover*/DropBadBlock/GateOp must not be swallowed: no bare calls
 //       and no (void)-casts. [[nodiscard]] catches the former at compile
@@ -77,11 +76,9 @@
 // strict enough that violations need a human-visible annotation rather than
 // luck to pass.
 //
-// Baseline. New rules land strict-on-new-code: pre-existing debt is
-// enumerated in tools/soslint/baseline.json (file+line+rule+note, each note
-// a human justification) and suppressed at load time; any diagnostic not in
-// the baseline fails the build, and any baseline entry that no longer fires
-// is itself reported (R5) so the file can only shrink.
+// Suppression. The inline allow comment described under R5 is the one way
+// to accept a diagnostic: the justification sits next to the code it
+// excuses, and every other diagnostic fails the build.
 
 #ifndef SOS_TOOLS_SOSLINT_SOSLINT_H_
 #define SOS_TOOLS_SOSLINT_SOSLINT_H_
@@ -162,35 +159,6 @@ std::string FormatDiagnostic(const Diagnostic& diag);
 // Machine-readable report: {"schema":1,"files_scanned":N,"diagnostics":[...]}
 // with diagnostics in the same (file, line, rule) order as the text output.
 std::string FormatReportJson(const std::vector<Diagnostic>& diags, size_t files_scanned);
-
-// ---------------------------------------------------------------------------
-// Baseline: enumerated, justified debt. See the header comment for protocol.
-// ---------------------------------------------------------------------------
-
-struct BaselineEntry {
-  std::string file;
-  int line = 0;
-  std::string rule;
-  std::string note;  // human justification; mandatory in a reviewed baseline
-
-  bool operator==(const BaselineEntry& other) const = default;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-};
-
-// Renders diagnostics as a baseline file (notes prefilled for human editing).
-std::string WriteBaselineJson(const std::vector<Diagnostic>& diags);
-
-// Parses a baseline file. Returns false and sets *error on malformed input;
-// a malformed baseline must fail the lint run, not silently suppress nothing.
-bool ParseBaselineJson(const std::string& json, Baseline* out, std::string* error);
-
-// Drops diagnostics matched by a baseline entry (same file, line, and rule).
-// Entries that matched nothing come back as R5 diagnostics ("stale baseline
-// entry"), so the baseline can only ever shrink.
-std::vector<Diagnostic> ApplyBaseline(std::vector<Diagnostic> diags, const Baseline& baseline);
 
 }  // namespace sos::lint
 
