@@ -6,24 +6,6 @@
 
 namespace sos {
 
-uint64_t DeriveSeed(std::initializer_list<uint64_t> keys) {
-  // Chain each key through SplitMix64 so that any single-bit change in any
-  // key yields an unrelated stream.
-  uint64_t acc = 0x5bf03635f0c48d32ull;
-  for (uint64_t k : keys) {
-    SplitMix64 mix(acc ^ k);
-    acc = mix.Next();
-  }
-  return acc;
-}
-
-Rng::Rng(uint64_t seed) {
-  SplitMix64 mix(seed);
-  for (auto& word : s_) {
-    word = mix.Next();
-  }
-}
-
 namespace {
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace

@@ -42,16 +42,37 @@ class SplitMix64 {
   uint64_t state_;
 };
 
+// Continues a DeriveSeed chain: DeriveSeedFrom(DeriveSeed({a, b}), {c, d}) ==
+// DeriveSeed({a, b, c, d}). Lets a caller that reuses a key prefix (a NAND
+// block's {device_seed, block_id}) mix it once and append the rest per use.
+inline uint64_t DeriveSeedFrom(uint64_t prefix, std::initializer_list<uint64_t> keys) {
+  // Chain each key through SplitMix64 so that any single-bit change in any
+  // key yields an unrelated stream.
+  uint64_t acc = prefix;
+  for (uint64_t k : keys) {
+    SplitMix64 mix(acc ^ k);
+    acc = mix.Next();
+  }
+  return acc;
+}
+
 // Mixes an arbitrary number of 64-bit keys into a single well-distributed
 // seed. Used to derive independent deterministic streams, e.g.
 // DeriveSeed(device_seed, block_id, page_id, read_count).
-uint64_t DeriveSeed(std::initializer_list<uint64_t> keys);
+inline uint64_t DeriveSeed(std::initializer_list<uint64_t> keys) {
+  return DeriveSeedFrom(0x5bf03635f0c48d32ull, keys);
+}
 
 // xoshiro256**: the simulator's workhorse generator. Passes BigCrush, fast,
 // and trivially portable.
 class Rng {
  public:
-  explicit Rng(uint64_t seed);
+  explicit Rng(uint64_t seed) {
+    SplitMix64 mix(seed);
+    for (auto& word : s_) {
+      word = mix.Next();
+    }
+  }
 
   // Raw 64 uniform bits.
   uint64_t NextU64();

@@ -107,14 +107,20 @@ double EccScheme::MaxCorrectableRber(uint32_t page_bytes, double target) const {
 DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t raw_errors,
                          uint64_t stream_seed) {
   DecodeOutcome outcome;
+  if (scheme.CorrectsAll(raw_errors)) {
+    // No codeword can hold more than t of at most t errors, so the scatter
+    // below could only report success; its stream is local and needs no
+    // advancing.
+    outcome.corrected = true;
+    return outcome;
+  }
   if (scheme.correctable_bits == 0) {
-    outcome.corrected = (raw_errors == 0);
     outcome.residual_errors = raw_errors;
-    outcome.failed_codewords = raw_errors > 0 ? scheme.CodewordsPerPage(page_bytes) : 0;
+    outcome.failed_codewords = scheme.CodewordsPerPage(page_bytes);
     return outcome;
   }
   const uint32_t codewords = scheme.CodewordsPerPage(page_bytes);
-  if (raw_errors == 0 || codewords == 0) {
+  if (codewords == 0) {
     outcome.corrected = true;
     return outcome;
   }

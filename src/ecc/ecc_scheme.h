@@ -40,6 +40,10 @@ struct EccScheme {
 
   static EccScheme FromPreset(EccPreset preset);
 
+  // True when `raw_errors` bit errors decode however they fall across the
+  // codewords: no codeword can then hold more than t of them.
+  bool CorrectsAll(uint64_t raw_errors) const { return raw_errors <= correctable_bits; }
+
   // Codewords needed to protect a page of `page_bytes` (ceil division).
   uint32_t CodewordsPerPage(uint32_t page_bytes) const;
 
@@ -69,7 +73,9 @@ struct DecodeOutcome {
 
 // Splits `raw_errors` across the page's codewords (deterministically, from
 // `stream_seed`) and decodes each. With EccPreset::kNone, decoding never
-// corrects anything and all errors are residual.
+// corrects anything and all errors are residual. When
+// scheme.CorrectsAll(raw_errors) the page decodes whatever `stream_seed` is,
+// so a caller may skip deriving it.
 DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t raw_errors,
                          uint64_t stream_seed);
 

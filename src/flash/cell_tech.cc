@@ -2,7 +2,6 @@
 
 #include "src/flash/cell_tech.h"
 
-#include <array>
 #include <cassert>
 
 namespace sos {
@@ -21,31 +20,6 @@ std::string_view CellTechName(CellTech tech) {
       return "PLC";
   }
   return "???";
-}
-
-namespace {
-
-// Endurance: SLC ~100K (paper §2.2), MLC ~10K, TLC ~3K, QLC ~1K ([22]),
-// PLC ~300 (early generations: "a factor of 6-10 versus TLC, 2 versus QLC",
-// paper §4.1).
-//
-// base_rber anchors: fresh TLC RBER is ~1e-7..1e-6 in field studies; each
-// density step costs roughly an order of magnitude.
-constexpr std::array<CellTechInfo, kNumCellTechs> kCatalog = {{
-    // tech, bits, PEC,   base_rber, alpha, wear_k, beta, ret_m, disturb,  tR,   tProg, tErase
-    {CellTech::kSlc, 1, 100000, 1.0e-9, 15.0, 2.0, 2.0, 1.1, 1.0e-12, 25, 200, 2000},
-    {CellTech::kMlc, 2, 10000, 2.0e-8, 15.0, 2.0, 2.5, 1.1, 5.0e-12, 50, 600, 3000},
-    {CellTech::kTlc, 3, 3000, 2.0e-7, 15.0, 2.0, 3.0, 1.2, 2.0e-11, 75, 900, 5000},
-    {CellTech::kQlc, 4, 1000, 2.0e-6, 18.0, 2.0, 4.0, 1.2, 8.0e-11, 140, 2200, 8000},
-    {CellTech::kPlc, 5, 300, 2.0e-5, 20.0, 2.0, 5.0, 1.3, 3.0e-10, 280, 5000, 12000},
-}};
-
-}  // namespace
-
-const CellTechInfo& GetCellTechInfo(CellTech tech) {
-  const auto idx = static_cast<size_t>(tech);
-  assert(idx < kCatalog.size());
-  return kCatalog[idx];
 }
 
 double RelativeDensity(CellTech tech, CellTech baseline) {

@@ -10,12 +10,15 @@
 
 namespace sos {
 
-double ErrorModel::Rber(const PageErrorState& state) {
+double ErrorModel::WearTerm(const PageErrorState& state) {
   const CellTechInfo& info = GetCellTechInfo(state.mode);
   const double endurance = std::max(state.endurance_pec, 1.0);
   const double wear_ratio = static_cast<double>(state.pec_at_program) / endurance;
-  const double wear_term =
-      1.0 + info.wear_alpha * std::pow(std::max(wear_ratio, 0.0), info.wear_exponent);
+  return 1.0 + info.wear_alpha * std::pow(std::max(wear_ratio, 0.0), info.wear_exponent);
+}
+
+double ErrorModel::Rber(const PageErrorState& state, double wear_term) {
+  const CellTechInfo& info = GetCellTechInfo(state.mode);
   const double retention_term =
       1.0 + info.retention_beta *
                 std::pow(std::max(state.retention_years, 0.0), info.retention_exponent);

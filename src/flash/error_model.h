@@ -39,8 +39,15 @@ struct PageErrorState {
 
 class ErrorModel {
  public:
-  // Raw bit error rate for a page in the given state; clamped to [0, 0.5].
-  static double Rber(const PageErrorState& state);
+  // The wear factor of the formula, 1 + alpha * (pec / endurance)^k. It reads
+  // only `mode`, `endurance_pec` and `pec_at_program`, so it is constant for
+  // every page of a block between two erases (NandDevice keeps it per block).
+  static double WearTerm(const PageErrorState& state);
+
+  // Raw bit error rate for a page in the given state, given its wear term
+  // (== WearTerm(state)); clamped to [0, 0.5].
+  static double Rber(const PageErrorState& state, double wear_term);
+  static double Rber(const PageErrorState& state) { return Rber(state, WearTerm(state)); }
 
   // Expected number of bit errors in a payload of `bits` bits.
   static double ExpectedErrors(const PageErrorState& state, uint64_t bits);

@@ -14,9 +14,12 @@ NandDevice::NandDevice(const NandConfig& config, SimClock* clock)
   assert(clock != nullptr);
   assert(config_.num_blocks > 0 && config_.wordlines_per_block > 0 && config_.page_size_bytes > 0);
   blocks_.resize(config_.num_blocks);
-  for (auto& blk : blocks_) {
+  for (uint32_t b = 0; b < config_.num_blocks; ++b) {
+    Block& blk = blocks_[b];
     blk.info.mode = config_.tech;  // native density until told otherwise
     blk.info.pec = config_.initial_pec;
+    blk.seed_prefix = DeriveSeed({config_.seed, b});
+    RefreshWearFactor(blk);
     blk.pages.resize(config_.PagesPerBlock(blk.info.mode));
     if (config_.store_payloads) {
       blk.data.resize(blk.pages.size());
@@ -38,6 +41,7 @@ Status NandDevice::SetBlockMode(uint32_t block, CellTech mode) {
   }
   blk.info.mode = mode;
   blk.info.next_page = 0;
+  RefreshWearFactor(blk);
   blk.pages.assign(config_.PagesPerBlock(mode), PageMeta{});
   if (config_.store_payloads) {
     blk.data.assign(blk.pages.size(), {});
@@ -46,15 +50,24 @@ Status NandDevice::SetBlockMode(uint32_t block, CellTech mode) {
 }
 
 double NandDevice::EffectiveEndurance(uint32_t block) const {
-  const Block& blk = blocks_[block];
-  const CellTechInfo& info = GetCellTechInfo(blk.info.mode);
-  return static_cast<double>(info.rated_endurance_pec) *
-         PseudoModeEnduranceBonus(config_.tech, blk.info.mode);
+  return EnduranceIn(blocks_[block].info.mode);
 }
 
-Status NandDevice::GateOp(NandOpKind op, uint32_t block, uint32_t page,
-                          NandFaultAction* action) {
-  *action = NandFaultAction::None();
+double NandDevice::EnduranceIn(CellTech mode) const {
+  return static_cast<double>(GetCellTechInfo(mode).rated_endurance_pec) *
+         PseudoModeEnduranceBonus(config_.tech, mode);
+}
+
+void NandDevice::RefreshWearFactor(Block& blk) const {
+  PageErrorState state;
+  state.mode = blk.info.mode;
+  state.endurance_pec = EnduranceIn(blk.info.mode);
+  state.pec_at_program = blk.info.pec;
+  blk.wear_factor = WearFactor(config_.error_model, state);
+}
+
+Status NandDevice::GateOpSlow(NandOpKind op, uint32_t block, uint32_t page,
+                              NandFaultAction* action) {
   if (!powered_) {
     return Status(StatusCode::kPowerLost, "device is powered off");
   }
@@ -89,6 +102,7 @@ Status NandDevice::EraseBlock(uint32_t block) {
   }
   Block& blk = blocks_[block];
   ++blk.info.pec;
+  RefreshWearFactor(blk);
   blk.info.next_page = 0;
   blk.info.programmed_pages = 0;
   blk.info.erased = true;
@@ -115,14 +129,11 @@ Status NandDevice::EraseBlock(uint32_t block) {
   return Status::Ok();
 }
 
-Status NandDevice::CheckAddr(PageAddr addr) const {
+Status NandDevice::AddrError(PageAddr addr) const {
   if (addr.block >= blocks_.size()) {
     return Status(StatusCode::kInvalidArgument, "block out of range");
   }
-  if (addr.page >= blocks_[addr.block].pages.size()) {
-    return Status(StatusCode::kInvalidArgument, "page out of range for block mode");
-  }
-  return Status::Ok();
+  return Status(StatusCode::kInvalidArgument, "page out of range for block mode");
 }
 
 Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const PageOob* oob) {
@@ -177,8 +188,7 @@ Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const P
 PageErrorState NandDevice::ErrorStateFor(const Block& blk, const PageMeta& page) const {
   PageErrorState state;
   state.mode = blk.info.mode;
-  state.endurance_pec = static_cast<double>(GetCellTechInfo(blk.info.mode).rated_endurance_pec) *
-                        PseudoModeEnduranceBonus(config_.tech, blk.info.mode);
+  state.endurance_pec = EnduranceIn(blk.info.mode);
   state.pec_at_program = page.pec_at_program;
   state.retention_years =
       UsToYears(clock_->now() >= page.program_time_us ? clock_->now() - page.program_time_us : 0);
@@ -200,14 +210,16 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
     return s;
   }
   ++page.reads;
+  assert(page.pec_at_program == blk.info.pec && "block read state is for its current P/E count");
 
   const PageErrorState state = ErrorStateFor(blk, page);
   const uint64_t bits = static_cast<uint64_t>(config_.page_size_bytes) * 8;
+  // == DeriveSeed({config_.seed, addr.block, addr.page, pec_at_program, reads, retry}).
   const uint64_t stream_seed =
-      DeriveSeed({config_.seed, addr.block, addr.page, page.pec_at_program, page.reads,
-                  static_cast<uint64_t>(retry_level)});
+      DeriveSeedFrom(blk.seed_prefix, {addr.page, page.pec_at_program, page.reads,
+                                       static_cast<uint64_t>(retry_level)});
   ReadResult result;
-  result.rber = ComputeRber(config_.error_model, state, retry_level);
+  result.rber = ComputeRber(config_.error_model, state, blk.wear_factor, retry_level);
   result.bit_errors =
       result.rber <= 0.0 ? 0 : Rng(stream_seed).NextBinomial(bits, result.rber);
   if (config_.store_payloads) {
@@ -285,9 +297,10 @@ Result<double> NandDevice::PredictRber(PageAddr addr, double ahead_years) const 
   if (!page.programmed) {
     return Status(StatusCode::kNotFound, "page not programmed");
   }
+  assert(page.pec_at_program == blk.info.pec && "block read state is for its current P/E count");
   PageErrorState state = ErrorStateFor(blk, page);
   state.retention_years += std::max(ahead_years, 0.0);
-  return ComputeRber(config_.error_model, state, 0);
+  return ComputeRber(config_.error_model, state, blk.wear_factor, 0);
 }
 
 double NandDevice::MaxWearRatio() const {

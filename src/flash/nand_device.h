@@ -17,7 +17,11 @@
 // Reads inject bit errors at the RBER of the configured error model, driven
 // by the block's wear, the page's retention age and its accumulated read
 // disturb. Every read and every PredictRber evaluates ComputeRber exactly;
-// there is no approximate fast path, so a die's RBER is the model's. When
+// there is no approximate fast path, so a die's RBER is the model's. What a
+// read shares with every other read of its block -- the model's wear factor
+// and the {seed, block} prefix of its error stream -- is computed once per
+// block erase or mode change, by the same expressions, not once per read
+// (DESIGN.md §11). When
 // `store_payloads` is on the device keeps the actual bytes and corrupts a
 // copy on every read (end-to-end observable degradation); when off it tracks
 // metadata only and reports sampled error counts, letting multi-year
@@ -242,16 +246,42 @@ class NandDevice {
   struct Block {
     BlockInfo info;
     uint32_t label = kNoLabel;             // durable owner tag, survives erase
+    // Read-path invariants. Every programmed page of the block has
+    // pec_at_program == info.pec, so its RBER's wear factor is the block's:
+    // WearFactor(error_model, ...) at info.pec in info.mode, refreshed by
+    // RefreshWearFactor wherever either changes. `seed_prefix` is
+    // DeriveSeed({config.seed, block id}), the fixed head of every read's
+    // error-stream key.
+    double wear_factor = 1.0;
+    uint64_t seed_prefix = 0;
     std::vector<PageMeta> pages;           // sized for the current mode
     std::vector<std::vector<uint8_t>> data;  // payloads, iff store_payloads
   };
 
-  [[nodiscard]] Status CheckAddr(PageAddr addr) const;
+  [[nodiscard]] Status CheckAddr(PageAddr addr) const {
+    if (addr.block < blocks_.size() && addr.page < blocks_[addr.block].pages.size()) [[likely]] {
+      return Status::Ok();
+    }
+    return AddrError(addr);
+  }
+  [[nodiscard]] Status AddrError(PageAddr addr) const;
   // Power gate + fault-hook consultation for one op. On pre-op interference
   // returns the failing Status (possibly cutting power); on success stores
   // the hook's verdict in `*action` so the caller can honour a post-op cut.
+  // The common case -- powered, no hook -- is inline.
   [[nodiscard]] Status GateOp(NandOpKind op, uint32_t block, uint32_t page,
-                              NandFaultAction* action);
+                              NandFaultAction* action) {
+    *action = NandFaultAction::None();
+    if (powered_ && fault_hook_ == nullptr) [[likely]] {
+      return Status::Ok();
+    }
+    return GateOpSlow(op, block, page, action);
+  }
+  [[nodiscard]] Status GateOpSlow(NandOpKind op, uint32_t block, uint32_t page,
+                                  NandFaultAction* action);
+  // Effective endurance of a block programmed in `mode` on this die.
+  double EnduranceIn(CellTech mode) const;
+  void RefreshWearFactor(Block& blk) const;
   PageErrorState ErrorStateFor(const Block& blk, const PageMeta& page) const;
 
   NandConfig config_;

@@ -112,14 +112,17 @@ double VoltageModel::RetryTracking(int retry_level) {
   }
 }
 
-double VoltageModel::RberAt(const PageErrorState& state, int retry_level) {
+double VoltageModel::SigmaWearFactor(const PageErrorState& state) {
   const VoltageModelParams& params = ParamsFor(state.mode);
   const double endurance = std::max(state.endurance_pec, 1.0);
   const double wear_ratio =
       std::max(0.0, static_cast<double>(state.pec_at_program) / endurance);
-  const double sigma =
-      params.sigma0 *
-      (1.0 + params.sigma_wear_gain * std::pow(wear_ratio, params.wear_exponent));
+  return 1.0 + params.sigma_wear_gain * std::pow(wear_ratio, params.wear_exponent);
+}
+
+double VoltageModel::RberAt(const PageErrorState& state, double sigma_wear, int retry_level) {
+  const VoltageModelParams& params = ParamsFor(state.mode);
+  const double sigma = params.sigma0 * sigma_wear;
   const double drift = params.shift_per_year *
                        std::pow(std::max(state.retention_years, 0.0),
                                 params.retention_exponent);
@@ -128,19 +131,25 @@ double VoltageModel::RberAt(const PageErrorState& state, int retry_level) {
   return RberFromPhysics(params, sigma, drift, RetryTracking(retry_level), disturb);
 }
 
-double ComputeRber(ErrorModelKind kind, const PageErrorState& state, int retry_level) {
+double WearFactor(ErrorModelKind kind, const PageErrorState& state) {
+  return kind == ErrorModelKind::kVoltage ? VoltageModel::SigmaWearFactor(state)
+                                          : ErrorModel::WearTerm(state);
+}
+
+double ComputeRber(ErrorModelKind kind, const PageErrorState& state, double wear_factor,
+                   int retry_level) {
   if (kind == ErrorModelKind::kVoltage) {
-    return VoltageModel::RberAt(state, retry_level);
+    return VoltageModel::RberAt(state, wear_factor, retry_level);
   }
   // The phenomenological model has no reference-tracking notion; model a
   // retry as recovering most of the retention component, mirroring what the
-  // physical model's tracking achieves.
+  // physical model's tracking achieves. Tracking leaves the wear term alone.
   if (retry_level <= 0) {
-    return ErrorModel::Rber(state);
+    return ErrorModel::Rber(state, wear_factor);
   }
   PageErrorState tracked = state;
   tracked.retention_years *= 1.0 - VoltageModel::RetryTracking(retry_level);
-  return ErrorModel::Rber(tracked);
+  return ErrorModel::Rber(tracked, wear_factor);
 }
 
 }  // namespace sos

@@ -50,10 +50,19 @@ class VoltageModel {
   // Calibrated parameters for a programming mode (cached static table).
   static const VoltageModelParams& ParamsFor(CellTech mode);
 
+  // Wear's widening of the level Gaussians, sigma / sigma0 =
+  // 1 + gain * (pec / endurance)^k. Like ErrorModel::WearTerm it reads only
+  // the mode, endurance and P/E count of the page's block.
+  static double SigmaWearFactor(const PageErrorState& state);
+
   // Raw bit error rate for the page state, optionally with read-retry
   // reference tracking: retry 0 reads at fresh references; each retry level
   // tracks more of the retention drift (0.0 / 0.7 / 0.9 / 0.97 of it).
-  static double RberAt(const PageErrorState& state, int retry_level = 0);
+  // `sigma_wear` must equal SigmaWearFactor(state).
+  static double RberAt(const PageErrorState& state, double sigma_wear, int retry_level);
+  static double RberAt(const PageErrorState& state, int retry_level = 0) {
+    return RberAt(state, SigmaWearFactor(state), retry_level);
+  }
 
   // The drift-tracking fraction applied at a retry level (exposed for tests).
   static double RetryTracking(int retry_level);
@@ -65,8 +74,23 @@ enum class ErrorModelKind : uint8_t {
   kVoltage,           // physical threshold-voltage model (VoltageModel)
 };
 
-// Dispatches to the configured model.
-double ComputeRber(ErrorModelKind kind, const PageErrorState& state, int retry_level = 0);
+// The wear-dependent factor of `kind`'s RBER: ErrorModel::WearTerm or
+// VoltageModel::SigmaWearFactor. It depends only on the block's mode,
+// endurance and P/E count at program time, so a die computes it once per
+// block erase or mode change rather than once per read.
+double WearFactor(ErrorModelKind kind, const PageErrorState& state);
+
+// Dispatches to the configured model, given `wear_factor` ==
+// WearFactor(kind, state). The one RBER path: every read and prediction of a
+// die goes through it, exactly.
+double ComputeRber(ErrorModelKind kind, const PageErrorState& state, double wear_factor,
+                   int retry_level);
+
+// As above, computing the wear factor from `state`.
+inline double ComputeRber(ErrorModelKind kind, const PageErrorState& state,
+                          int retry_level = 0) {
+  return ComputeRber(kind, state, WearFactor(kind, state), retry_level);
+}
 
 }  // namespace sos
 

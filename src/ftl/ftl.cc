@@ -467,12 +467,7 @@ Status Ftl::Write(uint64_t lba, std::span<const uint8_t> data,
   return AppendPage(lba, data, directive, AppendKind::kHostWrite, /*tainted=*/false);
 }
 
-Result<FtlReadResult> Ftl::ReadInternal(uint64_t lba, bool count_stats) {
-  const auto found = l2p_.Find(lba);
-  if (!found.has_value()) {
-    return Status(StatusCode::kNotFound, "unmapped LBA");
-  }
-  const PhysLoc loc = *found;
+Result<FtlReadResult> Ftl::ReadAt(const PhysLoc& loc, bool count_stats) {
   auto read = nand_.Read({loc.block, loc.page});
   if (!read.ok() && read.status().code() == StatusCode::kUnavailable) {
     // Transient device fault (bus glitch, busy die): one deterministic
@@ -492,10 +487,13 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
   result.pool_id = loc.pool;
   result.tainted = loc.tainted;
 
-  const uint64_t decode_seed =
-      DeriveSeed({config_.nand.seed, loc.block, loc.page, raw.bit_errors});
-  const DecodeOutcome outcome = DecodePage(pool.config.ecc, config_.nand.page_size_bytes,
-                                           raw.bit_errors, decode_seed);
+  // A page whose errors are all correctable decodes whatever the seed, so
+  // the seed is derived only for a page that can fail.
+  const DecodeOutcome outcome =
+      pool.config.ecc.CorrectsAll(raw.bit_errors)
+          ? DecodeOutcome{.corrected = true}
+          : DecodePage(pool.config.ecc, config_.nand.page_size_bytes, raw.bit_errors,
+                       DeriveSeed({config_.nand.seed, loc.block, loc.page, raw.bit_errors}));
   if (outcome.corrected) {
     auto clean = nand_.PeekClean({loc.block, loc.page});
     if (clean.ok()) {
@@ -593,7 +591,11 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
 
 Result<FtlReadResult> Ftl::Read(uint64_t lba) {
   obs::ScopedLatency timer(clock_, &read_latency_);
-  return ReadInternal(lba, /*count_stats=*/true);
+  const auto loc = l2p_.Find(lba);
+  if (!loc.has_value()) {
+    return Status(StatusCode::kNotFound, "unmapped LBA");
+  }
+  return ReadAt(*loc, /*count_stats=*/true);
 }
 
 Status Ftl::Trim(uint64_t lba) {
@@ -618,7 +620,7 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   if (cur->pool == target_pool) {
     return Status::Ok();
   }
-  auto read = ReadInternal(lba, /*count_stats=*/false);
+  auto read = ReadAt(*cur, /*count_stats=*/false);
   if (!read.ok()) {
     return read.status();
   }
@@ -628,11 +630,13 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
       !s.ok()) {
     return s;
   }
-  Trace(obs::TraceEvent{clock_->now(), "ftl.migrate"}
-            .WithU64("lba", lba)
-            .With("from", pools_[source_pool].config.name)
-            .With("to", pools_[target_pool].config.name)
-            .WithU64("tainted", tainted ? 1 : 0));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.migrate"}
+        .WithU64("lba", lba)
+        .With("from", pools_[source_pool].config.name)
+        .With("to", pools_[target_pool].config.name)
+        .WithU64("tainted", tainted ? 1 : 0);
+  });
   return Status::Ok();
 }
 
@@ -646,7 +650,7 @@ Status Ftl::Refresh(uint64_t lba) {
   // the data through scrubs, like relocations).
   const uint32_t stream =
       page_stream_[static_cast<size_t>(cur->block) * page_stride_ + cur->page];
-  auto read = ReadInternal(lba, /*count_stats=*/false);
+  auto read = ReadAt(*cur, /*count_stats=*/false);
   if (!read.ok()) {
     return read.status();
   }
@@ -721,10 +725,12 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
   if (!victim.has_value()) {
     return false;
   }
-  Trace(obs::TraceEvent{clock_->now(), "ftl.gc.victim"}
-            .With("pool", pool.config.name)
-            .WithU64("block", *victim)
-            .WithU64("valid_pages", block_valid_[*victim]));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.gc.victim"}
+        .With("pool", pool.config.name)
+        .WithU64("block", *victim)
+        .WithU64("valid_pages", block_valid_[*victim]);
+  });
   if (!EvacuateAndRecycle(pool_id, *victim, /*count_as_wl=*/false).ok()) {
     return false;
   }
@@ -732,16 +738,12 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
   return true;
 }
 
-Status Ftl::RelocatePage(uint32_t pool_id, uint64_t lba, const FtlReadResult& read,
-                         bool count_as_wl) {
-  const auto cur = l2p_.Find(lba);
-  const bool tainted = (cur.has_value() && cur->tainted) || read.degraded;
+Status Ftl::RelocatePage(uint32_t pool_id, uint64_t lba, const PhysLoc& loc,
+                         const FtlReadResult& read, bool count_as_wl) {
+  const bool tainted = loc.tainted || read.degraded;
   // Relocated pages carry their stream tag with them: per-handle nand_writes
   // charges GC/WL rewrites of a handle's data back to that handle.
-  const uint32_t stream =
-      cur.has_value()
-          ? page_stream_[static_cast<size_t>(cur->block) * page_stride_ + cur->page]
-          : 0;
+  const uint32_t stream = page_stream_[static_cast<size_t>(loc.block) * page_stride_ + loc.page];
   return AppendPage(lba, read.data, WriteDirective{pool_id, LifetimeHint::kUnknown, stream},
                     count_as_wl ? AppendKind::kWlRelocation : AppendKind::kGcRelocation, tainted);
 }
@@ -767,12 +769,12 @@ Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_a
         cur->page != p) {
       continue;  // stale reverse entry
     }
-    auto read = ReadInternal(lba, /*count_stats=*/false);
+    auto read = ReadAt(*cur, /*count_stats=*/false);
     if (!read.ok()) {
       status = read.status();
       break;
     }
-    if (Status s = RelocatePage(pool_id, lba, read.value(), count_as_wl); !s.ok()) {
+    if (Status s = RelocatePage(pool_id, lba, *cur, read.value(), count_as_wl); !s.ok()) {
       status = s;
       break;
     }
@@ -863,10 +865,12 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
   --pool.num_blocks;
   ++pool.retired;
   ++pool.stats.retired_blocks_;
-  Trace(obs::TraceEvent{clock_->now(), "ftl.block.retired"}
-            .With("pool", pool.config.name)
-            .WithU64("block", block_id)
-            .WithU64("pec", nand_.block_info(block_id).pec));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.block.retired"}
+        .With("pool", pool.config.name)
+        .WithU64("block", block_id)
+        .WithU64("pec", nand_.block_info(block_id).pec);
+  });
 
   bool resuscitated = false;
   if (pool.resuscitate_pool.has_value()) {
@@ -882,10 +886,12 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
       Status label = nand_.SetBlockLabel(block_id, *pool.resuscitate_pool);
       assert(label.ok());
       (void)label;
-      Trace(obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
-                .With("from", pool.config.name)
-                .With("to", target.config.name)
-                .WithU64("block", block_id));
+      Trace([&] {
+        return obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
+            .With("from", pool.config.name)
+            .With("to", target.config.name)
+            .WithU64("block", block_id);
+      });
     }
   }
   if (!resuscitated) {
@@ -933,13 +939,13 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
       continue;  // stale reverse entry
     }
     bool relocated = false;
-    auto read = ReadInternal(lba, /*count_stats=*/false);
+    auto read = ReadAt(*cur, /*count_stats=*/false);
     if (!read.ok() && read.status().code() == StatusCode::kPowerLost) {
       in_relocation_ = prev_relocation;
       return read.status();
     }
     if (read.ok()) {
-      Status s = RelocatePage(pool_id, lba, read.value(), /*count_as_wl=*/false);
+      Status s = RelocatePage(pool_id, lba, *cur, read.value(), /*count_as_wl=*/false);
       if (!s.ok() && s.code() == StatusCode::kPowerLost) {
         in_relocation_ = prev_relocation;
         return s;
@@ -964,9 +970,11 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
   Status label = nand_.SetBlockLabel(block_id, NandDevice::kNoLabel);
   assert(label.ok());
   (void)label;
-  Trace(obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
-            .With("pool", pool.config.name)
-            .WithU64("block", block_id));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
+        .With("pool", pool.config.name)
+        .WithU64("block", block_id);
+  });
   NotifyCapacity();
   return Status::Ok();
 }
@@ -1166,12 +1174,6 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
     registry.SetGauge(prefix + "placement.pool." + pools_[pool_id].config.name +
                           ".pec_variance",
                       Snapshot(pool_id).pec_variance);
-  }
-}
-
-void Ftl::Trace(obs::TraceEvent event) {
-  if (trace_ != nullptr) {
-    trace_->Emit(std::move(event));
   }
 }
 

@@ -43,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -527,23 +528,30 @@ class Ftl {
 
   void NotifyCapacity();
 
-  // Internal read used by relocation: returns the bytes to rewrite plus
-  // degradation bookkeeping.
-  [[nodiscard]] Result<FtlReadResult> ReadInternal(uint64_t lba, bool count_stats);
+  // Reads the page at `loc`, which the caller has just looked up in the L2P
+  // map: returns the bytes plus degradation bookkeeping. Host reads, GC,
+  // migration and refresh all read through here.
+  [[nodiscard]] Result<FtlReadResult> ReadAt(const PhysLoc& loc, bool count_stats);
 
   // Everything downstream of the initial NAND read: ECC decode, read-retry,
   // parity rescue, fidelity policy.
   [[nodiscard]] Result<FtlReadResult> DecodeRead(const PhysLoc& loc, ReadResult raw,
                                                  bool count_stats);
 
-  // One item of relocation work: re-appends `lba` (read as `read`) into
-  // `pool_id` and reinstalls the mapping. Shared by the evacuation loop and
-  // by DropBadBlock's rescue loop.
-  [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba,
+  // One item of relocation work: re-appends `lba` (mapped at `loc`, read as
+  // `read`) into `pool_id` and reinstalls the mapping. Shared by the
+  // evacuation loop and by DropBadBlock's rescue loop.
+  [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba, const PhysLoc& loc,
                                     const FtlReadResult& read, bool count_as_wl);
 
-  // Emits one trace event (no-op when no sink is attached).
-  void Trace(obs::TraceEvent event);
+  // Emits the trace event `build()` returns. Builds nothing when no sink is
+  // attached or the sink is full.
+  template <typename Build>
+  void Trace(Build&& build) {
+    if (trace_ != nullptr) {
+      trace_->Emit(std::forward<Build>(build));
+    }
+  }
 
   // --- Flat per-page / per-block metadata (struct-of-arrays) ---------------
   //

@@ -73,14 +73,6 @@ TraceEvent& TraceEvent::WithF64(const std::string& key, double value) {
 
 TraceSink::TraceSink(size_t capacity) : capacity_(capacity) { events_.reserve(capacity_); }
 
-void TraceSink::Emit(TraceEvent event) {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(std::move(event));
-}
-
 void TraceSink::ToMetrics(MetricRegistry& registry, const std::string& prefix) const {
   registry.SetCounter(prefix + "trace.events", events_.size());
   registry.SetCounter(prefix + "trace.dropped_events", dropped_);

@@ -10,15 +10,17 @@
 // SimClock::now() at the emit site.
 //
 // Overflow policy: keep-first / drop-newest. Once `capacity` events are
-// buffered, further Emit() calls only bump the dropped counter. The first N
-// events of a run are therefore identical no matter how much pressure later
-// phases generate -- the bounded trace itself stays deterministic.
+// buffered, further Emit() calls only bump the dropped counter, without
+// building the event. The first N events of a run are therefore identical no
+// matter how much pressure later phases generate -- the bounded trace itself
+// stays deterministic.
 
 #ifndef SOS_SRC_OBS_TRACE_H_
 #define SOS_SRC_OBS_TRACE_H_
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -57,8 +59,18 @@ class TraceSink {
   // above). Defaults generously for a full LifetimeSim run.
   explicit TraceSink(size_t capacity = kDefaultCapacity);
 
-  // Records `event` if the sink has room, else counts it as dropped.
-  void Emit(TraceEvent event);
+  // Records the event `build()` returns if the sink has room, else counts it
+  // as dropped without calling `build`: a full sink (fleet devices run with
+  // capacity 0) costs an emit site no formatting or allocation.
+  template <typename Build>
+    requires std::is_invocable_r_v<TraceEvent, Build&>
+  void Emit(Build&& build) {
+    if (events_.size() >= capacity_) {
+      ++dropped_;
+      return;
+    }
+    events_.push_back(build());
+  }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   uint64_t dropped() const { return dropped_; }

@@ -262,8 +262,10 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
   }
   ++stats.activations;
   if (trace_ != nullptr) {
-    trace_->Emit(obs::TraceEvent{now, "sos.autodelete.activated"}
-                     .WithF64("free_fraction", free_before));
+    trace_->Emit([&] {
+      return obs::TraceEvent{now, "sos.autodelete.activated"}.WithF64("free_fraction",
+                                                                      free_before);
+    });
   }
 
   // Rank SPARE-resident files by predicted deletion likelihood. SYS files
@@ -306,10 +308,12 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
         ++stats.files_deleted;
         stats.bytes_freed += c.bytes;
         if (trace_ != nullptr) {
-          trace_->Emit(obs::TraceEvent{now, "sos.autodelete.trim"}
-                           .WithU64("file_id", c.id)
-                           .WithF64("score", c.score)
-                           .WithU64("bytes", c.bytes));
+          trace_->Emit([&] {
+            return obs::TraceEvent{now, "sos.autodelete.trim"}
+                .WithU64("file_id", c.id)
+                .WithF64("score", c.score)
+                .WithU64("bytes", c.bytes);
+          });
         }
       }
     }

@@ -331,12 +331,14 @@ void LifetimeSim::UpdateHealthState(uint32_t day) {
   }
   if (next != health_state_) {
     ++result_.health_transitions_;
-    trace_.Emit(obs::TraceEvent{clock_.now(), "sos.health.transition"}
-                    .WithU64("day", day)
-                    .With("from", HealthStateName(health_state_))
-                    .With("to", HealthStateName(next))
-                    .WithF64("max_wear_ratio", wear)
-                    .WithF64("capacity_retained", capacity_retained));
+    trace_.Emit([&] {
+      return obs::TraceEvent{clock_.now(), "sos.health.transition"}
+          .WithU64("day", day)
+          .With("from", HealthStateName(health_state_))
+          .With("to", HealthStateName(next))
+          .WithF64("max_wear_ratio", wear)
+          .WithF64("capacity_retained", capacity_retained);
+    });
     health_state_ = next;
   }
 }

@@ -154,6 +154,26 @@ TEST(DeriveSeedTest, SensitiveToEveryKey) {
   EXPECT_EQ(base, DeriveSeed({1, 2, 3}));
 }
 
+// NandDevice mixes a block's {seed, block} once and continues the chain per
+// read; that must be the same seed as mixing the whole key list.
+TEST(DeriveSeedTest, ContinuingFromAPrefixEqualsTheWholeList) {
+  const uint64_t seed = 0x1234'5678'9abc'def0ull;
+  for (uint64_t block = 0; block < 64; ++block) {
+    const uint64_t prefix = DeriveSeed({seed, block});
+    for (uint64_t page = 0; page < 8; ++page) {
+      for (const uint64_t retry : {0ull, 3ull}) {
+        EXPECT_EQ(DeriveSeedFrom(prefix, {page, 17, page + 2, retry}),
+                  DeriveSeed({seed, block, page, 17, page + 2, retry}));
+      }
+    }
+  }
+  // Splitting anywhere gives the same seed, and an empty continuation is
+  // the prefix itself.
+  EXPECT_EQ(DeriveSeedFrom(DeriveSeed({1}), {2, 3}), DeriveSeed({1, 2, 3}));
+  EXPECT_EQ(DeriveSeedFrom(DeriveSeed({1, 2}), {3}), DeriveSeed({1, 2, 3}));
+  EXPECT_EQ(DeriveSeedFrom(DeriveSeed({1, 2, 3}), {}), DeriveSeed({1, 2, 3}));
+}
+
 TEST(ZipfTest, RankZeroMostPopular) {
   ZipfDistribution zipf(100, 1.0);
   Rng rng(43);

@@ -3,6 +3,10 @@
 // Tests for the ECC layer: capability-model math, page decode, XOR parity,
 // and CRC32.
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -126,6 +130,86 @@ TEST(DecodePageTest, DeterministicPerSeed) {
   EXPECT_EQ(a.corrected, b.corrected);
   EXPECT_EQ(a.residual_errors, b.residual_errors);
   EXPECT_EQ(a.failed_codewords, b.failed_codewords);
+}
+
+// The full codeword scatter with no shortcut: every page's errors are drawn
+// into codewords, then each codeword is checked against t.
+DecodeOutcome FullScatterDecode(const EccScheme& scheme, uint32_t page_bytes,
+                                uint64_t raw_errors, uint64_t stream_seed) {
+  DecodeOutcome outcome;
+  if (scheme.correctable_bits == 0) {
+    outcome.corrected = (raw_errors == 0);
+    outcome.residual_errors = raw_errors;
+    outcome.failed_codewords = raw_errors > 0 ? scheme.CodewordsPerPage(page_bytes) : 0;
+    return outcome;
+  }
+  const uint32_t codewords = scheme.CodewordsPerPage(page_bytes);
+  if (raw_errors == 0 || codewords == 0) {
+    outcome.corrected = true;
+    return outcome;
+  }
+  std::vector<uint64_t> per_cw(codewords, 0);
+  Rng rng(DeriveSeed({stream_seed, 0x6465636f64650aull /* "decode" */}));
+  for (uint64_t e = 0; e < raw_errors; ++e) {
+    ++per_cw[rng.NextBounded(codewords)];
+  }
+  outcome.corrected = true;
+  for (uint64_t errors : per_cw) {
+    if (errors > scheme.correctable_bits) {
+      outcome.corrected = false;
+      outcome.residual_errors += errors;
+      ++outcome.failed_codewords;
+    }
+  }
+  return outcome;
+}
+
+void ExpectSameOutcome(const DecodeOutcome& got, const DecodeOutcome& want) {
+  EXPECT_EQ(got.corrected, want.corrected);
+  EXPECT_EQ(got.residual_errors, want.residual_errors);
+  EXPECT_EQ(got.failed_codewords, want.failed_codewords);
+}
+
+// DecodePage answers "corrected" without scattering when raw_errors <= t.
+// That must be exactly what the scatter would have said, for every preset,
+// every count up to t and many streams.
+TEST(DecodePageTest, CorrectableShortcutEqualsFullScatter) {
+  for (const EccPreset preset :
+       {EccPreset::kNone, EccPreset::kWeakBch, EccPreset::kBch, EccPreset::kLdpc}) {
+    const EccScheme scheme = EccScheme::FromPreset(preset);
+    for (uint64_t raw = 0; raw <= scheme.correctable_bits; ++raw) {
+      ASSERT_TRUE(scheme.CorrectsAll(raw));
+      for (uint64_t seed = 0; seed < 1000; ++seed) {
+        SCOPED_TRACE("preset " + std::to_string(static_cast<int>(preset)) + " raw " +
+                     std::to_string(raw) + " seed " + std::to_string(seed));
+        const DecodeOutcome want = FullScatterDecode(scheme, 4096, raw, seed);
+        ASSERT_TRUE(want.corrected);
+        ExpectSameOutcome(DecodePage(scheme, 4096, raw, seed), want);
+      }
+    }
+  }
+}
+
+// Above t the scatter still runs and decides; it is unchanged.
+TEST(DecodePageTest, UncorrectableCountsStillScatter) {
+  bool saw_success = false;
+  bool saw_failure = false;
+  for (const EccPreset preset :
+       {EccPreset::kNone, EccPreset::kWeakBch, EccPreset::kBch, EccPreset::kLdpc}) {
+    const EccScheme scheme = EccScheme::FromPreset(preset);
+    for (uint64_t raw = scheme.correctable_bits + 1; raw <= 4 * scheme.correctable_bits + 4;
+         ++raw) {
+      EXPECT_FALSE(scheme.CorrectsAll(raw));
+      for (uint64_t seed = 0; seed < 50; ++seed) {
+        const DecodeOutcome want = FullScatterDecode(scheme, 4096, raw, seed);
+        ExpectSameOutcome(DecodePage(scheme, 4096, raw, seed), want);
+        (want.corrected ? saw_success : saw_failure) = true;
+      }
+    }
+  }
+  // Non-vacuity: counts above t can still decode when they spread out.
+  EXPECT_TRUE(saw_success);
+  EXPECT_TRUE(saw_failure);
 }
 
 // --- Parity ----------------------------------------------------------------

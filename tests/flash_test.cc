@@ -6,9 +6,11 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/flash/cell_tech.h"
 #include "src/flash/error_model.h"
 #include "src/flash/nand_device.h"
@@ -437,9 +439,13 @@ TEST(NandDeviceTest, WearMetrics) {
 // Every read and every PredictRber evaluates ComputeRber for the configured
 // model on exactly the PageErrorState the device's bookkeeping implies: the
 // block's mode, its endurance including the pseudo-mode bonus, the P/E count
-// at program time, the retention age and the reads since program. Compared
-// bit for bit, so an approximate fast path or a drift in how the device
-// derives the state fails here.
+// at program time, the retention age and the reads since program. Every
+// read's bit-error count is the binomial draw from the stream
+// DeriveSeed({seed, block, page, pec_at_program, reads, retry}). Compared bit
+// for bit, so an approximate fast path, a stale per-block wear factor or seed
+// prefix, or a drift in how the device derives the state fails here. The
+// scenario visits every point where the device refreshes its per-block read
+// state: construction (with initial_pec > 0), EraseBlock and SetBlockMode.
 
 class NandRberContractTest : public ::testing::TestWithParam<ErrorModelKind> {};
 
@@ -452,16 +458,16 @@ TEST_P(NandRberContractTest, ReadAndPredictEqualComputeRber) {
   config.error_model = kind;
   config.initial_pec = 120;  // worn enough that the wear term matters
   NandDevice device(config, &clock);
-  // Block 1 runs pseudo-QLC on the PLC die, so its endurance carries the bonus.
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(device.EraseBlock(1).ok());
-  }
-  ASSERT_TRUE(device.SetBlockMode(1, CellTech::kQlc).ok());
+  const uint64_t bits = static_cast<uint64_t>(config.page_size_bytes) * 8;
+  uint64_t bit_errors_seen = 0;
 
-  for (const uint32_t block : {0u, 1u}) {
-    SCOPED_TRACE("block " + std::to_string(block));
-    const PageAddr addr{block, 0};
+  // Programs the first `pages` pages of `block`, ages them, then reads each
+  // twice (retry 0 and 2) and predicts it once.
+  const auto check_block = [&](uint32_t block, uint32_t pages) {
     const CellTech mode = device.block_info(block).mode;
+    SCOPED_TRACE("block " + std::to_string(block) + " pec " +
+                 std::to_string(device.block_info(block).pec) + " mode " +
+                 std::string(CellTechName(mode)));
     PageErrorState expected;
     expected.mode = mode;
     expected.endurance_pec = static_cast<double>(GetCellTechInfo(mode).rated_endurance_pec) *
@@ -469,29 +475,67 @@ TEST_P(NandRberContractTest, ReadAndPredictEqualComputeRber) {
     expected.pec_at_program = device.block_info(block).pec;
     EXPECT_EQ(Bits(device.EffectiveEndurance(block)), Bits(expected.endurance_pec));
 
-    const SimTimeUs programmed_at = clock.now();
-    ASSERT_TRUE(device.Program(addr, Payload(512, 0x5A)).ok());
+    std::vector<SimTimeUs> programmed_at;
+    for (uint32_t page = 0; page < pages; ++page) {
+      programmed_at.push_back(clock.now());
+      ASSERT_TRUE(device.Program({block, page}, Payload(512, 0x5A)).ok());
+    }
     clock.Advance(YearsToUs(1.5));
 
-    // Each read counts itself as disturb and sees the age at its start.
-    for (const int retry : {0, 2}) {
-      expected.retention_years = UsToYears(clock.now() - programmed_at);
-      ++expected.reads_since_program;
-      auto read = device.Read(addr, retry);
-      ASSERT_TRUE(read.ok());
-      EXPECT_EQ(Bits(read.value().rber), Bits(ComputeRber(kind, expected, retry)))
-          << "retry " << retry;
-    }
+    for (uint32_t page = 0; page < pages; ++page) {
+      const PageAddr addr{block, page};
+      PageErrorState state = expected;
+      // Each read counts itself as disturb and sees the age at its start.
+      for (const int retry : {0, 2}) {
+        state.retention_years = UsToYears(clock.now() - programmed_at[page]);
+        ++state.reads_since_program;
+        auto read = device.Read(addr, retry);
+        ASSERT_TRUE(read.ok());
+        const double rber = ComputeRber(kind, state, retry);
+        EXPECT_EQ(Bits(read.value().rber), Bits(rber)) << "page " << page << " retry " << retry;
+        const uint64_t stream =
+            DeriveSeed({config.seed, block, page, state.pec_at_program,
+                        state.reads_since_program, static_cast<uint64_t>(retry)});
+        EXPECT_EQ(read.value().bit_errors, Rng(stream).NextBinomial(bits, rber))
+            << "page " << page << " retry " << retry;
+        bit_errors_seen += read.value().bit_errors;
+      }
 
-    const double ahead = 0.75;
-    PageErrorState predicted = expected;
-    predicted.retention_years = UsToYears(clock.now() - programmed_at) + ahead;
-    auto prediction = device.PredictRber(addr, ahead);
-    ASSERT_TRUE(prediction.ok());
-    EXPECT_EQ(Bits(prediction.value()), Bits(ComputeRber(kind, predicted, 0)));
+      const double ahead = 0.75;
+      PageErrorState predicted = state;
+      predicted.retention_years = UsToYears(clock.now() - programmed_at[page]) + ahead;
+      auto prediction = device.PredictRber(addr, ahead);
+      ASSERT_TRUE(prediction.ok());
+      EXPECT_EQ(Bits(prediction.value()), Bits(ComputeRber(kind, predicted, 0)));
+    }
+  };
+
+  // Construction: block 0 starts at initial_pec in native PLC mode.
+  check_block(0, 3);
+  // SetBlockMode: block 1 runs pseudo-QLC after 7 erases, so its endurance
+  // carries the bonus.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(device.EraseBlock(1).ok());
   }
-  // Non-vacuity: the pseudo-mode block really carried a bonus.
-  EXPECT_GT(device.EffectiveEndurance(1), device.EffectiveEndurance(0));
+  ASSERT_TRUE(device.SetBlockMode(1, CellTech::kQlc).ok());
+  check_block(1, 3);
+  // EraseBlock: block 0 again after three more cycles.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(device.EraseBlock(0).ok());
+  }
+  check_block(0, 3);
+  // An erase then a second mode change on the same block.
+  ASSERT_TRUE(device.EraseBlock(1).ok());
+  ASSERT_TRUE(device.SetBlockMode(1, CellTech::kTlc).ok());
+  check_block(1, 2);
+  // A mode change on a never-erased block.
+  ASSERT_TRUE(device.SetBlockMode(2, CellTech::kSlc).ok());
+  check_block(2, 2);
+
+  // Non-vacuity: the pseudo-mode block really carried a bonus, and some
+  // reads drew bit errors, so the stream comparison bit.
+  EXPECT_GT(device.EffectiveEndurance(2), device.EffectiveEndurance(0));
+  EXPECT_GT(bit_errors_seen, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, NandRberContractTest,

@@ -112,11 +112,20 @@ TEST(MetricsJsonTest, RenderingIsByteStableAcrossIdenticalRegistries) {
 
 TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
   TraceSink sink(2);
-  sink.Emit(TraceEvent{1, "first"});
-  sink.Emit(TraceEvent{2, "second"});
-  sink.Emit(TraceEvent{3, "dropped"});
-  sink.Emit(TraceEvent{4, "dropped"});
+  int built = 0;
+  const auto emit = [&](SimTimeUs t, const char* type) {
+    sink.Emit([&] {
+      ++built;
+      return TraceEvent{t, type};
+    });
+  };
+  emit(1, "first");
+  emit(2, "second");
+  emit(3, "dropped");
+  emit(4, "dropped");
 
+  // A full sink counts the drop without building the event.
+  EXPECT_EQ(built, 2);
   ASSERT_EQ(sink.events().size(), 2u);
   EXPECT_EQ(sink.events()[0].type, "first");
   EXPECT_EQ(sink.events()[1].type, "second");
@@ -129,8 +138,8 @@ TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
 
 TEST(TraceSinkTest, ToMetricsExportsEventAndDropCounters) {
   TraceSink sink(1);
-  sink.Emit(TraceEvent{0, "kept"});
-  sink.Emit(TraceEvent{1, "dropped"});
+  sink.Emit([] { return TraceEvent{0, "kept"}; });
+  sink.Emit([] { return TraceEvent{1, "dropped"}; });
 
   MetricRegistry registry;
   sink.ToMetrics(registry, "dev.");
