@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 #include "src/carbon/embodied.h"
 
@@ -65,14 +66,7 @@ FleetHistogram::FleetHistogram(std::vector<double> upper_bounds)
 }
 
 void FleetHistogram::Observe(double v) {
-  size_t bucket = bounds_.size();
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++buckets_[bucket];
+  ++buckets_[obs::BucketIndex(bounds_, v)];
   ++count_;
   micro_sum_ += ToMicro(v);
 }
@@ -91,17 +85,6 @@ Status FleetHistogram::Merge(const FleetHistogram& other) {
 
 obs::Histogram FleetHistogram::ToObs() const {
   return obs::Histogram::FromParts(bounds_, buckets_, count_, FromMicro(micro_sum_));
-}
-
-FleetHistogram FleetHistogram::FromParts(std::vector<double> bounds,
-                                         std::vector<uint64_t> buckets, uint64_t count,
-                                         int64_t micro_sum) {
-  FleetHistogram h(std::move(bounds));
-  assert(buckets.size() == h.bounds_.size() + 1 && "bucket count must match bounds + overflow");
-  h.buckets_ = std::move(buckets);
-  h.count_ = count;
-  h.micro_sum_ = micro_sum;
-  return h;
 }
 
 // --- DeviceOutcome -----------------------------------------------------------
@@ -181,37 +164,35 @@ void FleetLedger::Fold(const DeviceOutcome& outcome) {
 }
 
 Status FleetLedger::Merge(const FleetLedger& other) {
-  Status status = lifetime_years_.Merge(other.lifetime_years_);
+  // Shapes first, so a refused merge adds nothing.
+  Status status = Status::Ok();
+  ForEachCell(
+      [&](const std::string& key, const auto& mine, const auto& theirs) {
+        if constexpr (std::is_same_v<decltype(mine), const FleetHistogram&>) {
+          if (status.ok() && mine.bounds() != theirs.bounds()) {
+            status = Status(StatusCode::kInvalidArgument,
+                            "fleet ledger merge: bounds of '" + key + "' differ");
+          }
+        }
+      },
+      *this, other);
   if (!status.ok()) {
     return status;
   }
-  status = capacity_retained_.Merge(other.capacity_retained_);
-  if (!status.ok()) {
-    return status;
-  }
-  status = autodelete_files_.Merge(other.autodelete_files_);
-  if (!status.ok()) {
-    return status;
-  }
-  status = pec_variance_.Merge(other.pec_variance_);
-  if (!status.ok()) {
-    return status;
-  }
-  devices_ += other.devices_;
-  for (size_t i = 0; i < kNumArchetypes; ++i) {
-    archetype_devices_[i] += other.archetype_devices_[i];
-    archetype_carbon_[i].Add(other.archetype_carbon_[i]);
-  }
-  sos_devices_ += other.sos_devices_;
-  baseline_devices_ += other.baseline_devices_;
-  carbon_.Add(other.carbon_);
-  autodelete_files_total_ += other.autodelete_files_total_;
-  autodelete_bytes_total_ += other.autodelete_bytes_total_;
-  create_failures_total_ += other.create_failures_total_;
-  host_bytes_total_ += other.host_bytes_total_;
-  daemon_activations_total_ += other.daemon_activations_total_;
-  trace_dropped_total_ += other.trace_dropped_total_;
-  return Status::Ok();
+  ForEachCell(
+      [&](const std::string&, auto& mine, const auto& theirs) {
+        if constexpr (std::is_same_v<decltype(mine), FleetHistogram&>) {
+          status = mine.Merge(theirs);  // cannot fail: shapes checked above
+        } else {
+          mine += theirs;
+        }
+      },
+      *this, other);
+  return status;
+}
+
+std::string FleetLedger::ArchetypeKey(size_t i) {
+  return std::string("archetype.") + ArchetypeName(static_cast<Archetype>(i)) + ".";
 }
 
 double FleetLedger::SavingsKg() const {
@@ -221,9 +202,7 @@ double FleetLedger::SavingsKg() const {
 void FleetLedger::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) const {
   registry.SetCounter(prefix + "devices", devices_);
   for (size_t i = 0; i < kNumArchetypes; ++i) {
-    registry.SetCounter(
-        prefix + "archetype." + ArchetypeName(static_cast<Archetype>(i)) + ".devices",
-        archetype_devices_[i]);
+    registry.SetCounter(prefix + ArchetypeKey(i) + "devices", archetype_devices_[i]);
   }
   registry.SetCounter(prefix + "devices.sos", sos_devices_);
   registry.SetCounter(prefix + "devices.baseline", baseline_devices_);
@@ -237,8 +216,7 @@ void FleetLedger::ToMetrics(obs::MetricRegistry& registry, const std::string& pr
   registry.SetGauge(prefix + "carbon.savings_kg", SavingsKg());
   registry.SetGauge(prefix + "carbon.capacity_gb", FromMicro(carbon_.capacity_micro_gb));
   for (size_t i = 0; i < kNumArchetypes; ++i) {
-    const std::string arch_prefix =
-        prefix + "archetype." + ArchetypeName(static_cast<Archetype>(i)) + ".carbon.";
+    const std::string arch_prefix = prefix + ArchetypeKey(i) + "carbon.";
     const CarbonAccumulator& acc = archetype_carbon_[i];
     registry.SetGauge(arch_prefix + "actual_kg", FromMicro(acc.actual_micro_kg));
     registry.SetGauge(arch_prefix + "savings_kg",

@@ -40,9 +40,9 @@ int64_t ToMicro(double value);
 // sense that every shard grouping renders the same bits (the int is).
 double FromMicro(int64_t micro);
 
-// Fixed-bucket histogram with a fixed-point sum. Same bucketing rule as
-// obs::Histogram (ascending inclusive upper bounds + overflow bucket), but
-// the sum is carried in micro-units so merge stays exact.
+// Fixed-bucket histogram with a fixed-point sum. Buckets follow
+// obs::BucketIndex, the rule obs::Histogram uses, but the sum is carried in
+// micro-units so merge stays exact.
 class FleetHistogram {
  public:
   FleetHistogram() = default;
@@ -62,9 +62,17 @@ class FleetHistogram {
   // registry export.
   obs::Histogram ToObs() const;
 
-  // Rebuilds from serialized parts (the partial-file reader).
-  static FleetHistogram FromParts(std::vector<double> bounds, std::vector<uint64_t> buckets,
-                                  uint64_t count, int64_t micro_sum);
+  bool operator==(const FleetHistogram&) const = default;
+
+  // The histogram's state, in partial-file order: `visit(key, part...)` gets
+  // the same part of each histogram passed. The bounds are its fixed shape,
+  // not state, so they are not visited.
+  template <typename Visit, typename... Histograms>
+  static void ForEachPart(Visit&& visit, Histograms&... histograms) {
+    visit("count", histograms.count_...);
+    visit("micro_sum", histograms.micro_sum_...);
+    visit("buckets", histograms.buckets_...);
+  }
 
  private:
   std::vector<double> bounds_;
@@ -105,9 +113,9 @@ struct CarbonAccumulator {
   int64_t tlc_counterfactual_micro_kg = 0;
   int64_t capacity_micro_gb = 0;
 
-  // Infallible elementwise add (unlike the histogram Merge, there is no
-  // shape to validate).
   void Add(const CarbonAccumulator& other);
+
+  bool operator==(const CarbonAccumulator&) const = default;
 };
 
 // The fleet-level aggregate: population counts, outcome distributions, and
@@ -120,9 +128,11 @@ class FleetLedger {
 
   void Fold(const DeviceOutcome& outcome);
 
-  // kInvalidArgument if histogram shapes differ (ledgers from different
-  // schema versions).
+  // Adds `other` cell by cell. kInvalidArgument, with this ledger
+  // unchanged, if a histogram's bounds differ.
   [[nodiscard]] Status Merge(const FleetLedger& other);
+
+  bool operator==(const FleetLedger&) const = default;
 
   uint64_t devices() const { return devices_; }
   const std::array<uint64_t, kNumArchetypes>& archetype_devices() const {
@@ -154,10 +164,45 @@ class FleetLedger {
   // fold/merge grouping of the same population.
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "fleet.") const;
 
-  // Serialization hooks for the partial-file codec (src/fleet/partial.h).
-  friend struct LedgerCodec;
+  // The ledger schema: every mergeable cell once, with its partial-file
+  // key, in partial-file order. A cell is a uint64_t count, an int64_t
+  // micro-unit sum or a FleetHistogram. `visit(key, cell...)` gets the same
+  // cell of each ledger passed, so one walk serves Merge (two ledgers) and
+  // the partial codec (one). A new field is one line here plus its Fold and
+  // ToMetrics lines.
+  template <typename Visit, typename... Ledgers>
+  static void ForEachCell(Visit&& visit, Ledgers&... ledgers) {
+    auto carbon = [&](const std::string& prefix, auto&... accs) {
+      visit(prefix + "actual_micro_kg", accs.actual_micro_kg...);
+      visit(prefix + "tlc_counterfactual_micro_kg", accs.tlc_counterfactual_micro_kg...);
+      visit(prefix + "capacity_micro_gb", accs.capacity_micro_gb...);
+    };
+    visit("devices", ledgers.devices_...);
+    for (size_t i = 0; i < kNumArchetypes; ++i) {
+      visit(ArchetypeKey(i) + "devices", ledgers.archetype_devices_[i]...);
+    }
+    visit("devices.sos", ledgers.sos_devices_...);
+    visit("devices.baseline", ledgers.baseline_devices_...);
+    visit("lifetime_years", ledgers.lifetime_years_...);
+    visit("capacity_retained", ledgers.capacity_retained_...);
+    visit("autodelete_files", ledgers.autodelete_files_...);
+    visit("pec_variance", ledgers.pec_variance_...);
+    carbon("carbon.", ledgers.carbon_...);
+    for (size_t i = 0; i < kNumArchetypes; ++i) {
+      carbon(ArchetypeKey(i) + "carbon.", ledgers.archetype_carbon_[i]...);
+    }
+    visit("autodelete.files", ledgers.autodelete_files_total_...);
+    visit("autodelete.bytes", ledgers.autodelete_bytes_total_...);
+    visit("create_failures", ledgers.create_failures_total_...);
+    visit("host_bytes_written", ledgers.host_bytes_total_...);
+    visit("daemon_activations", ledgers.daemon_activations_total_...);
+    visit("trace.dropped_events", ledgers.trace_dropped_total_...);
+  }
 
  private:
+  // "archetype.<name>." for archetype index i.
+  static std::string ArchetypeKey(size_t i);
+
   uint64_t devices_ = 0;
   std::array<uint64_t, kNumArchetypes> archetype_devices_ = {};
   uint64_t sos_devices_ = 0;

@@ -29,8 +29,9 @@
 namespace sos::fleet {
 
 // Version of the partial schema; bumped whenever the ledger layout changes
-// so a merge never silently combines incompatible files.
-inline constexpr uint64_t kPartialSchemaVersion = 1;
+// so a merge never silently combines incompatible files. Version 2 is the
+// flat layout: one key per FleetLedger::ForEachCell cell.
+inline constexpr uint64_t kPartialSchemaVersion = 2;
 
 // One shard's ledger plus the population identity it was computed from.
 struct FleetPartial {
@@ -44,11 +45,17 @@ struct FleetPartial {
   FleetLedger ledger;
 };
 
-// Deterministic JSON rendering (fixed key order, integer values only).
+// Deterministic JSON rendering: schema_version, the header fields, then
+// every ledger cell, each under its own key in FleetLedger::ForEachCell
+// order. Integer values only, apart from the mix echo.
 std::string PartialToJson(const FleetPartial& partial);
 
-// Parses what PartialToJson wrote. kInvalidArgument on malformed input or
-// schema mismatch.
+// Reads exactly what PartialToJson writes, in the same order.
+// kInvalidArgument on any other token, an integer outside its cell's type,
+// a schema version other than kPartialSchemaVersion, or a broken count
+// identity (devices == sum of archetype devices == devices.sos +
+// devices.baseline == shard_devices == every histogram's count == the sum
+// of its buckets).
 Result<FleetPartial> ParsePartialJson(const std::string& json);
 
 // Reads and parses a partial file. kUnavailable on I/O failure.

@@ -70,14 +70,7 @@ Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper
 }
 
 void Histogram::Observe(double v) {
-  size_t bucket = bounds_.size();  // overflow unless a bound catches it
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++buckets_[bucket];
+  ++buckets_[BucketIndex(bounds_, v)];
   ++count_;
   sum_ += v;
 }

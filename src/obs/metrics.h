@@ -18,6 +18,7 @@
 #ifndef SOS_SRC_OBS_METRICS_H_
 #define SOS_SRC_OBS_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -27,6 +28,18 @@
 
 namespace sos::obs {
 
+// The bucket rule every fixed-bucket histogram in the tree shares: the index
+// of the first of the ascending `upper_bounds` that is >= v, or
+// upper_bounds.size() (the overflow bucket) when none is.
+inline size_t BucketIndex(const std::vector<double>& upper_bounds, double v) {
+  for (size_t i = 0; i < upper_bounds.size(); ++i) {
+    if (v <= upper_bounds[i]) {
+      return i;
+    }
+  }
+  return upper_bounds.size();
+}
+
 // Fixed-bucket histogram. Buckets are defined by ascending inclusive upper
 // bounds; one implicit overflow bucket catches everything above the last
 // bound. Bounds are fixed at construction -- never derived from observed
@@ -35,8 +48,7 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
 
-  // Records `v` in the first bucket whose bound >= v (overflow bucket
-  // otherwise).
+  // Records `v` in bucket BucketIndex(bounds(), v).
   void Observe(double v);
 
   // bounds().size() + 1 counts; the last one is the overflow bucket.

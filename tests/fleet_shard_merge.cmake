@@ -10,6 +10,9 @@
 #   1. one process, --jobs=1          (reference)
 #   2. one process, --jobs=4          (thread fan-out)
 #   3. two shards -> bench_fleet --merge   (process fan-out)
+# It then feeds --merge three inputs it must refuse -- one shard twice, a
+# truncated partial, a partial with an edited `devices` cell -- and requires
+# exit code 2 and no --metrics-out file for each.
 #
 # Expects -DBENCH=<bench_fleet> and -DWORK_DIR=<scratch dir>.
 
@@ -68,5 +71,41 @@ foreach(arm IN ITEMS parallel merged)
   endforeach()
 endforeach()
 
+# Failure arms: a refused merge exits 2 and writes no metrics file.
+function(expect_refused label)
+  set(out "${WORK_DIR}/metrics_${label}.json")
+  file(REMOVE "${out}")
+  execute_process(
+    COMMAND "${BENCH}" ${ARGN} --metrics-out=${out}
+    OUTPUT_QUIET
+    ERROR_VARIABLE run_stderr
+    RESULT_VARIABLE run_rc)
+  if(NOT run_rc EQUAL 2)
+    message(FATAL_ERROR "${label}: expected exit 2, got ${run_rc}: ${run_stderr}")
+  endif()
+  if(EXISTS "${out}")
+    message(FATAL_ERROR "${label}: the refused merge still wrote ${out}")
+  endif()
+endfunction()
+
+expect_refused(duplicate --merge=${WORK_DIR}/p0.json --merge=${WORK_DIR}/p0.json)
+
+file(READ "${WORK_DIR}/p0.json" p0)
+string(LENGTH "${p0}" p0_length)
+math(EXPR half "${p0_length} / 2")
+string(SUBSTRING "${p0}" 0 ${half} p0_truncated)
+file(WRITE "${WORK_DIR}/p0_truncated.json" "${p0_truncated}")
+expect_refused(truncated --merge=${WORK_DIR}/p0_truncated.json --merge=${WORK_DIR}/p1.json)
+
+string(REGEX MATCH "\"devices\": ([0-9]+)," devices_cell "${p0}")
+if(NOT devices_cell)
+  message(FATAL_ERROR "p0.json has no \"devices\" cell to edit")
+endif()
+math(EXPR edited "${CMAKE_MATCH_1} + 1")
+string(REPLACE "${devices_cell}" "\"devices\": ${edited}," p0_edited "${p0}")
+file(WRITE "${WORK_DIR}/p0_edited.json" "${p0_edited}")
+expect_refused(edited --merge=${WORK_DIR}/p0_edited.json --merge=${WORK_DIR}/p1.json)
+
 message(STATUS
-    "fleet aggregate byte-identical for jobs=1, jobs=4 and 2-shard bench merge")
+    "fleet aggregate byte-identical for jobs=1, jobs=4 and 2-shard bench merge; "
+    "duplicate, truncated and edited partials refused")

@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -23,19 +26,6 @@
 
 namespace sos::fleet {
 namespace {
-
-// Full-state ledger comparison via the canonical serialization: two ledgers
-// are equal iff their partial JSON (which carries every field, all integer)
-// renders the same bytes.
-std::string LedgerBytes(const FleetLedger& ledger) {
-  FleetPartial partial;
-  partial.fleet_seed = 1;
-  partial.fleet_devices = ledger.devices();
-  partial.mix = "test";
-  partial.shard_devices = ledger.devices();
-  partial.ledger = ledger;
-  return PartialToJson(partial);
-}
 
 // A synthetic outcome stream: plausible magnitudes, deterministic, and
 // varied enough to populate every histogram bucket including overflow.
@@ -74,6 +64,65 @@ FleetLedger FoldAll(const std::vector<DeviceOutcome>& outcomes) {
     ledger.Fold(outcome);
   }
   return ledger;
+}
+
+// Calls fn(name, value) for every integer a ledger holds: each count and
+// micro-unit cell, and each part of each histogram cell (count, micro_sum,
+// every bucket). Driven by the ledger's own field walk, so the field-list
+// tests below cover a new cell without a new case.
+template <typename Ledger, typename Fn>
+void ForEachLeaf(Ledger& ledger, Fn&& fn) {
+  FleetLedger::ForEachCell(
+      [&](const std::string& key, auto& cell) {
+        if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(cell)>>) {
+          fn(key, cell);
+        } else {
+          FleetHistogram::ForEachPart(
+              [&](const std::string& part, auto& value) {
+                if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(value)>>) {
+                  fn(key + "." + part, value);
+                } else {
+                  for (size_t i = 0; i < value.size(); ++i) {
+                    fn(key + "." + part + "[" + std::to_string(i) + "]", value[i]);
+                  }
+                }
+              },
+              cell);
+        }
+      },
+      ledger);
+}
+
+// Every leaf as (name, two's-complement bits), in walk order.
+std::vector<std::pair<std::string, uint64_t>> Leaves(const FleetLedger& ledger) {
+  std::vector<std::pair<std::string, uint64_t>> leaves;
+  ForEachLeaf(ledger, [&](const std::string& name, auto value) {
+    leaves.emplace_back(name, static_cast<uint64_t>(value));
+  });
+  return leaves;
+}
+
+// Adds one to the leaf called `name`; false if there is none.
+bool BumpLeaf(FleetLedger& ledger, const std::string& name) {
+  bool found = false;
+  ForEachLeaf(ledger, [&](const std::string& leaf, auto& value) {
+    if (leaf == name) {
+      ++value;
+      found = true;
+    }
+  });
+  return found;
+}
+
+// A one-shard partial around `ledger` that satisfies every count identity.
+FleetPartial WholePartial(const FleetLedger& ledger) {
+  FleetPartial partial;
+  partial.fleet_seed = 1;
+  partial.fleet_devices = ledger.devices();
+  partial.mix = "test";
+  partial.shard_devices = ledger.devices();
+  partial.ledger = ledger;
+  return partial;
 }
 
 // --- Archetype sampling ----------------------------------------------------
@@ -275,7 +324,7 @@ TEST(FleetLedgerTest, MergeEqualsUnpartitionedFold) {
   FleetLedger merged = parts[0];
   ASSERT_TRUE(merged.Merge(parts[1]).ok());
   ASSERT_TRUE(merged.Merge(parts[2]).ok());
-  EXPECT_EQ(LedgerBytes(merged), LedgerBytes(whole));
+  EXPECT_EQ(merged, whole);
 }
 
 TEST(FleetLedgerTest, MergeIsCommutative) {
@@ -288,7 +337,7 @@ TEST(FleetLedgerTest, MergeIsCommutative) {
   ASSERT_TRUE(ab.Merge(b).ok());
   FleetLedger ba = b;
   ASSERT_TRUE(ba.Merge(a).ok());
-  EXPECT_EQ(LedgerBytes(ab), LedgerBytes(ba));
+  EXPECT_EQ(ab, ba);
 }
 
 TEST(FleetLedgerTest, MergeIsAssociative) {
@@ -306,7 +355,77 @@ TEST(FleetLedgerTest, MergeIsAssociative) {
   ASSERT_TRUE(bc.Merge(parts[2]).ok());
   FleetLedger right = parts[0];
   ASSERT_TRUE(right.Merge(bc).ok());
-  EXPECT_EQ(LedgerBytes(left), LedgerBytes(right));
+  EXPECT_EQ(left, right);
+}
+
+// --- Field-list completeness ----------------------------------------------
+//
+// These walk FleetLedger::ForEachCell, so a cell the codec or Merge misses
+// fails here without a hand-written case.
+
+TEST(FleetFieldListTest, FixtureLeavesNoCellAtZero) {
+  const FleetLedger ledger = FoldAll(RandomOutcomes(59, 200));
+  size_t cells = 0;
+  FleetLedger::ForEachCell(
+      [&](const std::string& key, const auto& cell) {
+        ++cells;
+        if constexpr (std::is_same_v<decltype(cell), const FleetHistogram&>) {
+          EXPECT_NE(cell, FleetHistogram(cell.bounds())) << key;
+          EXPECT_NE(cell.micro_sum(), 0) << key;
+        } else {
+          EXPECT_TRUE(cell != 0) << key;
+        }
+      },
+      ledger);
+  EXPECT_GT(cells, 0u);
+}
+
+TEST(FleetFieldListTest, JsonRoundTripRestoresEveryCell) {
+  const FleetLedger ledger = FoldAll(RandomOutcomes(61, 150));
+  Result<FleetPartial> parsed = ParsePartialJson(PartialToJson(WholePartial(ledger)));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().ledger, ledger);
+  EXPECT_EQ(Leaves(parsed.value().ledger), Leaves(ledger));
+}
+
+TEST(FleetFieldListTest, SelfMergeDoublesEveryCell) {
+  const FleetLedger ledger = FoldAll(RandomOutcomes(67, 120));
+  FleetLedger doubled = ledger;
+  ASSERT_TRUE(doubled.Merge(ledger).ok());
+  const auto once = Leaves(ledger);
+  const auto twice = Leaves(doubled);
+  ASSERT_EQ(once.size(), twice.size());
+  for (size_t i = 0; i < once.size(); ++i) {
+    EXPECT_EQ(twice[i].second, 2 * once[i].second) << once[i].first;
+  }
+}
+
+TEST(FleetFieldListTest, EveryLeafReachesEqualityAndJson) {
+  const FleetLedger ledger = FoldAll(RandomOutcomes(71, 80));
+  const std::string json = PartialToJson(WholePartial(ledger));
+  for (const auto& [name, value] : Leaves(ledger)) {
+    FleetLedger bumped = ledger;
+    ASSERT_TRUE(BumpLeaf(bumped, name));
+    EXPECT_FALSE(bumped == ledger) << name;
+    EXPECT_NE(PartialToJson(WholePartial(bumped)), json) << name;
+  }
+}
+
+TEST(FleetLedgerTest, MergeRefusesMismatchedShapesUnchanged) {
+  FleetLedger ledger = FoldAll(RandomOutcomes(73, 20));
+  const FleetLedger before = ledger;
+  FleetLedger other = ledger;
+  FleetLedger::ForEachCell(
+      [](const std::string& key, auto& cell) {
+        if constexpr (std::is_same_v<decltype(cell), FleetHistogram&>) {
+          if (key == "pec_variance") {
+            cell = FleetHistogram({1.0});
+          }
+        }
+      },
+      other);
+  EXPECT_EQ(ledger.Merge(other).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ledger, before);
 }
 
 TEST(FleetLedgerTest, MetricsExportIsByteStableAcrossGroupings) {
@@ -351,17 +470,121 @@ TEST(FleetPartialTest, JsonRoundTripIsExact) {
             partial.ledger.carbon().actual_micro_kg);
 }
 
+// Replaces the value after the first `"key": ` in `json` (up to the next
+// ',' or '\n') with `value`.
+std::string WithValue(std::string json, const std::string& key, const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t start = json.find(needle);
+  EXPECT_NE(start, std::string::npos) << key;
+  const size_t first = start + needle.size();
+  const size_t last = json.find_first_of(",\n", first);
+  return json.replace(first, last - first, value);
+}
+
 TEST(FleetPartialTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParsePartialJson("").ok());
   EXPECT_FALSE(ParsePartialJson("not json").ok());
   EXPECT_FALSE(ParsePartialJson("{}").ok());
   EXPECT_FALSE(ParsePartialJson("{\"fleet_partial\": {}}").ok());
   // Wrong schema version must be refused, not guessed at.
-  std::string json = PartialToJson(MakePartial(41, 0, 1));
-  const size_t pos = json.find("\"schema_version\": 1");
+  const std::string json = PartialToJson(MakePartial(41, 0, 1));
+  const std::string version = "\"schema_version\": " + std::to_string(kPartialSchemaVersion);
+  const size_t pos = json.find(version);
   ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, std::string("\"schema_version\": 1").size(), "\"schema_version\": 999");
-  EXPECT_FALSE(ParsePartialJson(json).ok());
+  std::string bad_version = json;
+  bad_version.replace(pos, version.size(), "\"schema_version\": 999");
+  EXPECT_FALSE(ParsePartialJson(bad_version).ok());
+  // Trailing bytes, a truncated file, and a missing cell.
+  EXPECT_FALSE(ParsePartialJson(json + "x").ok());
+  EXPECT_FALSE(ParsePartialJson(json.substr(0, json.size() / 2)).ok());
+  const size_t cell = json.find("    \"devices.sos\"");
+  ASSERT_NE(cell, std::string::npos);
+  std::string missing = json;
+  missing.erase(cell, json.find('\n', cell) + 1 - cell);
+  EXPECT_FALSE(ParsePartialJson(missing).ok());
+}
+
+TEST(FleetPartialTest, ParseNamesARefusedSchemaVersion) {
+  const std::string json = WithValue(PartialToJson(MakePartial(41, 0, 1)), "schema_version", "1");
+  Result<FleetPartial> parsed = ParsePartialJson(json);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("schema version 1"), std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(FleetPartialTest, ParseAllowsOnlyWhitespaceBetweenTokens) {
+  const FleetPartial partial = MakePartial(43, 1, 2);
+  std::string compact;
+  for (char c : PartialToJson(partial)) {
+    if (c != ' ' && c != '\n') {
+      compact += c;
+    }
+  }
+  Result<FleetPartial> parsed = ParsePartialJson(compact);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().ledger, partial.ledger);
+}
+
+TEST(FleetPartialTest, ParseRejectsIntegersOutsideTheCellType) {
+  const std::string json = PartialToJson(MakePartial(47, 0, 2));
+  // u64 cells: the old reader saturated these to 2^64 - 1.
+  for (const char* value : {"99999999999999999999999", "18446744073709551616", "-1"}) {
+    Result<FleetPartial> parsed = ParsePartialJson(WithValue(json, "shard_devices", value));
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  // i64 micro-unit cells.
+  for (const char* value : {"9223372036854775808", "-9223372036854775809"}) {
+    Result<FleetPartial> parsed = ParsePartialJson(WithValue(json, "micro_sum", value));
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The extremes of each type are in range.
+  Result<FleetPartial> max_u64 =
+      ParsePartialJson(WithValue(json, "autodelete.bytes", "18446744073709551615"));
+  ASSERT_TRUE(max_u64.ok()) << max_u64.status().ToString();
+  EXPECT_EQ(max_u64.value().ledger.autodelete_bytes_total(), UINT64_MAX);
+  Result<FleetPartial> min_i64 =
+      ParsePartialJson(WithValue(json, "micro_sum", "-9223372036854775808"));
+  ASSERT_TRUE(min_i64.ok()) << min_i64.status().ToString();
+  EXPECT_EQ(min_i64.value().ledger.lifetime_years().micro_sum(), INT64_MIN);
+}
+
+TEST(FleetPartialTest, ParseChecksCountIdentities) {
+  const FleetPartial valid = MakePartial(53, 0, 2);
+  ASSERT_TRUE(ParsePartialJson(PartialToJson(valid)).ok());
+
+  // Each entry breaks one identity: the leaves it bumps by one.
+  std::vector<std::vector<std::string>> breaks = {
+      {"devices"},                  // every identity at once
+      {"archetype.light.devices"},  // devices == sum of archetype devices
+      {"devices.sos"},              // devices == sos + baseline
+      {"devices.baseline"},
+  };
+  FleetLedger::ForEachCell(
+      [&](const std::string& key, const auto& cell) {
+        if constexpr (std::is_same_v<decltype(cell), const FleetHistogram&>) {
+          breaks.push_back({key + ".buckets[0]"});                     // count == sum of buckets
+          breaks.push_back({key + ".count", key + ".buckets[0]"});     // count == devices
+        }
+      },
+      valid.ledger);
+  for (const std::vector<std::string>& leaves : breaks) {
+    FleetPartial broken = valid;
+    for (const std::string& leaf : leaves) {
+      ASSERT_TRUE(BumpLeaf(broken.ledger, leaf)) << leaf;
+    }
+    Result<FleetPartial> parsed = ParsePartialJson(PartialToJson(broken));
+    ASSERT_FALSE(parsed.ok()) << leaves.front();
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << leaves.front();
+  }
+
+  // shard_devices == devices (the header's count of the ledger's).
+  FleetPartial shard = valid;
+  ++shard.shard_devices;
+  EXPECT_EQ(ParsePartialJson(PartialToJson(shard)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FleetPartialTest, MergeReconstructsWholeFleet) {

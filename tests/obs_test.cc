@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "src/fleet/ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/scoped_latency.h"
 #include "src/obs/trace.h"
@@ -67,6 +68,23 @@ TEST(HistogramTest, BucketEdgesAreInclusiveUpperBounds) {
   EXPECT_EQ(h.buckets()[2], 1u);
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 0.0 + 10.0 + 10.5 + 100.0 + 1000.0);
+}
+
+TEST(HistogramTest, FleetHistogramSharesTheBucketRule) {
+  // obs::Histogram and the fleet ledger's fixed-point histogram both bucket
+  // through BucketIndex; the same samples must land in the same buckets,
+  // including samples exactly on a bound and below the first one.
+  const std::vector<double> bounds = {-1.0, 0.0, 0.5, 2.0, 10.0};
+  Histogram obs(bounds);
+  fleet::FleetHistogram ledger(bounds);
+  for (double v : {-5.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.5000001, 2.0, 9.99, 10.0, 10.01, 1e9}) {
+    obs.Observe(v);
+    ledger.Observe(v);
+  }
+  EXPECT_EQ(obs.buckets(), ledger.buckets());
+  EXPECT_EQ(obs.buckets(), (std::vector<uint64_t>{2, 2, 2, 2, 2, 2}));
+  EXPECT_EQ(BucketIndex(bounds, 10.0), 4u);
+  EXPECT_EQ(BucketIndex(bounds, 10.5), bounds.size());
 }
 
 TEST(HistogramTest, SnapshotReplayPreservesBuckets) {
