@@ -26,20 +26,26 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentiles::Get(double p) {
-  if (samples_.empty()) {
+double Percentiles::Get(double p) const {
+  if (count_ == 0) {
     return 0.0;
   }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples_.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(count_ - 1);
+  const uint64_t lo = static_cast<uint64_t>(rank);
+  const uint64_t hi = std::min(lo + 1, count_ - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // Walk cumulative counts to the values holding order statistics lo and hi.
+  auto it = counts_.begin();
+  uint64_t seen = it->second;  // samples valued at most it->first
+  while (seen <= lo) {
+    seen += (++it)->second;
+  }
+  const double lo_value = it->first;
+  while (seen <= hi) {
+    seen += (++it)->second;
+  }
+  return lo_value * (1.0 - frac) + it->first * frac;
 }
 
 }  // namespace sos

@@ -3,15 +3,14 @@
 // Streaming and batch statistics used by benchmarks and monitors.
 //
 // RunningStats -- Welford-style online mean/variance/min/max, O(1) memory.
-// Percentiles  -- batch percentile computation over a retained sample vector.
+// Percentiles  -- exact percentiles over a count per distinct sample value.
 
 #ifndef SOS_SRC_COMMON_STATS_H_
 #define SOS_SRC_COMMON_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <map>
 
 namespace sos {
 
@@ -39,21 +38,21 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Retains all samples; answers arbitrary percentile queries with linear
-// interpolation between order statistics.
+// Answers percentile queries by linear interpolation between order
+// statistics, exactly as sorting every sample would. Memory grows with the
+// number of distinct values, not samples: integer latencies repeat heavily.
 class Percentiles {
  public:
-  void Add(double x) { samples_.push_back(x); }
-  void Reserve(size_t n) { samples_.reserve(n); }
+  void Add(double x) { ++counts_[x]; ++count_; }
 
-  // p in [0, 100]. Returns 0 when empty. Sorts lazily on first query.
-  double Get(double p);
+  // p in [0, 100]. Returns 0 when empty.
+  double Get(double p) const;
 
-  size_t count() const { return samples_.size(); }
+  uint64_t count() const { return count_; }
 
  private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
+  std::map<double, uint64_t> counts_;  // value -> number of samples
+  uint64_t count_ = 0;
 };
 
 }  // namespace sos

@@ -4,7 +4,6 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <utility>
 
 namespace sos::serve {
@@ -112,22 +111,12 @@ SocketClient::~SocketClient() {
 Result<Frame> SocketClient::Roundtrip(const Frame& request) {
   std::vector<uint8_t> out;
   AppendFrame(out, request);
-  size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status(StatusCode::kUnavailable, "connection write failed");
-    }
-    off += static_cast<size_t>(n);
+  if (!SendAll(fd_, out)) {
+    return Status(StatusCode::kUnavailable, "connection write failed");
   }
   for (;;) {
-    size_t consumed = 0;
-    auto parsed = ParseFrame(buffer_, &consumed);
+    auto parsed = reader_.Next();
     if (parsed.ok()) {
-      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
       if (!parsed.value().reply) {
         return Status(StatusCode::kInvalidArgument, "peer sent a request frame");
       }
@@ -136,18 +125,10 @@ Result<Frame> SocketClient::Roundtrip(const Frame& request) {
     if (parsed.status().code() != StatusCode::kUnavailable) {
       return parsed.status();
     }
-    uint8_t chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status(StatusCode::kUnavailable, "connection read failed");
+    const Status filled = reader_.Fill(fd_);
+    if (!filled.ok()) {
+      return filled;
     }
-    if (n == 0) {
-      return Status(StatusCode::kUnavailable, "connection closed by peer");
-    }
-    buffer_.insert(buffer_.end(), chunk, chunk + n);
   }
 }
 

@@ -98,7 +98,7 @@ class SocketClient final : public BlockServiceClient {
   Result<Frame> Roundtrip(const Frame& request);
 
   int fd_;
-  std::vector<uint8_t> buffer_;  // bytes read past the last parsed reply
+  FrameReader reader_;  // reassembles replies across reads
 };
 
 }  // namespace sos::serve

@@ -14,22 +14,6 @@
 namespace sos::serve {
 namespace {
 
-// Writes the whole buffer, retrying on EINTR / short writes.
-bool WriteAll(int fd, const std::vector<uint8_t>& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 Frame ErrorReply(StatusCode code) {
   Frame reply;
   reply.type = FrameType::kRead;  // designated error carrier
@@ -149,42 +133,28 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
 }
 
 uint64_t SosdServer::ServeConnection(int fd) {
-  std::vector<uint8_t> buffer;
+  FrameReader reader;
   uint64_t served = 0;
-  uint8_t chunk[4096];
   for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
+    auto parsed = reader.Next();
+    if (!parsed.ok()) {
+      if (parsed.status().code() == StatusCode::kUnavailable) {
+        if (!reader.Fill(fd).ok()) {
+          return served;  // peer closed or read failed
+        }
+        continue;  // incomplete; read more
       }
+      std::vector<uint8_t> error_bytes;
+      AppendFrame(error_bytes, ErrorReply(StatusCode::kInvalidArgument));
+      IgnoreResult(SendAll(fd, error_bytes));  // closing either way
+      return served;  // malformed stream: close
+    }
+    std::vector<uint8_t> reply_bytes;
+    const bool keep_open = HandleFrame(parsed.value(), &reply_bytes);
+    if (!SendAll(fd, reply_bytes) || !keep_open) {
       return served;
     }
-    if (n == 0) {
-      return served;  // peer closed
-    }
-    buffer.insert(buffer.end(), chunk, chunk + n);
-    // Drain every complete frame currently buffered.
-    for (;;) {
-      size_t consumed = 0;
-      auto parsed = ParseFrame(buffer, &consumed);
-      if (!parsed.ok()) {
-        if (parsed.status().code() == StatusCode::kUnavailable) {
-          break;  // incomplete; read more
-        }
-        std::vector<uint8_t> error_bytes;
-        AppendFrame(error_bytes, ErrorReply(StatusCode::kInvalidArgument));
-        WriteAll(fd, error_bytes);
-        return served;  // malformed stream: close
-      }
-      buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(consumed));
-      std::vector<uint8_t> reply_bytes;
-      const bool keep_open = HandleFrame(parsed.value(), &reply_bytes);
-      if (!WriteAll(fd, reply_bytes) || !keep_open) {
-        return served;
-      }
-      ++served;
-    }
+    ++served;
   }
 }
 

@@ -23,8 +23,6 @@ AsyncBlockService::AsyncBlockService(SosDevice* device, SimClock* clock,
       scheduler_(config.qos, QosWeights{}),
       sim_now_us_(clock->now()) {
   if (config_.workers > 0) {
-    completions_ = std::make_unique<BoundedQueue<Completion>>(config_.submission_depth);
-    completion_thread_ = std::thread([this] { CompletionLoop(); });
     pool_ = std::make_unique<ThreadPool>(config_.workers);
     worker_futures_.reserve(config_.workers);
     for (size_t i = 0; i < config_.workers; ++i) {
@@ -196,46 +194,30 @@ void AsyncBlockService::ExecuteBatch(Batch batch) {
   sim_now_us_.store(now, std::memory_order_relaxed);
   gate.unlock();
 
+  // The thread that ran the batch resolves it: one hold of mu_ accounts for
+  // every request, then each future gets its response.
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches;
     stats_.coalesced += n - 1;
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    Completion completion;
-    Pending& p = batch.reqs[i];
-    completion.promise = std::move(p.promise);
-    completion.resp = std::move(resps[i]);
-    completion.resp.cls = p.cls;
-    completion.resp.submit_sim_us = p.submit_sim_us;
-    completion.resp.complete_sim_us = now;
-    if (completions_ != nullptr) {
-      // The R8-sanctioned hand-off: the queue is internally synchronized;
-      // the drain thread resolves the future. Push only fails after Shutdown,
-      // which Shutdown orders strictly after every worker has exited.
-      if (completions_->Push(std::move(completion)).ok()) {
-        continue;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c = static_cast<uint32_t>(batch.reqs[i].cls);
+      ++stats_.completed;
+      ++stats_.per_class[c].completed;
+      if (!resps[i].status.ok()) {
+        ++stats_.per_class[c].errors;
       }
+      latency_us_[c].Add(static_cast<double>(now - batch.reqs[i].submit_sim_us));
     }
-    DeliverCompletion(std::move(completion));
-  }
-}
-
-void AsyncBlockService::DeliverCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint32_t c = static_cast<uint32_t>(completion.resp.cls);
-    ++stats_.completed;
-    ++stats_.per_class[c].completed;
-    if (!completion.resp.status.ok()) {
-      ++stats_.per_class[c].errors;
-    }
-    latency_us_[c].Add(
-        static_cast<double>(completion.resp.complete_sim_us - completion.resp.submit_sim_us));
   }
   idle_cv_.notify_all();
-  completion.promise.set_value(std::move(completion.resp));
+  for (size_t i = 0; i < n; ++i) {
+    Pending& p = batch.reqs[i];
+    resps[i].cls = p.cls;
+    resps[i].submit_sim_us = p.submit_sim_us;
+    resps[i].complete_sim_us = now;
+    p.promise.set_value(std::move(resps[i]));
+  }
 }
 
 void AsyncBlockService::WorkerLoop() {
@@ -253,12 +235,6 @@ void AsyncBlockService::WorkerLoop() {
     }
     space_cv_.notify_all();
     ExecuteBatch(std::move(batch));
-  }
-}
-
-void AsyncBlockService::CompletionLoop() {
-  while (std::optional<Completion> completion = completions_->Pop()) {
-    DeliverCompletion(std::move(*completion));
   }
 }
 
@@ -305,8 +281,6 @@ void AsyncBlockService::Shutdown() {
       worker.get();
     }
     pool_->Shutdown();
-    completions_->Shutdown();
-    completion_thread_.join();
   }
 }
 
@@ -316,11 +290,8 @@ ServeStats AsyncBlockService::Stats() const {
 }
 
 LatencySummary AsyncBlockService::Latency(QosClass cls) const {
-  Percentiles samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = latency_us_[static_cast<uint32_t>(cls)];
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const Percentiles& samples = latency_us_[static_cast<uint32_t>(cls)];
   LatencySummary summary;
   summary.count = samples.count();
   summary.p50 = samples.Get(50);

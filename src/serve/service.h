@@ -22,17 +22,16 @@
 //      kPowerLost the rest fail with it without touching the dark device,
 //   4. serializes all device + sim-clock access behind one device gate
 //      mutex, so the device itself never sees concurrency, and
-//   5. hands completions to a drain thread through a BoundedQueue -- the
-//      sanctioned R8 queue hand-off idiom -- which resolves the futures and
-//      records per-class sim-time latency.
+//   5. resolves each batch's futures on the thread that ran it, recording
+//      per-class sim-time latency in an exact value -> count store whose
+//      memory is bounded by the number of distinct latencies, not requests.
 //
 // Two execution modes, same scheduling logic:
 //   workers == 0  -- deterministic pump mode: no threads are created; the
 //                    caller drives dispatch with RunPending(). Benches and
 //                    QoS unit tests use this so latency goldens are exact.
-//   workers > 0   -- async mode: N long-lived worker jobs on a ThreadPool
-//                    plus one completion-drain thread. The stress harness
-//                    runs this under TSan.
+//   workers > 0   -- async mode: N long-lived worker jobs on a ThreadPool.
+//                    The stress harness runs this under TSan.
 //
 // Latency is sim time end to end: Submit stamps the current sim time,
 // completion stamps it again after the device batch ran. Wall clock never
@@ -42,17 +41,17 @@
 #define SOS_SRC_SERVE_SERVICE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "src/common/sim_clock.h"
 #include "src/common/stats.h"
 #include "src/common/thread_pool.h"
-#include "src/serve/bounded_queue.h"
 #include "src/serve/qos.h"
 #include "src/serve/request.h"
 #include "src/sos/sos_device.h"
@@ -124,15 +123,16 @@ class AsyncBlockService {
   // pumps inline; in async mode it waits on the workers.
   void Drain();
 
-  // Orderly stop: drains queued work, then joins workers and the completion
-  // thread. Idempotent; the destructor calls it. Submissions racing with
-  // shutdown resolve to kUnavailable instead of blocking.
+  // Orderly stop: drains queued work, then joins the workers. Idempotent;
+  // the destructor calls it. Submissions racing with shutdown resolve to
+  // kUnavailable instead of blocking.
   void Shutdown();
 
   // --- Introspection -------------------------------------------------------
 
   ServeStats Stats() const;
-  // Percentiles are computed over a snapshot copy; callable concurrently.
+  // Computed under the service lock on the live store, copying no samples;
+  // callable concurrently.
   LatencySummary Latency(QosClass cls) const;
 
   SosDevice* device() { return device_; }
@@ -145,17 +145,10 @@ class AsyncBlockService {
     std::vector<Pending> reqs;
   };
 
-  struct Completion {
-    std::promise<ServeResponse> promise;
-    ServeResponse resp;
-  };
-
   QosClass Classify(const ServeRequest& req) const;  // callers hold mu_
   bool PopBatchLocked(Batch* batch);                 // callers hold mu_
   void ExecuteBatch(Batch batch);
-  void DeliverCompletion(Completion completion);
   void WorkerLoop();
-  void CompletionLoop();
 
   SosDevice* const device_;
   SimClock* const clock_;
@@ -185,8 +178,6 @@ class AsyncBlockService {
 
   // Async mode only.
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<BoundedQueue<Completion>> completions_;
-  std::thread completion_thread_;
   std::vector<std::future<void>> worker_futures_;
 };
 

@@ -2,6 +2,10 @@
 
 #include "src/serve/wire.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 namespace sos::serve {
@@ -156,6 +160,61 @@ Result<PlacementSpec> DecodeSpec(std::span<const uint8_t> payload) {
                      static_cast<UpdateFrequency>(payload[2]),
                      std::string(payload.begin() + 3, payload.end()));
   return spec;
+}
+
+Result<Frame> FrameReader::Next() {
+  size_t consumed = 0;
+  auto parsed = ParseFrame(std::span<const uint8_t>(buffer_).subspan(begin_, end_ - begin_),
+                           &consumed);
+  if (parsed.ok()) {
+    begin_ += consumed;
+    if (begin_ == end_) {
+      begin_ = end_ = 0;
+    }
+  }
+  return parsed;
+}
+
+Status FrameReader::Fill(int fd) {
+  if (buffer_.size() - end_ < kStreamReadSize) {
+    // Slide the unparsed bytes to the front, then grow if still short.
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buffer_.size() - end_ < kStreamReadSize) {
+      buffer_.resize(end_ + kStreamReadSize);
+    }
+  }
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer_.data() + end_, buffer_.size() - end_);
+    if (n > 0) {
+      end_ += static_cast<size_t>(n);
+      return Status::Ok();
+    }
+    if (n == 0) {
+      return Status(StatusCode::kUnavailable, "connection closed by peer");
+    }
+    if (errno != EINTR) {
+      return Status(StatusCode::kUnavailable, "connection read failed");
+    }
+  }
+}
+
+bool SendAll(int fd, std::span<const uint8_t> bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace sos::serve

@@ -31,11 +31,13 @@
 #ifndef SOS_SRC_SERVE_WIRE_H_
 #define SOS_SRC_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/units.h"
 #include "src/host/placement.h"
 
 namespace sos::serve {
@@ -89,6 +91,35 @@ void AppendFrame(std::vector<uint8_t>& out, const Frame& frame);
 // durability, lifetime, update_frequency as one byte each, then the label.
 std::vector<uint8_t> EncodeSpec(const PlacementSpec& spec);
 [[nodiscard]] Result<PlacementSpec> DecodeSpec(std::span<const uint8_t> payload);
+
+// --- Byte-stream transport (server and SocketClient share these) ----------
+
+// Reassembles frames from a connected byte-stream fd. Each read() lands
+// straight in the buffer's free tail, which Fill keeps at least
+// kStreamReadSize long, so a frame up to that size takes one read(); parsed
+// frames are consumed by advancing an offset.
+class FrameReader {
+ public:
+  static constexpr size_t kStreamReadSize = 64 * kKiB;
+
+  // The next complete buffered frame, or ParseFrame's error: kUnavailable
+  // means Fill first.
+  [[nodiscard]] Result<Frame> Next();
+
+  // One read() from `fd` into the free tail, retried on EINTR. kUnavailable
+  // when the peer closed or the read failed.
+  [[nodiscard]] Status Fill(int fd);
+
+ private:
+  std::vector<uint8_t> buffer_;
+  size_t begin_ = 0;  // first unparsed byte
+  size_t end_ = 0;    // one past the last byte read
+};
+
+// Writes all of `bytes` to the socket `fd`, retrying on EINTR and short
+// writes. Sends with MSG_NOSIGNAL: a peer that already hung up is a false
+// return (EPIPE), never a SIGPIPE that kills the process.
+[[nodiscard]] bool SendAll(int fd, std::span<const uint8_t> bytes);
 
 }  // namespace sos::serve
 

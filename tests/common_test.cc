@@ -14,6 +14,7 @@
 #include "src/common/status.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
+#include "tests/oracle/percentile.h"
 
 namespace sos {
 namespace {
@@ -223,6 +224,37 @@ TEST(PercentilesTest, InterpolatesOrderStatistics) {
 TEST(PercentilesTest, EmptyReturnsZero) {
   Percentiles p;
   EXPECT_EQ(p.Get(50), 0.0);
+}
+
+TEST(PercentilesTest, AddAfterGetSeesTheNewSample) {
+  // A store that sorted once on the first query and never again would
+  // answer the second round from a stale order: 5 and 1.
+  Percentiles p;
+  p.Add(5);
+  p.Add(6);
+  p.Add(7);
+  EXPECT_EQ(p.Get(0), 5.0);
+  p.Add(1);
+  EXPECT_EQ(p.Get(0), 1.0);
+  EXPECT_EQ(p.Get(100), 7.0);
+  EXPECT_EQ(p.count(), 4u);
+}
+
+TEST(PercentilesTest, MatchesSortedOracleBitForBit) {
+  // Integer latencies with heavy ties, as sim-time latencies have: the
+  // counted store must return exactly what sorting every sample returns.
+  Rng rng(DeriveSeed({0x70637473ull /* "pcts" */}));
+  Percentiles p;
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    const double x = static_cast<double>(50 + rng.NextBounded(40) * rng.NextBounded(40));
+    p.Add(x);
+    samples.push_back(x);
+  }
+  EXPECT_EQ(p.count(), samples.size());
+  for (const double q : {0.0, 0.1, 50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(p.Get(q), SortedPercentile(samples, q)) << "p" << q;
+  }
 }
 
 // --- Status / Result -------------------------------------------------------

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
 // Unit and conformance tests for the serve layer (DESIGN.md §14): the
-// BoundedQueue hand-off channel, the weighted QoS scheduler, the sosd wire
-// protocol (round-trip, malformed-input and fuzz conformance), and the
-// AsyncBlockService in deterministic pump mode -- including the
-// batch-vs-serial equivalence the coalescer must preserve. The concurrent
+// weighted QoS scheduler, the sosd wire protocol (round-trip,
+// malformed-input and fuzz conformance), and the AsyncBlockService in
+// deterministic pump mode -- including the batch-vs-serial equivalence the
+// coalescer must preserve -- plus its async-mode accounting. The concurrent
 // harness lives in serve_stress_test.cc.
 
 #include <gtest/gtest.h>
@@ -15,61 +15,19 @@
 #include "src/common/rng.h"
 #include "src/flash/fault_hook.h"
 #include "src/obs/metrics.h"
-#include "src/serve/bounded_queue.h"
 #include "src/serve/client.h"
 #include "src/serve/qos.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
 #include "src/serve/wire.h"
 #include "src/sos/sos_device.h"
+#include "tests/oracle/percentile.h"
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 namespace sos::serve {
 namespace {
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoOrderAndCapacity) {
-  BoundedQueue<int> queue(2);
-  EXPECT_EQ(queue.capacity(), 2u);
-  ASSERT_TRUE(queue.TryPush(1).ok());
-  ASSERT_TRUE(queue.TryPush(2).ok());
-  EXPECT_EQ(queue.TryPush(3).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, ShutdownDrainsThenSignalsClosed) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(7).ok());
-  queue.Shutdown();
-  EXPECT_EQ(queue.Push(8).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(queue.Pop(), std::optional<int>(7));  // queued items still drain
-  EXPECT_EQ(queue.Pop(), std::nullopt);           // then closed
-}
-
-TEST(BoundedQueueTest, ShutdownWakesBlockedConsumer) {
-  BoundedQueue<int> queue(1);
-  std::optional<int> got = 42;
-  std::thread consumer([&queue, &got] { got = queue.Pop(); });
-  queue.Shutdown();
-  consumer.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(BoundedQueueTest, ShutdownWakesBlockedProducer) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1).ok());
-  Status pushed = Status::Ok();
-  std::thread producer([&queue, &pushed] { pushed = queue.Push(2); });
-  queue.Shutdown();
-  producer.join();
-  EXPECT_EQ(pushed.code(), StatusCode::kFailedPrecondition);
-}
 
 // --- QosScheduler -----------------------------------------------------------
 
@@ -286,6 +244,43 @@ TEST(WireTest, MalformedHeadersAreRejected) {
   expect_invalid(bad, "degraded request");
 }
 
+TEST(WireTest, FrameReaderTakesQueuedFramesInOneRead) {
+  // An 8-page write request of 4 KiB pages and a one-page read reply, both
+  // already queued on the socket: one Fill reads them together, and Next
+  // hands them out in order by advancing an offset.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Frame write;
+  write.type = FrameType::kWrite;
+  write.count = 8;
+  for (uint32_t i = 0; i < write.count; ++i) {
+    write.payload.resize(write.payload.size() + 4096, static_cast<uint8_t>(i + 1));
+  }
+  Frame reply;
+  reply.reply = true;
+  reply.payload.assign(4096, 0x7e);
+  std::vector<uint8_t> bytes;
+  AppendFrame(bytes, write);
+  AppendFrame(bytes, reply);
+  ASSERT_LT(bytes.size(), FrameReader::kStreamReadSize);
+  ASSERT_TRUE(SendAll(fds[0], bytes));
+
+  FrameReader reader;
+  ASSERT_TRUE(reader.Fill(fds[1]).ok());
+  auto first = reader.Next();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().count, 8u);
+  EXPECT_EQ(first.value().payload, write.payload);
+  auto second = reader.Next();
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second.value().reply);
+  EXPECT_EQ(second.value().payload, reply.payload);
+  EXPECT_EQ(reader.Next().status().code(), StatusCode::kUnavailable);
+  ::close(fds[0]);
+  EXPECT_EQ(reader.Fill(fds[1]).code(), StatusCode::kUnavailable);  // peer closed
+  ::close(fds[1]);
+}
+
 TEST(WireTest, SpecCodecRoundTrip) {
   PlacementSpec spec(Durability::kDegradable, LifetimeHint::kShort, UpdateFrequency::kFrequent,
                      "thumbs");
@@ -341,19 +336,19 @@ TEST(WireTest, FuzzedBytesNeverParseOutOfBounds) {
 
 // --- AsyncBlockService (pump mode) ------------------------------------------
 
-SosDeviceConfig SmallDeviceConfig(uint64_t seed) {
+SosDeviceConfig SmallDeviceConfig(uint64_t seed, uint32_t page_bytes = 512) {
   SosDeviceConfig config;
   config.nand.num_blocks = 48;
   config.nand.wordlines_per_block = 8;
-  config.nand.page_size_bytes = 512;
+  config.nand.page_size_bytes = page_bytes;
   config.nand.seed = seed;
   config.nand.store_payloads = true;
   config.spare_ecc = EccPreset::kWeakBch;  // checkable degradable reads
   return config;
 }
 
-std::vector<uint8_t> FillPage(uint64_t lba, uint32_t version) {
-  return std::vector<uint8_t>(512, static_cast<uint8_t>(lba * 37 + version * 101 + 1));
+std::vector<uint8_t> FillPage(uint64_t lba, uint32_t version, size_t page_bytes = 512) {
+  return std::vector<uint8_t>(page_bytes, static_cast<uint8_t>(lba * 37 + version * 101 + 1));
 }
 
 TEST(ServeServiceTest, PumpModeReadYourWrites) {
@@ -657,6 +652,80 @@ TEST(ServeServiceTest, LatencyIsSimTimeNotWallTime) {
   EXPECT_LE(reads.p50, reads.p999);
 }
 
+TEST(ServeServiceTest, AsyncAccountingIsCompleteAndExact) {
+  // Two workers resolve completions while two threads submit a seeded mix
+  // of every class. After Drain each request is counted exactly once, and
+  // each class's percentiles equal a sort over the sim-time latencies the
+  // submitters saw in their responses.
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(10), &clock);
+  ServeConfig config;
+  config.workers = 2;
+  AsyncBlockService service(&device, &clock, config);
+  auto sys = service.OpenPlacement({Durability::kCritical});
+  auto spare = service.OpenPlacement({Durability::kDegradable});
+  ASSERT_TRUE(sys.ok());
+  ASSERT_TRUE(spare.ok());
+
+  constexpr size_t kSubmitters = 2;
+  constexpr int kRequestsEach = 300;
+  std::vector<std::future<ServeResponse>> futures[kSubmitters];
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(DeriveSeed({0x61636374ull /* "acct" */, t}));
+      for (int i = 0; i < kRequestsEach; ++i) {
+        ServeRequest req;
+        const uint64_t pick = rng.NextBounded(10);
+        req.lba = rng.NextBounded(32);
+        if (pick < 4) {
+          req.op = ServeOp::kRead;
+          req.handle = sys.value();
+        } else if (pick < 7) {
+          req.op = ServeOp::kWrite;
+          req.handle = sys.value();
+          req.data = FillPage(req.lba, static_cast<uint32_t>(i));
+        } else if (pick < 9) {
+          req.op = ServeOp::kWrite;
+          req.lba += 32;
+          req.handle = spare.value();
+          req.data = FillPage(req.lba, static_cast<uint32_t>(i));
+        } else {
+          req.op = ServeOp::kFlush;
+        }
+        futures[t].push_back(service.Submit(std::move(req)));
+      }
+    });
+  }
+  for (std::thread& t : submitters) {
+    t.join();
+  }
+  service.Drain();
+
+  std::vector<double> seen[kNumQosClasses];
+  for (auto& per_thread : futures) {
+    for (std::future<ServeResponse>& f : per_thread) {
+      const ServeResponse resp = f.get();
+      seen[static_cast<uint32_t>(resp.cls)].push_back(
+          static_cast<double>(resp.complete_sim_us - resp.submit_sim_us));
+    }
+  }
+  const ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, kSubmitters * kRequestsEach);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  uint64_t counted = 0;
+  for (uint32_t c = 0; c < kNumQosClasses; ++c) {
+    const LatencySummary summary = service.Latency(static_cast<QosClass>(c));
+    counted += summary.count;
+    EXPECT_GT(summary.count, 0u) << "class " << c;
+    EXPECT_EQ(summary.count, seen[c].size()) << "class " << c;
+    EXPECT_EQ(summary.p50, SortedPercentile(seen[c], 50)) << "class " << c;
+    EXPECT_EQ(summary.p99, SortedPercentile(seen[c], 99)) << "class " << c;
+    EXPECT_EQ(summary.p999, SortedPercentile(seen[c], 99.9)) << "class " << c;
+  }
+  EXPECT_EQ(counted, stats.completed);
+}
+
 // --- Socket transport -------------------------------------------------------
 
 struct SocketHarness {
@@ -667,8 +736,8 @@ struct SocketHarness {
   std::thread server_thread;
   int client_fd = -1;
 
-  explicit SocketHarness(uint64_t seed, size_t workers = 0) {
-    device = std::make_unique<SosDevice>(SmallDeviceConfig(seed), &clock);
+  explicit SocketHarness(uint64_t seed, size_t workers = 0, uint32_t page_bytes = 512) {
+    device = std::make_unique<SosDevice>(SmallDeviceConfig(seed, page_bytes), &clock);
     ServeConfig config;
     config.workers = workers;
     service = std::make_unique<AsyncBlockService>(device.get(), &clock, config);
@@ -737,6 +806,82 @@ TEST(SosdServerTest, SocketClientAgainstAsyncWorkers) {
       EXPECT_EQ(batch.value()[lba].data, FillPage(lba, 2));
     }
   }
+}
+
+TEST(SosdServerTest, MultiPageFramesReassembleAcrossReads) {
+  // 4 KiB pages. An 8-page write request and its batch-read reply each fit
+  // one FrameReader read; a 32-page frame (128 KiB) is larger than
+  // kStreamReadSize, so the server accumulates the write request and the
+  // client the read reply across several reads.
+  constexpr uint32_t kPage = 4096;
+  static_assert(8 * kPage < FrameReader::kStreamReadSize);
+  static_assert(32 * kPage > FrameReader::kStreamReadSize);
+  SocketHarness harness(26, /*workers=*/0, kPage);
+  {
+    SocketClient client(harness.client_fd);
+    auto handle = client.OpenPlacement({Durability::kCritical});
+    ASSERT_TRUE(handle.ok());
+    // SocketClient sends one page per write frame, so the multi-page write
+    // frames go out raw on the same connection. The protocol has one request
+    // in flight at a time, so this reader and the client's never split a
+    // reply.
+    FrameReader raw;
+    uint64_t lba = 0;
+    for (const uint32_t count : {8u, 32u}) {
+      SCOPED_TRACE(count);
+      Frame write;
+      write.type = FrameType::kWrite;
+      write.lba = lba;
+      write.count = count;
+      write.handle_slot = handle.value().id();
+      for (uint32_t i = 0; i < count; ++i) {
+        const std::vector<uint8_t> page = FillPage(lba + i, 3, kPage);
+        write.payload.insert(write.payload.end(), page.begin(), page.end());
+      }
+      std::vector<uint8_t> bytes;
+      AppendFrame(bytes, write);
+      ASSERT_TRUE(SendAll(harness.client_fd, bytes));
+      Result<Frame> reply = raw.Next();
+      while (!reply.ok() && reply.status().code() == StatusCode::kUnavailable) {
+        ASSERT_TRUE(raw.Fill(harness.client_fd).ok());
+        reply = raw.Next();
+      }
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply.value().type, FrameType::kWrite);
+      EXPECT_EQ(reply.value().status, StatusCode::kOk);
+
+      auto batch = client.ReadBatch(lba, count, handle.value());
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch.value().size(), count);
+      for (uint32_t i = 0; i < count; ++i) {
+        EXPECT_EQ(batch.value()[i].data, FillPage(lba + i, 3, kPage)) << "lba " << lba + i;
+      }
+      lba += count;
+    }
+  }
+  EXPECT_EQ(harness.service->Stats().completed, 2u * (8 + 32));
+}
+
+TEST(SosdServerTest, PeerGoneBeforeReplyEndsTheConnection) {
+  // The client sends an 8-page read and hangs up before the reply. The
+  // server's reply write fails with EPIPE and ServeConnection returns; a
+  // plain write() would instead raise SIGPIPE and kill this process.
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(25), &clock);
+  AsyncBlockService service(&device, &clock, ServeConfig{});
+  SosdServer server(&service);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Frame read;
+  read.type = FrameType::kRead;
+  read.count = 8;
+  std::vector<uint8_t> bytes;
+  AppendFrame(bytes, read);
+  ASSERT_EQ(::write(fds[0], bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+  ::close(fds[0]);
+  EXPECT_EQ(server.ServeConnection(fds[1]), 0u);  // the one frame got no reply out
+  ::close(fds[1]);
+  EXPECT_EQ(service.Stats().completed, 8u);
 }
 
 TEST(SosdServerTest, MalformedFrameGetsErrorReplyAndDisconnect) {

@@ -52,8 +52,8 @@
 //       Exemption: mutating calls through an identifier declared (anywhere
 //       in the tree) with an internally synchronized type -- a class whose
 //       body holds a std::mutex / condition_variable / atomic member, e.g.
-//       serve::BoundedQueue -- are the sanctioned completion-queue hand-off
-//       idiom and are not flagged.
+//       serve::AsyncBlockService, whose Submit any thread may call -- are
+//       the sanctioned cross-thread hand-off idiom and are not flagged.
 //   R9  Golden-output float stability. Doubles reaching textual output must
 //       go through fixed-precision formatting (snprintf/%.*f or the project
 //       formatters FormatDouble/FormatPercent/FormatBytes/FormatJsonDouble)
