@@ -2,14 +2,11 @@
 //
 // E13 -- Performance (§4.5): "PLC access speeds will likely suffice to the
 // needs of SOS" because SPARE traffic is large sequential reads. Reports the
-// modeled device-level latencies/throughput per technology, the latency mix
-// a SOS device actually serves, and google-benchmark micro-benchmarks of the
-// simulator itself (simulation throughput).
-
-#include <benchmark/benchmark.h>
+// modeled device-level latencies/throughput per technology and the latency
+// mix a SOS device actually serves. The simulator's own speed is measured
+// end to end by perfbench (perfbench/README.md).
 
 #include "bench/bench_util.h"
-#include "src/common/rng.h"
 #include "src/flash/cell_tech.h"
 #include "src/flash/nand_package.h"
 #include "src/ftl/ftl.h"
@@ -151,85 +148,12 @@ void PrintLatencyTables() {
       "controller answer to exactly the errors SOS's SPARE partition tolerates.\n");
 }
 
-// --- google-benchmark micro-benchmarks of the simulator ---------------------
-
-void BM_NandProgramRead(benchmark::State& state) {
-  NandConfig config;
-  config.num_blocks = 64;
-  config.wordlines_per_block = 64;
-  config.page_size_bytes = 4096;
-  config.tech = CellTech::kPlc;
-  config.store_payloads = state.range(0) != 0;
-  SimClock clock;
-  NandDevice device(config, &clock);
-  std::vector<uint8_t> payload(4096, 0x5A);
-  uint32_t block = 0;
-  uint32_t page = 0;
-  for (auto _ : state) {
-    if (page >= config.PagesPerBlock(CellTech::kPlc)) {
-      page = 0;
-      block = (block + 1) % config.num_blocks;
-      IgnoreResult(device.EraseBlock(block));
-    }
-    IgnoreResult(device.Program({block, page}, payload));
-    auto read = device.Read({block, page});
-    benchmark::DoNotOptimize(read);
-    ++page;
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096 * 2);
-}
-BENCHMARK(BM_NandProgramRead)->Arg(0)->Arg(1)->ArgNames({"payloads"});
-
-void BM_FtlChurn(benchmark::State& state) {
-  FtlConfig config;
-  config.nand.num_blocks = 64;
-  config.nand.wordlines_per_block = 16;
-  config.nand.page_size_bytes = 4096;
-  config.nand.tech = CellTech::kPlc;
-  config.nand.store_payloads = false;
-  FtlPoolConfig pool;
-  pool.name = "MAIN";
-  pool.mode = CellTech::kPlc;
-  pool.ecc = EccScheme::FromPreset(EccPreset::kNone);
-  pool.retire_rber = 1e-2;  // keep blocks in service for the whole run
-  config.pools = {pool};
-  SimClock clock;
-  Ftl ftl(config, &clock);
-  const uint64_t space = ftl.ExportedPages() * 3 / 4;
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ftl.Write(rng.NextBounded(space), {}, 0));
-  }
-  state.counters["write_amp"] = ftl.stats().WriteAmplification();
-}
-BENCHMARK(BM_FtlChurn);
-
-void BM_ErrorInjection(benchmark::State& state) {
-  std::vector<uint8_t> page(4096, 0xAB);
-  PageErrorState err;
-  err.mode = CellTech::kPlc;
-  err.endurance_pec = 300;
-  err.pec_at_program = 200;
-  err.retention_years = 2.0;
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    const uint64_t count = ErrorModel::SampleErrorCount(err, 4096 * 8, ++seed);
-    benchmark::DoNotOptimize(ErrorModel::InjectErrors(page, count, seed));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_ErrorInjection);
-
 }  // namespace
 }  // namespace sos
 
 int main(int argc, char** argv) {
-  sos::FlagSet flags("bench_performance",
-                     "simulator latency tables + google-benchmark micro-benchmarks");
-  flags.Passthrough("--benchmark_");
+  sos::FlagSet flags("bench_performance", "simulator latency tables");
   flags.ParseOrDie(argc, argv);
   sos::PrintLatencyTables();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

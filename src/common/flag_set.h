@@ -93,10 +93,6 @@ class FlagSet {
     return &flag.list_value;
   }
 
-  // Arguments starting with `prefix` are left for another parser (e.g.
-  // "--benchmark_" for google-benchmark's Initialize()).
-  void Passthrough(const std::string& prefix) { passthrough_.push_back(prefix); }
-
   // Strict parse. On --help: prints usage to stdout and exits 0. Returns
   // kInvalidArgument for unknown flags, missing values and malformed
   // numbers; on error the flag values are unspecified.
@@ -106,9 +102,6 @@ class FlagSet {
       if (arg == "--help" || arg == "-h") {
         std::fputs(Usage().c_str(), stdout);
         std::exit(0);
-      }
-      if (IsPassthrough(arg)) {
-        continue;
       }
       if (arg.size() < 3 || arg.substr(0, 2) != "--") {
         return Status(StatusCode::kInvalidArgument,
@@ -164,9 +157,6 @@ class FlagSet {
              " (default: " + flag.default_text + ")\n";
     }
     out += "  --help  print this message and exit\n";
-    for (const std::string& prefix : passthrough_) {
-      out += "  " + prefix + "*  passed through untouched\n";
-    }
     return out;
   }
 
@@ -243,15 +233,6 @@ class FlagSet {
     return nullptr;
   }
 
-  bool IsPassthrough(std::string_view arg) const {
-    for (const std::string& prefix : passthrough_) {
-      if (arg.substr(0, prefix.size()) == prefix) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   static Status ParseU64(std::string_view name, std::string_view text, uint64_t* out) {
     const std::string buf(text);
     // strtoull silently wraps negatives and skips leading whitespace; demand
@@ -318,7 +299,6 @@ class FlagSet {
   std::string program_;
   std::string description_;
   std::deque<Flag> flags_;  // deque: returned value pointers stay stable
-  std::vector<std::string> passthrough_;
 };
 
 }  // namespace sos

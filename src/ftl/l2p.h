@@ -7,8 +7,7 @@
 // through it. Host LBAs are dense (the file system hands them out from a
 // bump allocator plus a LIFO free list, src/host/file_system.h), so a flat
 // vector indexed by LBA beats a hash map on both lookup latency and cache
-// footprint -- see DESIGN.md §11 for the measured gap and the layout
-// rationale.
+// footprint -- see DESIGN.md §11 for the layout rationale.
 //
 // Each entry packs one PhysLoc into a single uint64_t:
 //
@@ -21,10 +20,8 @@
 // The table grows on demand (amortized doubling) so arbitrary test LBAs
 // still work; Clear() keeps capacity so recovery does not reallocate.
 //
-// ReferenceL2pMap is the deliberately boring hash-map implementation of the
-// same interface. It exists for the equivalence property tests
-// (tests/l2p_equivalence_test.cc) and as the perfcheck baseline the flat
-// table is measured against; production code uses L2pTable only.
+// Tests hold it equal to ReferenceL2pMap (tests/oracle/l2p_map.h), a
+// hash-map oracle with the same interface.
 
 #ifndef SOS_SRC_FTL_L2P_H_
 #define SOS_SRC_FTL_L2P_H_
@@ -33,10 +30,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
-
-#include "src/common/container_util.h"
 
 namespace sos {
 
@@ -140,40 +134,6 @@ class L2pTable {
  private:
   std::vector<uint64_t> entries_;  // 0 = unmapped (valid bit clear)
   uint64_t mapped_ = 0;
-};
-
-// Hash-map shadow model with the identical interface; see file comment.
-class ReferenceL2pMap {
- public:
-  void Reserve(uint64_t lbas) { map_.reserve(lbas); }
-
-  bool Contains(uint64_t lba) const { return map_.contains(lba); }
-
-  std::optional<PhysLoc> Find(uint64_t lba) const {
-    auto it = map_.find(lba);
-    if (it == map_.end()) {
-      return std::nullopt;
-    }
-    return it->second;
-  }
-
-  void Set(uint64_t lba, const PhysLoc& loc) { map_[lba] = loc; }
-
-  bool Erase(uint64_t lba) { return map_.erase(lba) > 0; }
-
-  uint64_t mapped() const { return map_.size(); }
-
-  void Clear() { map_.clear(); }
-
-  template <typename Fn>
-  void ForEachMapped(Fn&& fn) const {
-    for (const uint64_t lba : SortedKeys(map_)) {
-      fn(lba, map_.at(lba));
-    }
-  }
-
- private:
-  std::unordered_map<uint64_t, PhysLoc> map_;
 };
 
 }  // namespace sos

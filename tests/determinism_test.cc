@@ -11,17 +11,13 @@
 //      (compiler, libm, platform) is caught even when a change is
 //      self-consistent within one binary.
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "src/sos/experiment.h"
 #include "src/sos/lifetime_sim.h"
-#include "tools/perfcheck/microbench.h"
 
 namespace sos {
 namespace {
@@ -294,53 +290,6 @@ TEST(DeterminismTest, PerHandleMetricsAreScheduleInvariant) {
   EXPECT_NE(metrics.find(".write_amplification"), std::string::npos);
   EXPECT_NE(metrics.find("ftl.placement.pec_variance"), std::string::npos);
   EXPECT_NE(metrics.find("sim.bytes_served"), std::string::npos);
-}
-
-// The perfcheck workload checksums (tools/perfcheck) are the CI gate for the
-// hot-path refactors. They must not depend on the order benches are
-// evaluated in or on which thread computes them: a fresh bench list
-// evaluated in reverse, and two threads evaluating disjoint subsets from
-// fresh state, all reproduce the in-order values.
-TEST(DeterminismTest, PerfcheckChecksumsAreScheduleInvariant) {
-  std::vector<perfcheck::MicroBench> benches = perfcheck::AllBenches();
-  std::map<std::string, uint64_t> in_order;
-  for (perfcheck::MicroBench& bench : benches) {
-    in_order[bench.name] = bench.checksum();
-  }
-  ASSERT_EQ(in_order.size(), benches.size());
-
-  std::vector<perfcheck::MicroBench> reversed = perfcheck::AllBenches();
-  for (size_t i = reversed.size(); i-- > 0;) {
-    SCOPED_TRACE(reversed[i].name);
-    EXPECT_EQ(reversed[i].checksum(), in_order.at(reversed[i].name));
-  }
-
-  // Disjoint cheap subsets on two threads, each from a fresh AllBenches().
-  const std::vector<std::string> left = {"l2p_flat", "rber_exact"};
-  const std::vector<std::string> right = {"l2p_map", "ecc_decode"};
-  const auto compute = [](const std::vector<std::string>& names,
-                          std::map<std::string, uint64_t>* out) {
-    std::vector<perfcheck::MicroBench> local = perfcheck::AllBenches();
-    for (perfcheck::MicroBench& bench : local) {
-      if (std::find(names.begin(), names.end(), bench.name) != names.end()) {
-        (*out)[bench.name] = bench.checksum();
-      }
-    }
-  };
-  std::map<std::string, uint64_t> a;
-  std::map<std::string, uint64_t> b;
-  std::thread ta(compute, left, &a);
-  std::thread tb(compute, right, &b);
-  ta.join();
-  tb.join();
-  EXPECT_EQ(a.size(), left.size());
-  EXPECT_EQ(b.size(), right.size());
-  for (const auto& [name, value] : a) {
-    EXPECT_EQ(value, in_order.at(name)) << name;
-  }
-  for (const auto& [name, value] : b) {
-    EXPECT_EQ(value, in_order.at(name)) << name;
-  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 //
 // Two layers:
 //   1. Container level: randomized op sequences through L2pTable and the
-//      map-based ReferenceL2pMap must produce identical results at every
-//      step -- lookups, erase returns, mapped counts and full ascending
-//      iteration order.
+//      map-based ReferenceL2pMap (tests/oracle/l2p_map.h) must produce
+//      identical results at every step -- lookups, erase returns, mapped
+//      counts and full ascending iteration order.
 //   2. FTL level: randomized host op sequences (write / trim / read /
 //      migrate / refresh / background GC) against a payload-storing Ftl,
 //      shadowed by an ordered-map model of the expected mapping state.
@@ -29,6 +29,7 @@
 #include "src/common/status.h"
 #include "src/ftl/ftl.h"
 #include "src/ftl/l2p.h"
+#include "tests/oracle/l2p_map.h"
 
 namespace sos {
 namespace {

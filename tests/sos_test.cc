@@ -15,6 +15,7 @@
 #include "src/sos/health.h"
 #include "src/sos/lifetime_sim.h"
 #include "src/sos/sos_device.h"
+#include "tests/oracle/exact_scoring.h"
 
 namespace sos {
 namespace {
@@ -331,23 +332,8 @@ TEST(MigrationDaemonTest, RespectsMinAge) {
   EXPECT_EQ(f.DurabilityOf(id.value()), Durability::kCritical);
 }
 
-// Overrides only Score, like a timing decorator: the daemons' ScoreCached
-// and ScoreSpanCached calls reach it through BinaryClassifier's forwarding
-// defaults, and its spans enclose nothing, so every scan is an exact score.
-class ScoreOnlyDecorator final : public BinaryClassifier {
- public:
-  explicit ScoreOnlyDecorator(const BinaryClassifier* inner) : inner_(inner) {}
-  double Score(const FileMeta& meta, SimTimeUs now_us) const override {
-    ++calls_;
-    return inner_->Score(meta, now_us);
-  }
-  uint64_t calls() const { return calls_; }
-
- private:
-  const BinaryClassifier* inner_;
-  mutable uint64_t calls_ = 0;
-};
-
+// A decorator that overrides only Score (ExactScoring) must drive the
+// daemons to the same decisions as the bare model.
 TEST(MigrationDaemonTest, ScoreOnlyDecoratorMatchesBareModel) {
   struct Outcome {
     std::vector<uint64_t> stats;  // scanned/demoted/promoted/failures per pass
@@ -361,7 +347,7 @@ TEST(MigrationDaemonTest, ScoreOnlyDecoratorMatchesBareModel) {
     }
     // Corpus timestamps span the corpus device's age; start the scans after it.
     f.clock.Advance(CorpusConfig{}.device_age_us);
-    ScoreOnlyDecorator decorator(&f.priority);
+    ExactScoring decorator(&f.priority);
     const BinaryClassifier* model =
         decorated ? static_cast<const BinaryClassifier*>(&decorator) : &f.priority;
     // Two demoting passes, then two under a user preference protecting
@@ -422,7 +408,7 @@ TEST(MigrationDaemonTest, ScoreWindowsMatchExactScoringEveryPass) {
     }
     // Corpus timestamps span the corpus device's age; start the scans after it.
     f.clock.Advance(CorpusConfig{}.device_age_us);
-    ScoreOnlyDecorator decorator(&f.priority);
+    ExactScoring decorator(&f.priority);
     const BinaryClassifier* model =
         decorated ? static_cast<const BinaryClassifier*>(&decorator) : &f.priority;
     MigrationDaemonConfig daemon_config;
