@@ -104,8 +104,9 @@ void Run(const BenchOptions& options, const std::string& directed_name) {
              "spare quality " + FormatDouble(base.final_spare_quality(), 3) + " -> " +
                  FormatDouble(directed.final_spare_quality(), 3));
 
-  // Per-handle accounting, exported by the FTL only under a directed policy:
-  // how each declared (durability, lifetime) class actually behaved.
+  // Per-handle accounting of the directed run (the FTL exports it under every
+  // policy; the metrics JSON carries the legacy run's rows too): how each
+  // declared (durability, lifetime) class actually behaved.
   if (directed_idx != 0) {
     PrintSection("Per-handle accounting (directed run)");
     TextTable handles({"handle", "host writes (pages)", "nand writes (pages)", "WAF"});

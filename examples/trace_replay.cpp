@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "src/common/table.h"
@@ -70,27 +71,22 @@ int Replay(const char* path, const char* device_name) {
   }
 
   SimClock clock;
-  std::unique_ptr<SosDevice> sos_device;
-  std::unique_ptr<BaselineDevice> baseline;
-  BlockDevice* device = nullptr;
+  std::unique_ptr<FtlBlockDevice> device;
   NandConfig nand;
   nand.num_blocks = 256;
   nand.store_payloads = false;
   if (std::strcmp(device_name, "sos") == 0) {
     SosDeviceConfig config;
     config.nand = nand;
-    sos_device = std::make_unique<SosDevice>(config, &clock);
-    device = sos_device.get();
+    device = std::make_unique<SosDevice>(config, &clock);
   } else {
     nand.tech = std::strcmp(device_name, "tlc") == 0   ? CellTech::kTlc
                 : std::strcmp(device_name, "qlc") == 0 ? CellTech::kQlc
                                                        : CellTech::kPlc;
-    baseline = std::make_unique<BaselineDevice>(nand, &clock, EccPreset::kBch,
-                                                GcPolicy::kGreedy);
-    device = baseline.get();
+    device = std::make_unique<BaselineDevice>(nand, &clock, EccPreset::kBch, GcPolicy::kGreedy);
   }
-  ExtentFileSystem fs(device, &clock);
-  PlacementDirectory placements(device);
+  ExtentFileSystem fs(device.get(), &clock);
+  PlacementDirectory placements(device.get());
   // Replay writes everything as critical data, like the recorder's host did.
   const PlacementHandle critical = placements.For({Durability::kCritical}).value();
 
@@ -131,7 +127,7 @@ int Replay(const char* path, const char* device_name) {
     }
   }
 
-  const Ftl& ftl = sos_device != nullptr ? sos_device->ftl() : baseline->ftl();
+  const Ftl& ftl = device->ftl();
   const FsStats stats = fs.Stats();
   std::printf("Replayed %zu events on %s over %.0f simulated days:\n", events.size(),
               device_name, clock.now_days());

@@ -9,6 +9,7 @@
 
 #include "src/common/rng.h"
 #include "src/flash/error_model.h"
+#include "src/flash/voltage_model.h"
 #include "src/obs/scoped_latency.h"
 
 namespace sos {
@@ -112,8 +113,7 @@ Ftl::Ftl(const FtlConfig& config, SimClock* clock)
                            : pool.config.ecc.MaxCorrectableRber(config_.nand.page_size_bytes);
     assert(pool.retire_rber > 0.0 &&
            "ECC-less pools must set an explicit retire_rber bound");
-    pool.active_host.stripe_xor.assign(config_.nand.page_size_bytes, 0);
-    pool.active_cold.stripe_xor.assign(config_.nand.page_size_bytes, 0);
+    pool.slots.assign(kFirstStreamSlot, NewSlot(0));
 
     uint32_t count = static_cast<uint32_t>(static_cast<double>(total_blocks) *
                                            pool.config.share / share_sum);
@@ -224,24 +224,21 @@ std::optional<uint32_t> Ftl::AllocateBlock(Pool& pool, LifetimeHint lifetime) {
 }
 
 Ftl::ActiveSlot& Ftl::SlotFor(Pool& pool, bool cold, uint32_t stream) {
-  // Relocated data always takes the legacy slots: a per-stream slot for GC
-  // traffic would let a nested relocation grow `active_streams` while an
-  // outer AppendPage holds a reference into it. Stream slots are for fresh
-  // host writes only.
+  // Relocated data always takes the shared slots: a per-stream slot for GC
+  // traffic would let a nested relocation grow `slots` while an outer
+  // AppendPage holds a reference into it. Stream slots are for fresh host
+  // writes only.
   if (cold || stream == 0 || config_.placement_policy == PlacementPolicy::kLegacy) {
-    return cold && pool.config.hot_cold_separation ? pool.active_cold : pool.active_host;
+    return pool.slots[cold && pool.config.hot_cold_separation ? kColdSlot : kHostSlot];
   }
-  for (auto& [tag, slot] : pool.active_streams) {
-    if (tag == stream) {
-      return slot;
+  for (size_t i = kFirstStreamSlot; i < pool.slots.size(); ++i) {
+    if (pool.slots[i].stream == stream) {
+      return pool.slots[i];
     }
   }
   // First write under this tag: open a dedicated append point (FDP-style
   // reclaim unit). Append order is first-write order -- deterministic.
-  pool.active_streams.emplace_back(stream, ActiveSlot{});
-  ActiveSlot& slot = pool.active_streams.back().second;
-  slot.stripe_xor.assign(config_.nand.page_size_bytes, 0);
-  return slot;
+  return pool.slots.emplace_back(NewSlot(stream));
 }
 
 bool Ftl::EnsureWritable(uint32_t pool_id, ActiveSlot& slot, bool allow_gc,
@@ -826,7 +823,7 @@ bool Ftl::ShouldRetire(const Pool& pool, uint32_t block_id) const {
   state.pec_at_program = nand_.block_info(block_id).pec;
   state.retention_years = pool.config.nominal_retention_years;
   state.reads_since_program = 0;
-  return ErrorModel::Rber(state) > pool.retire_rber;
+  return ComputeRber(config_.nand.error_model, state) > pool.retire_rber;
 }
 
 void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
@@ -909,14 +906,8 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
     return Status(StatusCode::kNotFound, "block not owned by pool");
   }
   // Detach from the append points and the free list before touching data.
-  if (pool.active_host.block.has_value() && *pool.active_host.block == block_id) {
-    pool.active_host.block.reset();
-  }
-  if (pool.active_cold.block.has_value() && *pool.active_cold.block == block_id) {
-    pool.active_cold.block.reset();
-  }
-  for (auto& [tag, slot] : pool.active_streams) {
-    if (slot.block.has_value() && *slot.block == block_id) {
+  for (ActiveSlot& slot : pool.slots) {
+    if (slot.block == block_id) {
       slot.block.reset();
     }
   }
@@ -1000,13 +991,7 @@ Status Ftl::RecoverFromFlash() {
   for (auto& pool : pools_) {
     pool.num_blocks = 0;
     pool.free_blocks.clear();
-    pool.active_host.block.reset();
-    std::fill(pool.active_host.stripe_xor.begin(), pool.active_host.stripe_xor.end(), 0);
-    pool.active_host.stripe_fill = 0;
-    pool.active_cold.block.reset();
-    std::fill(pool.active_cold.stripe_xor.begin(), pool.active_cold.stripe_xor.end(), 0);
-    pool.active_cold.stripe_fill = 0;
-    pool.active_streams.clear();
+    pool.slots.assign(kFirstStreamSlot, NewSlot(0));
     pool.valid_pages = 0;
   }
   in_relocation_ = false;
@@ -1151,12 +1136,7 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
   registry.SetHistogram(prefix + "read.latency_us", read_latency_);
   registry.SetHistogram(prefix + "write.latency_us", write_latency_);
   registry.SetHistogram(prefix + "gc.latency_us", gc_latency_);
-  // Per-handle accounting + wear variance: appended after the historical
-  // rows and only under a non-legacy policy, so every pre-directive golden
-  // stays byte-identical (registration order is export order).
-  if (config_.placement_policy == PlacementPolicy::kLegacy) {
-    return;
-  }
+  // Per-handle accounting + wear variance, under every placement policy.
   for (uint32_t tag = 1; tag < stream_stats_.size(); ++tag) {
     const StreamStats& stats = stream_stats_[tag];
     if (stats.name.empty() && stats.host_writes == 0 && stats.nand_writes == 0) {
@@ -1177,16 +1157,50 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
   }
 }
 
+uint64_t Ftl::ExportedPagesOf(const Pool& pool) {
+  const uint64_t usable_blocks =
+      pool.num_blocks > kGcReserveBlocks ? pool.num_blocks - kGcReserveBlocks : 0;
+  const uint64_t raw = usable_blocks * pool.data_slots_per_block;
+  return static_cast<uint64_t>(static_cast<double>(raw) * (1.0 - pool.config.op_fraction));
+}
+
 uint64_t Ftl::ExportedPages() const {
   uint64_t exported = 0;
   for (const auto& pool : pools_) {
-    const uint64_t usable_blocks =
-        pool.num_blocks > kGcReserveBlocks ? pool.num_blocks - kGcReserveBlocks : 0;
-    const uint64_t raw = usable_blocks * pool.data_slots_per_block;
-    exported += static_cast<uint64_t>(static_cast<double>(raw) *
-                                      (1.0 - pool.config.op_fraction));
+    exported += ExportedPagesOf(pool);
   }
   return exported;
+}
+
+Ftl::PecMoments Ftl::PecMomentsOf(uint32_t pool_id) const {
+  PecMoments moments;
+  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
+    const uint32_t owner = block_owner_[id];
+    if (owner == kNoPool || (pool_id != kNoPool && owner != pool_id)) {
+      continue;
+    }
+    const uint32_t pec = nand_.block_info(id).pec;
+    ++moments.count;
+    moments.sum += pec;
+    moments.sq_sum += static_cast<uint64_t>(pec) * pec;
+    moments.max = std::max(moments.max, pec);
+  }
+  return moments;
+}
+
+double Ftl::PecMoments::Mean() const {
+  return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+}
+
+double Ftl::PecMoments::Variance() const {
+  if (count == 0) {
+    return 0.0;
+  }
+  // Population variance in integer sums: E[X^2] - E[X]^2 with exact uint64
+  // accumulators, so the result is schedule-independent.
+  const double mean = Mean();
+  const double mean_sq = static_cast<double>(sq_sum) / static_cast<double>(count);
+  return std::max(0.0, mean_sq - mean * mean);
 }
 
 void Ftl::NotifyCapacity() {
@@ -1207,41 +1221,12 @@ PoolSnapshot Ftl::Snapshot(uint32_t pool_id) const {
   snap.total_blocks = pool.num_blocks;
   snap.free_blocks = static_cast<uint32_t>(pool.free_blocks.size());
   snap.retired_blocks = pool.retired;
-  const uint64_t usable_blocks =
-      pool.num_blocks > kGcReserveBlocks ? pool.num_blocks - kGcReserveBlocks : 0;
-  const uint64_t raw = usable_blocks * pool.data_slots_per_block;
-  snap.exported_pages =
-      static_cast<uint64_t>(static_cast<double>(raw) * (1.0 - pool.config.op_fraction));
+  snap.exported_pages = ExportedPagesOf(pool);
   snap.valid_pages = pool.valid_pages;
-  uint64_t pec_sum = 0;
-  uint64_t pec_sq_sum = 0;
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    if (block_owner_[id] != pool_id) {
-      continue;
-    }
-    const uint32_t pec = nand_.block_info(id).pec;
-    pec_sum += pec;
-    pec_sq_sum += static_cast<uint64_t>(pec) * pec;
-    snap.max_pec = std::max(snap.max_pec, pec);
-    if (block_sealed_[id] != 0) {
-      ++snap.sealed_blocks;
-      if (block_valid_[id] < pool.data_slots_per_block) {
-        ++snap.gc_candidates;
-      }
-    } else if (nand_.block_info(id).programmed_pages > 0) {
-      ++snap.unsealed_blocks;
-    }
-  }
-  snap.mean_pec = pool.num_blocks == 0
-                      ? 0.0
-                      : static_cast<double>(pec_sum) / static_cast<double>(pool.num_blocks);
-  if (pool.num_blocks > 0) {
-    // Population variance in integer sums: E[X^2] - E[X]^2 with exact
-    // uint64 accumulators, so the result is schedule-independent.
-    const double n = static_cast<double>(pool.num_blocks);
-    const double mean_sq = static_cast<double>(pec_sq_sum) / n;
-    snap.pec_variance = std::max(0.0, mean_sq - snap.mean_pec * snap.mean_pec);
-  }
+  const PecMoments pec = PecMomentsOf(pool_id);
+  snap.mean_pec = pec.Mean();
+  snap.max_pec = pec.max;
+  snap.pec_variance = pec.Variance();
   snap.free_page_fraction =
       snap.exported_pages > 0
           ? static_cast<double>(snap.exported_pages -
@@ -1266,26 +1251,7 @@ void Ftl::RegisterStream(uint32_t stream, const std::string& name) {
   StreamEntry(stream).name = name;
 }
 
-double Ftl::PecVariance() const {
-  uint64_t n = 0;
-  uint64_t pec_sum = 0;
-  uint64_t pec_sq_sum = 0;
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    if (block_owner_[id] == kNoPool) {
-      continue;
-    }
-    const uint32_t pec = nand_.block_info(id).pec;
-    ++n;
-    pec_sum += pec;
-    pec_sq_sum += static_cast<uint64_t>(pec) * pec;
-  }
-  if (n == 0) {
-    return 0.0;
-  }
-  const double mean = static_cast<double>(pec_sum) / static_cast<double>(n);
-  const double mean_sq = static_cast<double>(pec_sq_sum) / static_cast<double>(n);
-  return std::max(0.0, mean_sq - mean * mean);
-}
+double Ftl::PecVariance() const { return PecMomentsOf(kNoPool).Variance(); }
 
 bool Ftl::IsTainted(uint64_t lba) const {
   const auto loc = l2p_.Find(lba);

@@ -236,10 +236,6 @@ struct PoolSnapshot {
   double mean_pec = 0.0;
   uint32_t max_pec = 0;
   double free_page_fraction = 0.0;  // (exported - valid) / exported
-  // Block-state breakdown (diagnostics; sums to total_blocks):
-  uint32_t sealed_blocks = 0;       // fully programmed
-  uint32_t gc_candidates = 0;       // sealed with at least one invalid page
-  uint32_t unsealed_blocks = 0;     // partially programmed (active block + 0)
   // Population variance of PEC across the pool's owned blocks -- the
   // wear-variance measure the lifetime-aware allocator aims to widen
   // usefully (worn blocks absorb short-lived churn) without runaway.
@@ -335,11 +331,10 @@ class Ftl {
   const NandDevice& nand() const { return nand_; }
 
   // Registers aggregate + per-pool counters and the simulated-latency
-  // histograms under `prefix` (metric names: ftl.*, ftl.pool.<name>.*).
-  // Under a non-legacy placement policy, also exports per-handle accounting
+  // histograms under `prefix` (metric names: ftl.*, ftl.pool.<name>.*),
+  // then per-handle accounting
   // (ftl.handle.<label>.{host_writes,nand_writes,write_amplification}) and
-  // wear variance (ftl.placement.pec_variance, per-pool variants); kLegacy
-  // omits them so pre-directive goldens stay byte-identical.
+  // wear variance (ftl.placement.pec_variance, per-pool variants).
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "ftl.") const;
 
   // --- Placement streams (per-handle accounting) ---------------------------
@@ -414,13 +409,25 @@ class Ftl {
   static constexpr uint32_t kNoPool = UINT32_MAX;
 
   // An append point: a partially-programmed block plus its open parity
-  // stripe. Pools keep two -- one for host writes, one for relocated (cold)
-  // data -- when hot/cold separation is on.
+  // stripe. `stream` is the placement tag a per-stream slot serves (0 for
+  // the shared host and cold slots).
   struct ActiveSlot {
+    uint32_t stream = 0;
     std::optional<uint32_t> block;
     std::vector<uint8_t> stripe_xor;  // running parity of the open stripe
     uint32_t stripe_fill = 0;         // data pages since last parity write
   };
+
+  // A fresh append point for `stream`: no block, an empty parity stripe.
+  ActiveSlot NewSlot(uint32_t stream) const {
+    return ActiveSlot{stream, std::nullopt,
+                      std::vector<uint8_t>(config_.nand.page_size_bytes, 0), 0};
+  }
+
+  // Fixed positions in Pool::slots; per-stream slots follow them.
+  static constexpr size_t kHostSlot = 0;
+  static constexpr size_t kColdSlot = 1;  // used iff config.hot_cold_separation
+  static constexpr size_t kFirstStreamSlot = 2;
 
   struct Pool {
     FtlPoolConfig config;
@@ -428,24 +435,19 @@ class Ftl {
     double retire_rber = 0.0;           // resolved bound
     uint32_t num_blocks = 0;            // owned blocks (block_owner_ == this)
     std::deque<uint32_t> free_blocks;
-    ActiveSlot active_host;
-    ActiveSlot active_cold;             // used iff config.hot_cold_separation
-    // Per-stream append points (FDP-style reclaim units), created lazily in
-    // first-write order under non-legacy placement policies. Append-ordered
-    // vector: deterministic iteration, tiny N (bounded by the handle table).
-    std::vector<std::pair<uint32_t, ActiveSlot>> active_streams;
+    // Every append point of the pool: the host slot, the cold slot, then
+    // per-stream slots (FDP-style reclaim units) opened lazily in first-write
+    // order under non-legacy placement policies. Append-ordered vector:
+    // deterministic iteration, tiny N (bounded by the handle table).
+    std::vector<ActiveSlot> slots;
     uint32_t retired = 0;
     uint64_t valid_pages = 0;
     std::optional<uint32_t> resuscitate_pool;  // resolved target pool id
     FtlStats stats;                     // this pool's share of the counters
 
     bool IsActive(uint32_t id) const {
-      if ((active_host.block.has_value() && *active_host.block == id) ||
-          (active_cold.block.has_value() && *active_cold.block == id)) {
-        return true;
-      }
-      for (const auto& [tag, slot] : active_streams) {
-        if (slot.block.has_value() && *slot.block == id) {
+      for (const ActiveSlot& slot : slots) {
+        if (slot.block == id) {
           return true;
         }
       }
@@ -523,8 +525,24 @@ class Ftl {
   // from the pool and clears its durable label. Propagates kPowerLost.
   [[nodiscard]] Status DropBadBlock(uint32_t pool_id, uint32_t block_id);
 
-  // True when the block has worn past the pool's retirement bound.
+  // True when the block has worn past the pool's retirement bound, as the
+  // die's error model predicts it.
   bool ShouldRetire(const Pool& pool, uint32_t block_id) const;
+
+  // Host-visible pages of one pool: usable blocks x data slots x (1 - OP).
+  static uint64_t ExportedPagesOf(const Pool& pool);
+
+  // Integer PEC moments over the blocks `pool_id` owns, or over every
+  // pool-owned block of the die for kNoPool.
+  struct PecMoments {
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    uint64_t sq_sum = 0;
+    uint32_t max = 0;
+    double Mean() const;
+    double Variance() const;  // population variance
+  };
+  PecMoments PecMomentsOf(uint32_t pool_id) const;
 
   void NotifyCapacity();
 

@@ -3,6 +3,7 @@
 #include "src/sos/daemons.h"
 
 #include "src/flash/error_model.h"
+#include "src/flash/voltage_model.h"
 
 #include <algorithm>
 #include <cassert>
@@ -167,7 +168,7 @@ void DegradationMonitor::ScrubPool(uint32_t pool_id, RunStats& stats) {
         static_cast<double>(GetCellTechInfo(snap.mode).rated_endurance_pec);
     fresh.pec_at_program = static_cast<uint32_t>(snap.mean_pec);
     fresh.retention_years = 0.0;
-    if (ErrorModel::Rber(fresh) > refresh_at) {
+    if (ComputeRber(ftl.nand().config().error_model, fresh) > refresh_at) {
       return;
     }
   }

@@ -62,12 +62,8 @@ void LifetimeResult::ToMetrics(obs::MetricRegistry& registry, const std::string&
   registry.SetCounter(prefix + "sim.files_alive", files_alive_);
   registry.SetCounter(prefix + "sim.retrainings", retrainings_);
   registry.SetGauge(prefix + "sim.projected_lifetime_years", projected_lifetime_years_);
-  // Cache-workload outcomes only; the mobile export predates these rows and
-  // its goldens pin the row set above.
-  if (workload_kind_ == WorkloadKind::kFlashCache) {
-    registry.SetCounter(prefix + "sim.bytes_served", bytes_served_);
-    registry.SetGauge(prefix + "sim.pec_variance", pec_variance_);
-  }
+  registry.SetCounter(prefix + "sim.bytes_served", bytes_served_);
+  registry.SetGauge(prefix + "sim.pec_variance", pec_variance_);
   registry.SetCounter(prefix + "sos.daemon.activations", daemon_activations_);
   registry.SetCounter(prefix + "sos.health.transitions", health_transitions_);
   registry.SetCounter(prefix + "sos.migration.scanned", migration_.scanned);
@@ -101,32 +97,30 @@ LifetimeSim::LifetimeSim(const LifetimeSimConfig& config)
     case DeviceKind::kSos: {
       SosDeviceConfig sos_config = config_.sos;
       sos_config.nand = nand;
-      sos_device_ = std::make_unique<SosDevice>(sos_config, &clock_);
-      device_ = sos_device_.get();
+      auto sos_device = std::make_unique<SosDevice>(sos_config, &clock_);
+      sos_device_ = sos_device.get();
+      device_ = std::move(sos_device);
       break;
     }
     case DeviceKind::kTlcBaseline:
       nand.tech = CellTech::kTlc;
-      baseline_device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kBch,
-                                                          GcPolicy::kGreedy);
-      device_ = baseline_device_.get();
+      device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kBch,
+                                                 GcPolicy::kGreedy);
       break;
     case DeviceKind::kQlcBaseline:
       nand.tech = CellTech::kQlc;
-      baseline_device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kBch,
-                                                          GcPolicy::kGreedy);
-      device_ = baseline_device_.get();
+      device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kBch,
+                                                 GcPolicy::kGreedy);
       break;
     case DeviceKind::kPlcNaive:
       nand.tech = CellTech::kPlc;
-      baseline_device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kLdpc,
-                                                          GcPolicy::kGreedy);
-      device_ = baseline_device_.get();
+      device_ = std::make_unique<BaselineDevice>(nand, &clock_, EccPreset::kLdpc,
+                                                 GcPolicy::kGreedy);
       break;
   }
 
-  placements_ = std::make_unique<PlacementDirectory>(device_);
-  fs_ = std::make_unique<ExtentFileSystem>(device_, &clock_);
+  placements_ = std::make_unique<PlacementDirectory>(device_.get());
+  fs_ = std::make_unique<ExtentFileSystem>(device_.get(), &clock_);
 
   switch (config_.workload_kind) {
     case WorkloadKind::kMobile: {
@@ -160,17 +154,16 @@ LifetimeSim::LifetimeSim(const LifetimeSimConfig& config)
     if (config_.enable_cloud) {
       cloud_ = std::make_unique<InMemoryCloud>();
     }
-    monitor_ = std::make_unique<DegradationMonitor>(fs_.get(), sos_device_.get(),
-                                                    config_.monitor, cloud_.get());
+    monitor_ = std::make_unique<DegradationMonitor>(fs_.get(), sos_device_, config_.monitor,
+                                                    cloud_.get());
   }
   if (config_.enable_autodelete) {
     autodelete_ = std::make_unique<AutoDeleteManager>(fs_.get(), deletion_model_.get(),
                                                       config_.autodelete);
     autodelete_->SetTraceSink(&trace_);
   }
-  FtlOf(sos_device_.get(), baseline_device_.get()).SetTraceSink(&trace_);
+  device_->ftl().SetTraceSink(&trace_);
   result_.kind_ = config_.kind;
-  result_.workload_kind_ = config_.workload_kind;
 }
 
 std::vector<uint8_t> LifetimeSim::ContentFor(uint64_t ref, uint64_t bytes) {
@@ -277,13 +270,11 @@ void LifetimeSim::ApplyEvent(const WorkloadEvent& event) {
 }
 
 void LifetimeSim::RunDaemons(uint32_t day) {
-  if (sos_device_ != nullptr && sos_device_->staging_enabled()) {
-    // Nightly idle flush of the pseudo-SLC stage (§4.4 extension). Daemons
-    // have no caller to report to; a mid-flush device failure resurfaces on
-    // the next host op against the same device.
-    IgnoreResult(sos_device_->FlushStage());
-  }
   if (sos_device_ != nullptr) {
+    // Nightly idle flush of the pseudo-SLC stage (§4.4 extension; a no-op
+    // without staging). Daemons have no caller to report to; a mid-flush
+    // device failure resurfaces on the next host op against the same device.
+    IgnoreResult(sos_device_->FlushStage());
     // Overnight idle housekeeping: pre-pay GC so daytime writes don't stall.
     (void)sos_device_->ftl().BackgroundCollect();
   }
@@ -316,7 +307,7 @@ void LifetimeSim::RunDaemons(uint32_t day) {
 }
 
 void LifetimeSim::UpdateHealthState(uint32_t day) {
-  const Ftl& ftl = sos_device_ != nullptr ? sos_device_->ftl() : baseline_device_->ftl();
+  const Ftl& ftl = device_->ftl();
   const double wear = ftl.nand().MaxWearRatio();
   const double capacity_retained =
       result_.initial_exported_pages_ > 0
@@ -375,7 +366,7 @@ double LifetimeSim::EstimateSpareQuality(uint64_t* pages_out) const {
 DaySample LifetimeSim::Sample(uint32_t day) const {
   DaySample sample;
   sample.day = day;
-  const Ftl& ftl = sos_device_ != nullptr ? sos_device_->ftl() : baseline_device_->ftl();
+  const Ftl& ftl = device_->ftl();
   sample.max_wear_ratio = ftl.nand().MaxWearRatio();
   sample.mean_pec = ftl.nand().MeanPec();
   sample.exported_pages = ftl.ExportedPages();
@@ -393,8 +384,7 @@ DaySample LifetimeSim::Sample(uint32_t day) const {
 }
 
 LifetimeResult LifetimeSim::Run() {
-  result_.initial_exported_pages_ =
-      (sos_device_ != nullptr ? sos_device_->ftl() : baseline_device_->ftl()).ExportedPages();
+  result_.initial_exported_pages_ = device_->ftl().ExportedPages();
 
   for (uint32_t day = 0; day < config_.days; ++day) {
     const SimTimeUs day_start = static_cast<SimTimeUs>(day) * kUsPerDay;
@@ -410,7 +400,7 @@ LifetimeResult LifetimeSim::Run() {
     }
   }
 
-  const Ftl& ftl = sos_device_ != nullptr ? sos_device_->ftl() : baseline_device_->ftl();
+  const Ftl& ftl = device_->ftl();
   result_.ftl_ = ftl.stats();
   result_.final_max_wear_ratio_ = ftl.nand().MaxWearRatio();
   // Mean wear ratio across the die: mean PEC over the *native-mode* rated

@@ -191,7 +191,6 @@ class LifetimeResult {
   friend class LifetimeSim;
 
   DeviceKind kind_ = DeviceKind::kSos;
-  WorkloadKind workload_kind_ = WorkloadKind::kMobile;
   std::vector<DaySample> samples_;
   FtlStats ftl_;
   uint64_t host_bytes_written_ = 0;
@@ -235,9 +234,8 @@ class LifetimeSim {
 
   LifetimeSimConfig config_;
   SimClock clock_;
-  std::unique_ptr<SosDevice> sos_device_;
-  std::unique_ptr<BaselineDevice> baseline_device_;
-  BlockDevice* device_ = nullptr;  // whichever of the above is active
+  std::unique_ptr<FtlBlockDevice> device_;
+  SosDevice* sos_device_ = nullptr;  // device_ when kind is kSos, else null
   // Memoizes one open placement handle per distinct spec the host declares;
   // workload creates and daemon reclassifications all mint through it.
   std::unique_ptr<PlacementDirectory> placements_;
@@ -259,7 +257,7 @@ class LifetimeSim {
   LifetimeResult result_;
 };
 
-// The FTL behind whichever device kind is active (bench helper).
+// The FTL behind whichever device kind is active (caller: perfbench/mirror.cc).
 Ftl& FtlOf(SosDevice* sos_dev, BaselineDevice* baseline);
 
 }  // namespace sos

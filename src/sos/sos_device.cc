@@ -76,15 +76,71 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   return ftl;
 }
 
+FtlConfig BuildBaselineFtlConfig(const NandConfig& nand, EccPreset ecc, GcPolicy gc) {
+  FtlConfig config;
+  config.nand = nand;
+  config.gc_policy = gc;
+  FtlPoolConfig pool;
+  pool.name = "MAIN";
+  pool.mode = nand.tech;
+  pool.ecc = EccScheme::FromPreset(ecc);
+  pool.share = 1.0;
+  pool.wear_leveling = true;
+  pool.read_retries = 2;
+  config.pools = {pool};
+  return config;
+}
+
 }  // namespace
 
-SosDevice::SosDevice(const SosDeviceConfig& config, SimClock* clock) : config_(config) {
-  ftl_ = std::make_unique<Ftl>(BuildSosFtlConfig(config_), clock);
-  sys_pool_ = ftl_->PoolIdByName("SYS");
-  spare_pool_ = ftl_->PoolIdByName("SPARE");
-  rescue_pool_ = ftl_->PoolIdByName("RESCUE");
+// ---------------------------------------------------------------------------
+// Shared FTL-backed device surface.
+// ---------------------------------------------------------------------------
+
+uint32_t FtlBlockDevice::block_size() const { return ftl_.nand().config().page_size_bytes; }
+
+uint64_t FtlBlockDevice::capacity_blocks() const { return ftl_.ExportedPages(); }
+
+Result<PlacementHandle> FtlBlockDevice::OpenPlacement(const PlacementSpec& spec) {
+  return handles_.Open(spec);
+}
+
+Status FtlBlockDevice::ClosePlacement(PlacementHandle handle) { return handles_.Close(handle); }
+
+Result<PlacementSpec> FtlBlockDevice::DescribePlacement(PlacementHandle handle) const {
+  return handles_.Describe(handle);
+}
+
+Result<BlockReadResult> FtlBlockDevice::Read(uint64_t lba) {
+  auto read = ftl_.Read(lba);
+  if (!read.ok()) {
+    return read.status();
+  }
+  BlockReadResult result;
+  result.data = std::move(read.value().data);
+  result.residual_bit_errors = read.value().residual_bit_errors;
+  result.degraded = read.value().degraded;
+  return result;
+}
+
+Status FtlBlockDevice::Trim(uint64_t lba) { return ftl_.Trim(lba); }
+
+void FtlBlockDevice::SetCapacityListener(CapacityListener listener) {
+  ftl_.SetCapacityListener(std::move(listener));
+}
+
+// ---------------------------------------------------------------------------
+// SOS device.
+// ---------------------------------------------------------------------------
+
+SosDevice::SosDevice(const SosDeviceConfig& config, SimClock* clock)
+    : FtlBlockDevice(BuildSosFtlConfig(config), clock),
+      config_(config),
+      sys_pool_(ftl().PoolIdByName("SYS")),
+      spare_pool_(ftl().PoolIdByName("SPARE")),
+      rescue_pool_(ftl().PoolIdByName("RESCUE")) {
   if (config_.enable_slc_staging) {
-    stage_pool_ = ftl_->PoolIdByName("STAGE");
+    stage_pool_ = ftl().PoolIdByName("STAGE");
   }
 }
 
@@ -93,17 +149,17 @@ Result<uint64_t> SosDevice::FlushStage() {
     return uint64_t{0};
   }
   uint64_t flushed = 0;
-  const PoolSnapshot before = ftl_->Snapshot(*stage_pool_);
+  const PoolSnapshot before = ftl().Snapshot(*stage_pool_);
   if (before.exported_pages == 0) {
     return uint64_t{0};
   }
   const uint64_t target_valid = static_cast<uint64_t>(
       static_cast<double>(before.exported_pages) * kStageFlushLow);
-  for (uint64_t lba : ftl_->LbasInPool(*stage_pool_)) {
-    if (ftl_->Snapshot(*stage_pool_).valid_pages <= target_valid) {
+  for (uint64_t lba : ftl().LbasInPool(*stage_pool_)) {
+    if (ftl().Snapshot(*stage_pool_).valid_pages <= target_valid) {
       break;
     }
-    Status migrated = ftl_->Migrate(lba, sys_pool_);
+    Status migrated = ftl().Migrate(lba, sys_pool_);
     if (migrated.ok()) {
       ++flushed;
       continue;
@@ -117,38 +173,28 @@ Result<uint64_t> SosDevice::FlushStage() {
   return flushed;
 }
 
-uint32_t SosDevice::block_size() const { return config_.nand.page_size_bytes; }
-
-uint64_t SosDevice::capacity_blocks() const { return ftl_->ExportedPages(); }
-
 Result<PlacementHandle> SosDevice::OpenPlacement(const PlacementSpec& spec) {
-  auto handle = handles_.Open(spec);
+  auto handle = FtlBlockDevice::OpenPlacement(spec);
   if (!handle.ok()) {
     return handle.status();
   }
   // Name the handle's FTL stream for per-handle metric export. Reopening a
   // recycled slot renames the stream; its counters persist (device-lifetime
   // telemetry, like SMART attributes).
-  ftl_->RegisterStream(handle.value().id() + 1, PlacementLabel(handle.value(), spec));
+  ftl().RegisterStream(handle.value().id() + 1, PlacementLabel(handle.value(), spec));
   return handle;
 }
 
-Status SosDevice::ClosePlacement(PlacementHandle handle) { return handles_.Close(handle); }
-
-Result<PlacementSpec> SosDevice::DescribePlacement(PlacementHandle handle) const {
-  return handles_.Describe(handle);
-}
-
 Status SosDevice::Write(uint64_t lba, std::span<const uint8_t> data, PlacementHandle handle) {
-  if (Status s = handles_.Check(handle); !s.ok()) {
+  if (Status s = handles().Check(handle); !s.ok()) {
     return s;
   }
-  const PlacementSpec& spec = handles_.SpecOf(handle);
+  const PlacementSpec& spec = handles().SpecOf(handle);
   // Critical writes land in the pseudo-SLC stage first when staging is on
   // ("new file data will first be written to high-endurance memory", §4.4);
   // the stage flushes to pseudo-QLC once it passes its high-water mark.
   if (spec.durability == Durability::kCritical && stage_pool_.has_value()) {
-    const PoolSnapshot stage = ftl_->Snapshot(*stage_pool_);
+    const PoolSnapshot stage = ftl().Snapshot(*stage_pool_);
     if (stage.exported_pages > 0 &&
         static_cast<double>(stage.valid_pages) >
             static_cast<double>(stage.exported_pages) * kStageFlushHigh) {
@@ -156,7 +202,7 @@ Status SosDevice::Write(uint64_t lba, std::span<const uint8_t> data, PlacementHa
         return flushed.status();  // power/data loss mid-flush: the write fails too
       }
     }
-    Status staged = ftl_->Write(lba, data, DirectiveFor(handle, spec, *stage_pool_));
+    Status staged = ftl().Write(lba, data, DirectiveFor(handle, spec, *stage_pool_));
     if (staged.code() != StatusCode::kOutOfSpace) {
       return staged;
     }
@@ -172,7 +218,7 @@ Status SosDevice::Write(uint64_t lba, std::span<const uint8_t> data, PlacementHa
           : std::array<uint32_t, 3>{sys_pool_, rescue_pool_, spare_pool_};
   Status last = Status(StatusCode::kOutOfSpace, "no pools");
   for (uint32_t pool : order) {
-    last = ftl_->Write(lba, data, DirectiveFor(handle, spec, pool));
+    last = ftl().Write(lba, data, DirectiveFor(handle, spec, pool));
     if (last.code() != StatusCode::kOutOfSpace) {
       return last;
     }
@@ -180,22 +226,8 @@ Status SosDevice::Write(uint64_t lba, std::span<const uint8_t> data, PlacementHa
   return last;
 }
 
-Result<BlockReadResult> SosDevice::Read(uint64_t lba) {
-  auto read = ftl_->Read(lba);
-  if (!read.ok()) {
-    return read.status();
-  }
-  BlockReadResult result;
-  result.data = std::move(read.value().data);
-  result.residual_bit_errors = read.value().residual_bit_errors;
-  result.degraded = read.value().degraded;
-  return result;
-}
-
-Status SosDevice::Trim(uint64_t lba) { return ftl_->Trim(lba); }
-
 Status SosDevice::Reclassify(uint64_t lba, PlacementHandle handle) {
-  if (Status s = handles_.Check(handle); !s.ok()) {
+  if (Status s = handles().Check(handle); !s.ok()) {
     return s;
   }
   // Edge-case contract (BlockDevice::Reclassify): unmapped/trimmed LBAs are
@@ -203,57 +235,19 @@ Status SosDevice::Reclassify(uint64_t lba, PlacementHandle handle) {
   // target pool is an Ok no-op (Ftl::Migrate returns before any flash op).
   // Residency in an *overflow* pool (e.g. RESCUE for degradable data) is
   // deliberately not a no-op: the device re-sorts it toward the primary.
-  if (!ftl_->IsMapped(lba)) {
+  if (!ftl().IsMapped(lba)) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
   }
-  const PlacementSpec& spec = handles_.SpecOf(handle);
+  const PlacementSpec& spec = handles().SpecOf(handle);
   if (spec.durability == Durability::kCritical) {
-    return ftl_->Migrate(lba, DirectiveFor(handle, spec, sys_pool_));
+    return ftl().Migrate(lba, DirectiveFor(handle, spec, sys_pool_));
   }
   // Demotion: SPARE first, overflow into RESCUE.
-  Status s = ftl_->Migrate(lba, DirectiveFor(handle, spec, spare_pool_));
+  Status s = ftl().Migrate(lba, DirectiveFor(handle, spec, spare_pool_));
   if (s.code() == StatusCode::kOutOfSpace) {
-    return ftl_->Migrate(lba, DirectiveFor(handle, spec, rescue_pool_));
+    return ftl().Migrate(lba, DirectiveFor(handle, spec, rescue_pool_));
   }
   return s;
-}
-
-void SosDevice::SetCapacityListener(CapacityListener listener) {
-  ftl_->SetCapacityListener(std::move(listener));
-}
-
-Status SosDevice::RecoverFromPowerLoss() {
-  if (Status s = ftl_->RecoverFromFlash(); !s.ok()) {
-    return s;
-  }
-  // Pool ids are stable (pool order is fixed at construction), but resolve
-  // them again so a future pool-layout change cannot silently desync.
-  sys_pool_ = ftl_->PoolIdByName("SYS");
-  spare_pool_ = ftl_->PoolIdByName("SPARE");
-  rescue_pool_ = ftl_->PoolIdByName("RESCUE");
-  if (config_.enable_slc_staging) {
-    stage_pool_ = ftl_->PoolIdByName("STAGE");
-  }
-  return Status::Ok();
-}
-
-double SosDevice::FreeFraction() const {
-  uint64_t exported = 0;
-  uint64_t valid = 0;
-  std::vector<uint32_t> pools = {sys_pool_, spare_pool_, rescue_pool_};
-  if (stage_pool_.has_value()) {
-    pools.push_back(*stage_pool_);
-  }
-  for (uint32_t pool : pools) {
-    const PoolSnapshot snap = ftl_->Snapshot(pool);
-    exported += snap.exported_pages;
-    valid += snap.valid_pages;
-  }
-  if (exported == 0) {
-    return 0.0;
-  }
-  const uint64_t free_pages = exported > valid ? exported - valid : 0;
-  return static_cast<double>(free_pages) / static_cast<double>(exported);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,75 +255,29 @@ double SosDevice::FreeFraction() const {
 // ---------------------------------------------------------------------------
 
 BaselineDevice::BaselineDevice(const NandConfig& nand, SimClock* clock, EccPreset ecc,
-                               GcPolicy gc) {
-  FtlConfig config;
-  config.nand = nand;
-  config.gc_policy = gc;
-  FtlPoolConfig pool;
-  pool.name = "MAIN";
-  pool.mode = nand.tech;
-  pool.ecc = EccScheme::FromPreset(ecc);
-  pool.share = 1.0;
-  pool.wear_leveling = true;
-  pool.read_retries = 2;
-  config.pools = {pool};
-  ftl_ = std::make_unique<Ftl>(config, clock);
-}
-
-uint32_t BaselineDevice::block_size() const { return ftl_->nand().config().page_size_bytes; }
-
-uint64_t BaselineDevice::capacity_blocks() const { return ftl_->ExportedPages(); }
-
-Result<PlacementHandle> BaselineDevice::OpenPlacement(const PlacementSpec& spec) {
-  return handles_.Open(spec);
-}
-
-Status BaselineDevice::ClosePlacement(PlacementHandle handle) {
-  return handles_.Close(handle);
-}
-
-Result<PlacementSpec> BaselineDevice::DescribePlacement(PlacementHandle handle) const {
-  return handles_.Describe(handle);
-}
+                               GcPolicy gc)
+    : FtlBlockDevice(BuildBaselineFtlConfig(nand, ecc, gc), clock) {}
 
 Status BaselineDevice::Write(uint64_t lba, std::span<const uint8_t> data,
                              PlacementHandle handle) {
-  if (Status s = handles_.Check(handle); !s.ok()) {
+  if (Status s = handles().Check(handle); !s.ok()) {
     return s;
   }
   // Non-directed: every handle funnels into the shared stream of the single
   // pool -- the conventional-SSD comparison point.
-  return ftl_->Write(lba, data, 0);
+  return ftl().Write(lba, data, 0);
 }
-
-Result<BlockReadResult> BaselineDevice::Read(uint64_t lba) {
-  auto read = ftl_->Read(lba);
-  if (!read.ok()) {
-    return read.status();
-  }
-  BlockReadResult result;
-  result.data = std::move(read.value().data);
-  result.residual_bit_errors = read.value().residual_bit_errors;
-  result.degraded = read.value().degraded;
-  return result;
-}
-
-Status BaselineDevice::Trim(uint64_t lba) { return ftl_->Trim(lba); }
 
 Status BaselineDevice::Reclassify(uint64_t lba, PlacementHandle handle) {
-  if (Status s = handles_.Check(handle); !s.ok()) {
+  if (Status s = handles().Check(handle); !s.ok()) {
     return s;
   }
   // Same edge-case contract as SosDevice: reclassifying a block that was
   // never written (or was trimmed) is a caller bug, not a silent success.
-  if (!ftl_->IsMapped(lba)) {
+  if (!ftl().IsMapped(lba)) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
   }
   return Status::Ok();  // single reliability domain: nothing to move
-}
-
-void BaselineDevice::SetCapacityListener(CapacityListener listener) {
-  ftl_->SetCapacityListener(std::move(listener));
 }
 
 }  // namespace sos

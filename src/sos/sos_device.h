@@ -25,7 +25,6 @@
 #ifndef SOS_SRC_SOS_SOS_DEVICE_H_
 #define SOS_SRC_SOS_SOS_DEVICE_H_
 
-#include <memory>
 #include <optional>
 
 #include "src/ftl/ftl.h"
@@ -60,43 +59,62 @@ struct SosDeviceConfig {
   SosDeviceConfig() { nand.tech = CellTech::kPlc; }
 };
 
-class SosDevice final : public BlockDevice {
+// The BlockDevice surface every FTL-backed device shares: the placement
+// handle table, the FTL, and the handle lifecycle, read, trim and capacity
+// paths. Subclasses decide where writes and reclassifications land.
+class FtlBlockDevice : public BlockDevice {
+ public:
+  uint32_t block_size() const override;
+  uint64_t capacity_blocks() const override;
+  [[nodiscard]] Result<PlacementHandle> OpenPlacement(const PlacementSpec& spec) override;
+  [[nodiscard]] Status ClosePlacement(PlacementHandle handle) override;
+  [[nodiscard]] Result<PlacementSpec> DescribePlacement(PlacementHandle handle) const override;
+  [[nodiscard]] Result<BlockReadResult> Read(uint64_t lba) override;
+  [[nodiscard]] Status Trim(uint64_t lba) override;
+  void SetCapacityListener(CapacityListener listener) override;
+
+  Ftl& ftl() { return ftl_; }
+  const Ftl& ftl() const { return ftl_; }
+
+ protected:
+  // `clock` must outlive the device.
+  FtlBlockDevice(const FtlConfig& config, SimClock* clock) : ftl_(config, clock) {}
+
+  const PlacementHandleTable& handles() const { return handles_; }
+
+ private:
+  PlacementHandleTable handles_;
+  Ftl ftl_;
+};
+
+class SosDevice final : public FtlBlockDevice {
  public:
   // `clock` must outlive the device.
   SosDevice(const SosDeviceConfig& config, SimClock* clock);
 
   // --- BlockDevice ---------------------------------------------------------
 
-  uint32_t block_size() const override;
-  uint64_t capacity_blocks() const override;
+  // Also names the handle's FTL stream for per-handle metric export.
   [[nodiscard]] Result<PlacementHandle> OpenPlacement(const PlacementSpec& spec) override;
-  [[nodiscard]] Status ClosePlacement(PlacementHandle handle) override;
-  [[nodiscard]] Result<PlacementSpec> DescribePlacement(PlacementHandle handle) const override;
   [[nodiscard]] Status Write(uint64_t lba, std::span<const uint8_t> data,
                              PlacementHandle handle) override;
-  [[nodiscard]] Result<BlockReadResult> Read(uint64_t lba) override;
-  [[nodiscard]] Status Trim(uint64_t lba) override;
   [[nodiscard]] Status Reclassify(uint64_t lba, PlacementHandle handle) override;
-  void SetCapacityListener(CapacityListener listener) override;
 
   // --- SOS introspection ---------------------------------------------------
-
-  Ftl& ftl() { return *ftl_; }
-  const Ftl& ftl() const { return *ftl_; }
 
   uint32_t sys_pool() const { return sys_pool_; }
   uint32_t spare_pool() const { return spare_pool_; }
   uint32_t rescue_pool() const { return rescue_pool_; }
   std::optional<uint32_t> stage_pool() const { return stage_pool_; }
 
-  PoolSnapshot SysSnapshot() const { return ftl_->Snapshot(sys_pool_); }
-  PoolSnapshot SpareSnapshot() const { return ftl_->Snapshot(spare_pool_); }
-  PoolSnapshot RescueSnapshot() const { return ftl_->Snapshot(rescue_pool_); }
+  PoolSnapshot SysSnapshot() const { return ftl().Snapshot(sys_pool_); }
+  PoolSnapshot SpareSnapshot() const { return ftl().Snapshot(spare_pool_); }
+  PoolSnapshot RescueSnapshot() const { return ftl().Snapshot(rescue_pool_); }
 
   // --- Pseudo-SLC staging (only with enable_slc_staging) -------------------
 
   bool staging_enabled() const { return stage_pool_.has_value(); }
-  PoolSnapshot StageSnapshot() const { return ftl_->Snapshot(*stage_pool_); }
+  PoolSnapshot StageSnapshot() const { return ftl().Snapshot(*stage_pool_); }
 
   // Migrates staged data into SYS until stage utilization reaches
   // its low-water mark (or the stage empties). Returns pages flushed. Called
@@ -105,21 +123,17 @@ class SosDevice final : public BlockDevice {
   //
   // SYS running out of room is the expected stop condition and is *not* an
   // error (the remainder simply stays staged); any other migration failure
-  // (power loss, data loss) is returned instead of being swallowed -- the
-  // old uint64_t signature silently dropped those on the recovery path.
+  // (power loss, data loss) is returned instead of being swallowed.
   Result<uint64_t> FlushStage();
-
-  // Overall free fraction of exported capacity (drives auto-delete).
-  double FreeFraction() const;
 
   // --- Crash recovery ------------------------------------------------------
 
   // Remounts the device after a simulated power cut: powers the die on and
   // rebuilds all volatile FTL state (mapping table, pool free/valid state)
-  // from durable flash metadata via Ftl::RecoverFromFlash(). Pool ids and
-  // snapshots are valid again afterwards, so SOS daemons and health
-  // collection resume exactly where the durable state left them.
-  [[nodiscard]] Status RecoverFromPowerLoss();
+  // from durable flash metadata via Ftl::RecoverFromFlash(). Pool ids are
+  // fixed at construction, so SOS daemons and health collection resume
+  // exactly where the durable state left them.
+  [[nodiscard]] Status RecoverFromPowerLoss() { return ftl().RecoverFromFlash(); }
 
   const SosDeviceConfig& config() const { return config_; }
 
@@ -133,8 +147,6 @@ class SosDevice final : public BlockDevice {
   }
 
   SosDeviceConfig config_;
-  PlacementHandleTable handles_;
-  std::unique_ptr<Ftl> ftl_;
   uint32_t sys_pool_ = 0;
   uint32_t spare_pool_ = 0;
   uint32_t rescue_pool_ = 0;
@@ -144,30 +156,15 @@ class SosDevice final : public BlockDevice {
 // A conventional single-pool device of the given technology with uniform
 // strong ECC and wear leveling -- the TLC/QLC baselines of experiment E12.
 // Geometry (blocks/wordlines/page size) is taken from `nand`.
-class BaselineDevice final : public BlockDevice {
+class BaselineDevice final : public FtlBlockDevice {
  public:
   BaselineDevice(const NandConfig& nand, SimClock* clock, EccPreset ecc, GcPolicy gc);
 
-  uint32_t block_size() const override;
-  uint64_t capacity_blocks() const override;
-  [[nodiscard]] Result<PlacementHandle> OpenPlacement(const PlacementSpec& spec) override;
-  [[nodiscard]] Status ClosePlacement(PlacementHandle handle) override;
-  [[nodiscard]] Result<PlacementSpec> DescribePlacement(PlacementHandle handle) const override;
   // A baseline device honors the handle lifecycle but ignores the spec: all
   // data shares one undirected stream in the single pool.
   [[nodiscard]] Status Write(uint64_t lba, std::span<const uint8_t> data,
                              PlacementHandle handle) override;
-  [[nodiscard]] Result<BlockReadResult> Read(uint64_t lba) override;
-  [[nodiscard]] Status Trim(uint64_t lba) override;
   [[nodiscard]] Status Reclassify(uint64_t lba, PlacementHandle handle) override;
-  void SetCapacityListener(CapacityListener listener) override;
-
-  Ftl& ftl() { return *ftl_; }
-  const Ftl& ftl() const { return *ftl_; }
-
- private:
-  PlacementHandleTable handles_;
-  std::unique_ptr<Ftl> ftl_;
 };
 
 }  // namespace sos

@@ -255,7 +255,11 @@ TEST(SosDeviceRecoveryTest, RemountAfterPowerCutServesAckedSysData) {
   // live again after the remount: the recovered SYS pool accounts for the
   // written pages, and the capacity math still adds up.
   EXPECT_GE(dev.SysSnapshot().valid_pages, kLbas);
-  EXPECT_GT(dev.FreeFraction(), 0.0);
+  uint64_t valid_pages = 0;
+  for (uint32_t pool = 0; pool < dev.ftl().num_pools(); ++pool) {
+    valid_pages += dev.ftl().Snapshot(pool).valid_pages;
+  }
+  EXPECT_GT(dev.ftl().ExportedPages(), valid_pages);
   EXPECT_TRUE(dev.ftl().CheckInvariants().ok());
 }
 

@@ -3,13 +3,16 @@
 // Tests for the FTL: mapping, GC, write amplification, wear leveling on/off,
 // parity rescue, retirement/capacity variance, resuscitation, migration.
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/flash/fault_hook.h"
+#include "src/flash/voltage_model.h"
 #include "src/ftl/ftl.h"
 
 namespace sos {
@@ -416,6 +419,74 @@ TEST(FtlTest, ResuscitationMovesWornBlocksToSparserPool) {
   EXPECT_TRUE(ftl.Write(1000, Page(7), second_id).ok());
   auto read = ftl.Read(1000);
   ASSERT_TRUE(read.ok());
+}
+
+TEST(FtlTest, RetirementFollowsTheDieErrorModel) {
+  // Retirement predicts a cycled block's RBER with the die's own error model,
+  // the one its reads see. On PLC at one year of retention the two models
+  // straddle a 1e-3 bound over the cycled range: the voltage model crosses it
+  // at a few dozen P/E cycles, the fitted curves only past 150. So a voltage
+  // die retires blocks the fitted curves would keep, and a default die keeps
+  // them all.
+  constexpr double kBound = 1e-3;
+  auto rber_at = [](ErrorModelKind kind, uint32_t pec) {
+    PageErrorState state;
+    state.mode = CellTech::kPlc;
+    state.endurance_pec = static_cast<double>(GetCellTechInfo(CellTech::kPlc).rated_endurance_pec);
+    state.pec_at_program = pec;
+    state.retention_years = 1.0;  // the pool's nominal retention
+    return ComputeRber(kind, state);
+  };
+  struct Outcome {
+    std::vector<uint32_t> retired_at_pec;
+    uint32_t max_pec = 0;
+  };
+  auto run = [](ErrorModelKind kind) {
+    SimClock clock;
+    FtlConfig config = SinglePool(16, CellTech::kPlc, EccPreset::kNone);
+    config.nand.error_model = kind;
+    config.pools[0].retire_rber = kBound;
+    config.pools[0].min_live_blocks = 1;
+    Ftl ftl(config, &clock);
+    obs::TraceSink trace;
+    ftl.SetTraceSink(&trace);
+    Rng rng(9);
+    for (int i = 0; i < 20000; ++i) {
+      if (!ftl.Write(rng.NextBounded(10), Page(1), 0).ok()) {
+        break;  // the voltage arm may wear the pool out
+      }
+    }
+    EXPECT_TRUE(ftl.CheckInvariants().ok());
+    Outcome outcome;
+    for (const obs::TraceEvent& event : trace.events()) {
+      if (event.type != "ftl.block.retired") {
+        continue;
+      }
+      for (const auto& [key, value] : event.fields) {
+        if (key == "pec") {
+          outcome.retired_at_pec.push_back(static_cast<uint32_t>(std::stoul(value)));
+        }
+      }
+    }
+    EXPECT_EQ(outcome.retired_at_pec.size(), ftl.stats().retired_blocks());
+    for (uint32_t b = 0; b < config.nand.num_blocks; ++b) {
+      outcome.max_pec = std::max(outcome.max_pec, ftl.nand().block_info(b).pec);
+    }
+    return outcome;
+  };
+
+  const Outcome voltage = run(ErrorModelKind::kVoltage);
+  ASSERT_FALSE(voltage.retired_at_pec.empty());
+  for (uint32_t pec : voltage.retired_at_pec) {
+    SCOPED_TRACE("retired at pec " + std::to_string(pec));
+    EXPECT_GT(rber_at(ErrorModelKind::kVoltage, pec), kBound);
+    EXPECT_LE(rber_at(ErrorModelKind::kPhenomenological, pec), kBound);
+  }
+
+  const Outcome fitted = run(ErrorModelKind::kPhenomenological);
+  EXPECT_TRUE(fitted.retired_at_pec.empty());
+  EXPECT_GT(rber_at(ErrorModelKind::kVoltage, fitted.max_pec), kBound);
+  EXPECT_LE(rber_at(ErrorModelKind::kPhenomenological, fitted.max_pec), kBound);
 }
 
 TEST(FtlTest, MigrateMovesBetweenPools) {

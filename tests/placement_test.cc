@@ -2,12 +2,17 @@
 //
 // Placement-directive API tests: handle lifecycle (open/describe/close,
 // slot recycling, exhaustion), the host-side PlacementDirectory memoization,
-// and the Reclassify edge-case contract (unmapped/trimmed LBAs, same-class
-// no-op) on both SosDevice and BaselineDevice.
+// the Reclassify edge-case contract (unmapped/trimmed LBAs, same-class
+// no-op) on both SosDevice and BaselineDevice, and the per-handle write
+// accounting a lifetime run exports.
+
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/sos/lifetime_sim.h"
 #include "src/sos/sos_device.h"
 
 namespace sos {
@@ -201,6 +206,65 @@ TEST(ReclassifyTest, BaselineDeviceHonorsSameContract) {
   EXPECT_EQ(device.Reclassify(3, handle).code(), StatusCode::kNotFound);
   // Lifecycle errors still apply.
   EXPECT_EQ(device.Reclassify(3, PlacementHandle()).code(), StatusCode::kInvalidArgument);
+}
+
+// --- Per-handle export -------------------------------------------------------
+
+// Oracle for the ftl.handle.<label>.* rows of a short SOS lifetime run, under
+// the legacy schedule and under per-handle append points. Every SosDevice
+// host write carries its handle's nonzero stream tag, so the handles' host
+// writes add up to the device's; parity pages and stage flushes carry stream
+// 0, so the handles' NAND writes are bounded by the device's.
+TEST(PerHandleExportTest, HandleRowsAddUpToDeviceWrites) {
+  for (PlacementPolicy policy : {PlacementPolicy::kLegacy, PlacementPolicy::kStatic}) {
+    SCOPED_TRACE(PlacementPolicyName(policy));
+    LifetimeSimConfig config;
+    config.seed = 13;
+    config.days = 40;
+    config.nand.num_blocks = 128;
+    config.training_files = 2000;
+    config.workload.photos_per_day = 3.0;
+    config.workload.reads_per_day = 40.0;
+    config.workload.cache_files_per_day = 8.0;
+    config.workload.app_updates_per_day = 80.0;
+    config.file_size_cap = 32 * kKiB;
+    config.sos.placement_policy = policy;
+    LifetimeSim sim(config);
+    const LifetimeResult result = sim.Run();
+
+    struct HandleWrites {
+      uint64_t host = 0;
+      uint64_t nand = 0;
+    };
+    std::map<std::string, HandleWrites> handles;
+    const std::string prefix = "ftl.handle.";
+    for (const obs::MetricRow& row : result.device_metrics()) {
+      if (row.name.rfind(prefix, 0) != 0) {
+        continue;
+      }
+      const std::string rest = row.name.substr(prefix.size());
+      const std::string field = rest.substr(rest.rfind('.') + 1);
+      const std::string label = rest.substr(0, rest.rfind('.'));
+      if (field == "host_writes") {
+        handles[label].host = row.counter;
+      } else if (field == "nand_writes") {
+        handles[label].nand = row.counter;
+      }
+    }
+    ASSERT_FALSE(handles.empty());
+
+    uint64_t host_sum = 0;
+    uint64_t nand_sum = 0;
+    for (const auto& [label, writes] : handles) {
+      SCOPED_TRACE(label);
+      EXPECT_GE(writes.nand, writes.host);
+      host_sum += writes.host;
+      nand_sum += writes.nand;
+    }
+    EXPECT_GT(host_sum, 0u);
+    EXPECT_EQ(host_sum, result.ftl().host_writes());
+    EXPECT_LE(nand_sum, result.ftl().nand_writes());
+  }
 }
 
 }  // namespace

@@ -95,17 +95,6 @@ TEST(SosDeviceTest, ReclassifyMovesData) {
   EXPECT_EQ(device.Reclassify(42, critical).code(), StatusCode::kNotFound);
 }
 
-TEST(SosDeviceTest, FreeFractionFallsWithWrites) {
-  SimClock clock;
-  SosDevice device(SmallSos(), &clock);
-  const double before = device.FreeFraction();
-  const PlacementHandle critical = OpenHandle(device, Durability::kCritical);
-  for (uint64_t lba = 0; lba < 50; ++lba) {
-    ASSERT_TRUE(device.Write(lba, Block(1), critical).ok());
-  }
-  EXPECT_LT(device.FreeFraction(), before);
-}
-
 TEST(SosDeviceTest, BaselineDeviceBasics) {
   SimClock clock;
   NandConfig nand = SmallSos().nand;

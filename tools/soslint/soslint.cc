@@ -878,10 +878,11 @@ void CheckThreadPoolCaptures(const SourceFile& file, const std::vector<Token>& t
                    tokens[k + 2].kind == TokKind::kIdent &&
                    MutatingMethods().count(tokens[k + 2].text) > 0 &&
                    tokens[k + 3].text == "(") {
-          // The completion-queue hand-off idiom: a mutating call through an
-          // identifier declared (anywhere in the tree) with an internally
-          // synchronized type -- a class carrying its own mutex/cv/atomic --
-          // is the sanctioned cross-thread channel, not a race.
+          // The hand-off idiom (as in `AsyncBlockService::Submit`): a
+          // mutating call through an identifier declared (anywhere in the
+          // tree) with an internally synchronized type -- a class carrying
+          // its own mutex/cv/atomic -- is the sanctioned cross-thread
+          // channel, not a race.
           write = index.sync_idents.count(name) == 0;
         }
         if (write && !slot_write && default_ref && ref_captures.count(name) == 0) {

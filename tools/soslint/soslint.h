@@ -133,9 +133,9 @@ struct SymbolIndex {
   // (R8). Built in a first sub-pass so the second can resolve variables.
   std::set<std::string> synchronized_types;
   // Names of variables/members declared anywhere with a synchronized type.
-  // R8 exempts mutating calls through these: the completion-queue hand-off
-  // idiom (`pool.Submit([&cq] { cq.Push(...); })`) is safe exactly because
-  // the queue locks internally -- the synchronization the rule wants is
+  // R8 exempts mutating calls through these: the hand-off idiom of client
+  // threads calling `AsyncBlockService::Submit` is safe exactly because the
+  // service locks internally -- the synchronization the rule wants is
   // inside the callee, not at the call site.
   std::set<std::string> sync_idents;
 };
