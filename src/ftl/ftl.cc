@@ -383,8 +383,12 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
           ++StreamEntry(stream).nand_writes;
         }
         if (pool.config.parity_stripe > 0 && config_.nand.store_payloads) {
-          for (size_t b = 0; b < data.size() && b < slot.stripe_xor.size(); ++b) {
-            slot.stripe_xor[b] = static_cast<uint8_t>(slot.stripe_xor[b] ^ data[b]);
+          // Bound and pointers in locals, so gcc can vectorize the loop.
+          const size_t n = std::min(data.size(), slot.stripe_xor.size());
+          uint8_t* parity = slot.stripe_xor.data();
+          const uint8_t* bytes = data.data();
+          for (size_t b = 0; b < n; ++b) {
+            parity[b] ^= bytes[b];
           }
           ++slot.stripe_fill;
         }

@@ -4,7 +4,9 @@
 //
 // BlockServiceClient is the synchronous client contract; two transports
 // implement it:
-//   InProcessClient -- wraps an AsyncBlockService directly (Submit + wait).
+//   InProcessClient -- wraps an AsyncBlockService directly: each call is
+//                      one AsyncBlockService::Call, dispatched on the
+//                      calling thread.
 //   SocketClient    -- speaks the sosd wire protocol (wire.h) over a
 //                      connected byte-stream fd, one outstanding request at
 //                      a time.
@@ -66,7 +68,7 @@ class InProcessClient final : public BlockServiceClient {
   AsyncBlockService* service() { return service_; }
 
  private:
-  // Submits and waits, pumping inline when the service is in pump mode.
+  // One request through AsyncBlockService::Call.
   ServeResponse Roundtrip(ServeRequest req);
 
   AsyncBlockService* const service_;

@@ -53,12 +53,10 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
       break;
     }
     case FrameType::kDescribePlacement: {
-      ServeRequest req;
-      req.op = ServeOp::kDescribePlacement;
-      req.handle = PlacementHandle(frame.handle_slot);
-      auto future = service_->Submit(std::move(req));
-      service_->RunPending();
-      ServeResponse resp = future.get();
+      std::vector<ServeRequest> reqs(1);
+      reqs[0].op = ServeOp::kDescribePlacement;
+      reqs[0].handle = PlacementHandle(frame.handle_slot);
+      const ServeResponse resp = std::move(service_->Call(std::move(reqs)).front());
       reply.status = resp.status.code();
       if (resp.status.ok()) {
         reply.payload = EncodeSpec(resp.spec);
@@ -66,20 +64,22 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
       break;
     }
     case FrameType::kRead: {
-      // Fan out per block; the service coalesces adjacent submissions back
-      // into one dispatch.
-      std::vector<std::future<ServeResponse>> futures;
-      futures.reserve(frame.count);
-      for (uint32_t i = 0; i < frame.count; ++i) {
-        ServeRequest req;
-        req.op = ServeOp::kRead;
-        req.lba = frame.lba + i;
-        req.handle = PlacementHandle(frame.handle_slot);
-        futures.push_back(service_->Submit(std::move(req)));
+      // A reply the wire cannot carry is refused before the device sees the
+      // read, and the connection stays usable.
+      const uint64_t page = service_->device()->config().nand.page_size_bytes;
+      if (frame.count * page > kMaxFramePayload) {
+        reply.status = StatusCode::kInvalidArgument;
+        break;
       }
-      service_->RunPending();  // no-op in async mode; drives pump mode
-      for (std::future<ServeResponse>& f : futures) {
-        ServeResponse resp = f.get();
+      // Fan out per block; the service coalesces adjacent requests back into
+      // one dispatch.
+      std::vector<ServeRequest> reqs(frame.count);
+      for (uint32_t i = 0; i < frame.count; ++i) {
+        reqs[i].op = ServeOp::kRead;
+        reqs[i].lba = frame.lba + i;
+        reqs[i].handle = PlacementHandle(frame.handle_slot);
+      }
+      for (const ServeResponse& resp : service_->Call(std::move(reqs))) {
         if (!resp.status.ok() && reply.status == StatusCode::kOk) {
           reply.status = resp.status.code();
         }
@@ -97,20 +97,15 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
         return false;
       }
       const size_t page = frame.payload.size() / frame.count;
-      std::vector<std::future<ServeResponse>> futures;
-      futures.reserve(frame.count);
+      std::vector<ServeRequest> reqs(frame.count);
       for (uint32_t i = 0; i < frame.count; ++i) {
-        ServeRequest req;
-        req.op = ServeOp::kWrite;
-        req.lba = frame.lba + i;
-        req.handle = PlacementHandle(frame.handle_slot);
-        req.data.assign(frame.payload.begin() + static_cast<std::ptrdiff_t>(i * page),
-                        frame.payload.begin() + static_cast<std::ptrdiff_t>((i + 1) * page));
-        futures.push_back(service_->Submit(std::move(req)));
+        reqs[i].op = ServeOp::kWrite;
+        reqs[i].lba = frame.lba + i;
+        reqs[i].handle = PlacementHandle(frame.handle_slot);
+        reqs[i].data.assign(frame.payload.begin() + static_cast<std::ptrdiff_t>(i * page),
+                            frame.payload.begin() + static_cast<std::ptrdiff_t>((i + 1) * page));
       }
-      service_->RunPending();
-      for (std::future<ServeResponse>& f : futures) {
-        ServeResponse resp = f.get();
+      for (const ServeResponse& resp : service_->Call(std::move(reqs))) {
         if (!resp.status.ok() && reply.status == StatusCode::kOk) {
           reply.status = resp.status.code();
         }
@@ -119,12 +114,10 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
     }
     case FrameType::kTrim:
     case FrameType::kFlush: {
-      ServeRequest req;
-      req.op = frame.type == FrameType::kTrim ? ServeOp::kTrim : ServeOp::kFlush;
-      req.lba = frame.lba;
-      auto future = service_->Submit(std::move(req));
-      service_->RunPending();
-      reply.status = future.get().status.code();
+      std::vector<ServeRequest> reqs(1);
+      reqs[0].op = frame.type == FrameType::kTrim ? ServeOp::kTrim : ServeOp::kFlush;
+      reqs[0].lba = frame.lba;
+      reply.status = service_->Call(std::move(reqs)).front().status.code();
       break;
     }
   }

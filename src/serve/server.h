@@ -3,14 +3,19 @@
 // SosdServer: speaks the sosd wire protocol (wire.h) on byte-stream file
 // descriptors and forwards requests into an AsyncBlockService.
 //
-// One connection = one blocking parse/submit/reply loop (ServeConnection),
+// One connection = one blocking parse/call/reply loop (ServeConnection),
 // usable directly on a socketpair end in tests. tools/sosd adds the listening
 // socket and runs ServeConnection on a thread per accepted client
 // (ServeListener). Frame handling:
 //
-//   - multi-count reads/writes fan out into per-block submissions (which the
+//   - every data frame is one AsyncBlockService::Call, so the connection
+//     thread dispatches its own requests (no hand-off to a worker);
+//   - multi-count reads/writes fan out into per-block requests (which the
 //     service's coalescer merges back into device batches); the reply
 //     aggregates payloads and reports the first non-ok status;
+//   - a read whose reply would exceed kMaxFramePayload gets a
+//     kInvalidArgument reply without touching the device, and the
+//     connection stays open;
 //   - placement lifecycle frames run synchronously on the service's control
 //     plane;
 //   - a malformed frame gets one kInvalidArgument error reply (type kRead,

@@ -2,6 +2,7 @@
 
 #include "src/serve/service.h"
 
+#include <chrono>
 #include <utility>
 
 namespace sos::serve {
@@ -77,6 +78,39 @@ QosClass AsyncBlockService::Classify(const ServeRequest& req) const {
 }
 
 std::future<ServeResponse> AsyncBlockService::Submit(ServeRequest req) {
+  // Pump mode has no dispatcher to wait for: blocking on space would
+  // deadlock, so make room inline instead.
+  std::future<ServeResponse> future =
+      Admit(std::move(req), /*make_room_inline=*/config_.workers == 0);
+  work_cv_.notify_one();
+  return future;
+}
+
+std::vector<ServeResponse> AsyncBlockService::Call(std::vector<ServeRequest> reqs) {
+  std::vector<std::future<ServeResponse>> futures;
+  futures.reserve(reqs.size());
+  for (ServeRequest& req : reqs) {
+    futures.push_back(Admit(std::move(req), /*make_room_inline=*/true));
+  }
+  // Dispatch in scheduler order -- other callers' batches included -- until
+  // this call's own requests are done. An empty queue with one of them still
+  // pending means another thread is running it: only then block.
+  for (size_t next = 0; next < futures.size();) {
+    if (futures[next].wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      ++next;
+    } else if (DispatchOne() == 0) {
+      break;
+    }
+  }
+  std::vector<ServeResponse> resps;
+  resps.reserve(futures.size());
+  for (std::future<ServeResponse>& f : futures) {
+    resps.push_back(f.get());
+  }
+  return resps;
+}
+
+std::future<ServeResponse> AsyncBlockService::Admit(ServeRequest req, bool make_room_inline) {
   std::promise<ServeResponse> promise;
   std::future<ServeResponse> future = promise.get_future();
 
@@ -85,12 +119,10 @@ std::future<ServeResponse> AsyncBlockService::Submit(ServeRequest req) {
 
   std::unique_lock<std::mutex> lock(mu_);
   pending.cls = Classify(pending.req);
-  if (config_.workers == 0) {
-    // Pump mode is single-caller: blocking on space would deadlock, so make
-    // room by dispatching inline instead.
+  if (make_room_inline) {
     while (!stopping_ && !scheduler_.HasRoom(pending.cls, config_.submission_depth)) {
       lock.unlock();
-      RunPending(1);
+      DispatchOne();
       lock.lock();
     }
   } else {
@@ -112,8 +144,6 @@ std::future<ServeResponse> AsyncBlockService::Submit(ServeRequest req) {
   pending.promise = std::move(promise);
   ++stats_.submitted;
   scheduler_.Enqueue(std::move(pending));
-  lock.unlock();
-  work_cv_.notify_one();
   return future;
 }
 
@@ -222,37 +252,38 @@ void AsyncBlockService::ExecuteBatch(Batch batch) {
 
 void AsyncBlockService::WorkerLoop() {
   for (;;) {
-    Batch batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stopping_ || !scheduler_.empty(); });
-      if (!PopBatchLocked(&batch)) {
-        if (stopping_) {
-          return;
-        }
-        continue;
+      if (scheduler_.empty()) {
+        return;  // stopping, and nothing left to run
       }
     }
-    space_cv_.notify_all();
-    ExecuteBatch(std::move(batch));
+    DispatchOne();
   }
 }
 
-size_t AsyncBlockService::RunPending(size_t max_batches) {
+size_t AsyncBlockService::DispatchOne() {
+  Batch batch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!PopBatchLocked(&batch)) {
+      return 0;
+    }
+  }
+  space_cv_.notify_all();
+  const size_t n = batch.reqs.size();
+  ExecuteBatch(std::move(batch));
+  return n;
+}
+
+size_t AsyncBlockService::RunPending() {
   if (config_.workers != 0) {
     return 0;  // async mode dispatches itself
   }
   size_t completed = 0;
-  for (size_t b = 0; b < max_batches; ++b) {
-    Batch batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!PopBatchLocked(&batch)) {
-        break;
-      }
-    }
-    completed += batch.reqs.size();
-    ExecuteBatch(std::move(batch));
+  while (const size_t n = DispatchOne()) {
+    completed += n;
   }
   return completed;
 }

@@ -6,34 +6,42 @@
 // SosDevice and the FTL beneath it are single-caller by design: the
 // deterministic sim path drives them from one thread and the goldens depend
 // on that op schedule. This layer is the multi-caller adapter. Clients
-// Submit() requests from any number of threads and get futures; internally
-// the service
+// Call() or Submit() requests from any number of threads; internally the
+// service
 //
 //   1. classifies each request into a QosClass from its op and the placement
 //      handle's declared durability (critical -> SYS classes),
 //   2. admits it into a bounded submission queue with per-class capacity
 //      (bulk/maintenance can occupy at most half the depth -- per-pool
 //      admission, so background work never starves SYS),
-//   3. dispatches via a weighted scheduler (qos.h) on a fixed worker pool
-//      (src/common/thread_pool), coalescing adjacent-LBA requests of the
-//      same class/op/handle into one dispatch. Coalescing only groups
-//      requests under one hold of the device gate: the dispatch still runs
-//      one page per device call, in LBA order, and once a request returns
-//      kPowerLost the rest fail with it without touching the dark device,
+//   3. dispatches via a weighted scheduler (qos.h), coalescing adjacent-LBA
+//      requests of the same class/op/handle into one dispatch. Coalescing
+//      only groups requests under one hold of the device gate: the dispatch
+//      still runs one page per device call, in LBA order, and once a
+//      request returns kPowerLost the rest fail with it without touching
+//      the dark device,
 //   4. serializes all device + sim-clock access behind one device gate
 //      mutex, so the device itself never sees concurrency, and
 //   5. resolves each batch's futures on the thread that ran it, recording
 //      per-class sim-time latency in an exact value -> count store whose
 //      memory is bounded by the number of distinct latencies, not requests.
 //
-// Two execution modes, same scheduling logic:
+// Who dispatches. Call() is the synchronous entry point: the calling thread
+// admits its requests and runs scheduler batches itself (anyone's, in
+// scheduler order) until its own requests are done, so a synchronous
+// request costs no thread hand-off. InProcessClient and SosdServer use it.
+// Submit() is the asynchronous entry point; its requests are dispatched by
+// whoever runs next:
 //   workers == 0  -- deterministic pump mode: no threads are created; the
-//                    caller drives dispatch with RunPending(). Benches and
-//                    QoS unit tests use this so latency goldens are exact.
-//   workers > 0   -- async mode: N long-lived worker jobs on a ThreadPool.
-//                    The stress harness runs this under TSan.
+//                    caller drives dispatch with RunPending() (or any
+//                    Call()). Benches and QoS unit tests use this so
+//                    latency goldens are exact; sosd runs here too, each
+//                    connection thread dispatching its own requests.
+//   workers > 0   -- async mode: N long-lived worker jobs on a ThreadPool
+//                    dispatch what Submit() admits. The stress harness runs
+//                    this, with Call() threads alongside, under TSan.
 //
-// Latency is sim time end to end: Submit stamps the current sim time,
+// Latency is sim time end to end: admission stamps the current sim time,
 // completion stamps it again after the device batch ran. Wall clock never
 // enters any number this class reports.
 
@@ -110,17 +118,25 @@ class AsyncBlockService {
 
   // --- Data plane ----------------------------------------------------------
 
-  // Thread-safe. Blocks while the target class's admission quota is full;
-  // fails fast (future resolves to kUnavailable) once shutdown began.
+  // Thread-safe. Admits the requests in order and dispatches scheduler
+  // batches on the calling thread until all of them have completed, making
+  // room inline when a class is full (never waiting for space); returns the
+  // responses in request order. After shutdown began, each resolves to
+  // kUnavailable.
+  [[nodiscard]] std::vector<ServeResponse> Call(std::vector<ServeRequest> reqs);
+
+  // Thread-safe. Wakes a worker; in async mode blocks while the target
+  // class's admission quota is full (pump mode makes room inline). Fails
+  // fast (future resolves to kUnavailable) once shutdown began.
   [[nodiscard]] std::future<ServeResponse> Submit(ServeRequest req);
 
-  // Pump mode only (workers == 0): dispatches up to `max_batches` scheduler
-  // batches inline on the calling thread, delivering completions before
-  // returning. Returns the number of requests completed.
-  size_t RunPending(size_t max_batches = ~size_t{0});
+  // Pump mode only (workers == 0): dispatches every queued batch inline on
+  // the calling thread, delivering completions before returning. Returns
+  // the number of requests completed.
+  size_t RunPending();
 
   // Blocks until every submitted request has completed. In pump mode this
-  // pumps inline; in async mode it waits on the workers.
+  // pumps inline; in async mode it waits on the workers and Call() threads.
   void Drain();
 
   // Orderly stop: drains queued work, then joins the workers. Idempotent;
@@ -146,7 +162,13 @@ class AsyncBlockService {
   };
 
   QosClass Classify(const ServeRequest& req) const;  // callers hold mu_
+  // Classifies and enqueues one request. A full class either makes room by
+  // dispatching on the calling thread or waits on space_cv_.
+  std::future<ServeResponse> Admit(ServeRequest req, bool make_room_inline);
   bool PopBatchLocked(Batch* batch);                 // callers hold mu_
+  // Pops and runs one batch on the calling thread; returns its request
+  // count, 0 when the queue was empty.
+  size_t DispatchOne();
   void ExecuteBatch(Batch batch);
   void WorkerLoop();
 

@@ -238,6 +238,50 @@ TEST(FtlTest, ParityStripeWritesParityPages) {
   }
 }
 
+TEST(FtlTest, ParityPageIsXorOfItsStripe) {
+  // Parity oracle: every programmed parity page holds the XOR of the three
+  // data pages before it in its block, each zero-padded to the page size.
+  // Payload lengths vary (short ones included) and overwrites force GC, so
+  // relocated pages feed stripes too.
+  SimClock clock;
+  FtlConfig config = SinglePool();
+  config.pools[0].parity_stripe = 4;
+  Ftl ftl(config, &clock);
+  const uint64_t lbas = ftl.ExportedPages() / 2;
+  const size_t page_bytes = config.nand.page_size_bytes;
+  Rng rng(9);
+  for (uint64_t i = 0; i < 4 * lbas; ++i) {
+    const size_t len = i % 5 == 0 ? page_bytes : 1 + (i * 37) % page_bytes;
+    std::vector<uint8_t> data(len);
+    for (size_t b = 0; b < len; ++b) {
+      data[b] = static_cast<uint8_t>(i * 31 + b * 7 + 1);
+    }
+    ASSERT_TRUE(ftl.Write(rng.NextBounded(lbas), data, 0).ok()) << "write " << i;
+  }
+  ASSERT_GT(ftl.stats().gc_relocations(), 0u);
+
+  const NandDevice& nand = ftl.nand();
+  uint64_t checked = 0;
+  for (uint32_t block = 0; block < config.nand.num_blocks; ++block) {
+    for (uint32_t page = 3; page < nand.block_info(block).next_page; page += 4) {
+      std::vector<uint8_t> want(page_bytes, 0);
+      for (uint32_t member = page - 3; member < page; ++member) {
+        auto data = nand.PeekClean({block, member});
+        ASSERT_TRUE(data.ok());
+        ASSERT_EQ(data.value().size(), page_bytes);
+        for (size_t b = 0; b < page_bytes; ++b) {
+          want[b] = static_cast<uint8_t>(want[b] ^ data.value()[b]);
+        }
+      }
+      auto parity = nand.PeekClean({block, page});
+      ASSERT_TRUE(parity.ok());
+      EXPECT_EQ(parity.value(), want) << "block " << block << " page " << page;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 10u);
+}
+
 TEST(FtlTest, ParityRescuesFailedPage) {
   // Use a weak ECC + aged PLC so single-page ECC failures happen, with
   // parity stripes to catch them. Statistical test: rescued reads must

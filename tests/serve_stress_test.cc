@@ -3,7 +3,9 @@
 // Concurrent-client stress harness for AsyncBlockService (the sosd
 // verification co-headline): N >= 8 client threads drive seeded op streams
 // against one service in async mode (4 workers, QoS on), each over a
-// disjoint LBA range, with a per-thread oracle of acked writes.
+// disjoint LBA range, with a per-thread oracle of acked writes. A second arm
+// mixes InProcessClient threads, which dispatch their own requests through
+// Call(), with Submit-only threads that the 2 workers serve.
 //
 // Checked properties:
 //   - per-LBA read-your-writes: after a write's future resolves ok, every
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <map>
 #include <set>
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/serve/client.h"
 #include "src/serve/service.h"
 #include "src/sos/sos_device.h"
 
@@ -65,10 +69,60 @@ struct ClientOutcome {
   uint64_t failed_writes = 0;
 };
 
+// How a client thread issues requests: returns one response per request, in
+// order, once all of them completed.
+using Transport = std::function<std::vector<ServeResponse>(std::vector<ServeRequest>)>;
+
+// Submit-only: every request is Submit()ted, then all futures are awaited.
+Transport SubmitOnly(AsyncBlockService* service) {
+  return [service](std::vector<ServeRequest> reqs) {
+    std::vector<std::future<ServeResponse>> futures;
+    for (ServeRequest& req : reqs) {
+      futures.push_back(service->Submit(std::move(req)));
+    }
+    std::vector<ServeResponse> resps;
+    for (std::future<ServeResponse>& f : futures) {
+      resps.push_back(f.get());
+    }
+    return resps;
+  };
+}
+
+// Synchronous client: one InProcessClient call (one Call()) per request.
+Transport ThroughClient(InProcessClient* client) {
+  return [client](std::vector<ServeRequest> reqs) {
+    std::vector<ServeResponse> resps(reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      const ServeRequest& req = reqs[i];
+      switch (req.op) {
+        case ServeOp::kWrite:
+          resps[i].status = client->Write(req.lba, req.data, req.handle);
+          break;
+        case ServeOp::kTrim:
+          resps[i].status = client->Trim(req.lba);
+          break;
+        case ServeOp::kRead: {
+          auto read = client->Read(req.lba, req.handle);
+          if (read.ok()) {
+            resps[i].data = std::move(read.value().data);
+            resps[i].degraded = read.value().degraded;
+          } else {
+            resps[i].status = read.status();
+          }
+          break;
+        }
+        default:
+          ADD_FAILURE() << "op the stress stream never issues";
+      }
+    }
+    return resps;
+  };
+}
+
 // One client thread's seeded op stream. Thread t owns LBAs
 // [t*range, (t+1)*range); critical threads exercise SYS, bulk threads the
 // degradable path, creating cross-class QoS pressure.
-ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool critical,
+ClientOutcome RunClient(const Transport& issue, PlacementHandle handle, bool critical,
                         uint64_t lba_base, uint64_t range, uint64_t seed) {
   Rng rng(DeriveSeed({seed, lba_base, 0x73727673ull /* "srvs" */}));
   ClientOutcome out;
@@ -79,7 +133,7 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
     // future-wait establishes the happens-before edge read-your-writes is
     // then checked against.
     std::vector<std::pair<uint64_t, uint32_t>> issued;
-    std::vector<std::future<ServeResponse>> futures;
+    std::vector<ServeRequest> burst;
     std::set<uint64_t> used;
     for (int w = 0; w < 6; ++w) {
       const uint64_t lba = lba_base + rng.NextBounded(range);
@@ -93,11 +147,12 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       req.data = FillPage(lba, v);
       req.handle = handle;
       issued.emplace_back(lba, v);
-      futures.push_back(service->Submit(std::move(req)));
+      burst.push_back(std::move(req));
       ++out.ops;
     }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      const ServeResponse resp = futures[i].get();
+    const std::vector<ServeResponse> acks = issue(std::move(burst));
+    for (size_t i = 0; i < acks.size(); ++i) {
+      const ServeResponse& resp = acks[i];
       const uint64_t lba = issued[i].first;
       if (resp.status.ok()) {
         out.oracle[lba] = issued[i].second;
@@ -115,7 +170,7 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       ServeRequest req;
       req.op = ServeOp::kTrim;
       req.lba = lba;
-      const ServeResponse resp = service->Submit(std::move(req)).get();
+      const ServeResponse resp = issue({req}).front();
       ++out.ops;
       if (resp.status.ok()) {
         out.oracle.erase(lba);
@@ -130,7 +185,7 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       req.op = ServeOp::kRead;
       req.lba = lba;
       req.handle = handle;
-      const ServeResponse resp = service->Submit(std::move(req)).get();
+      const ServeResponse resp = issue({req}).front();
       ++out.ops;
       if (out.uncertain.contains(lba)) {
         continue;  // last write failed; content unspecified
@@ -153,16 +208,12 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
   return out;
 }
 
-TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
+// Runs eight seeded client threads against `service`, thread t issuing
+// through transport_for(t), then audits every oracle and the accounting.
+void RunAndAudit(AsyncBlockService& service,
+                 const std::function<Transport(size_t)>& transport_for, uint64_t seed) {
   constexpr size_t kClients = 8;
   constexpr uint64_t kRange = 20;
-
-  SimClock clock;
-  SosDevice device(StressDeviceConfig(31), &clock);
-  ServeConfig config;
-  config.workers = 4;
-  config.qos = true;
-  AsyncBlockService service(&device, &clock, config);
 
   // Six critical (SYS) clients + two bulk (degradable) clients for QoS
   // pressure; each owns a disjoint LBA range.
@@ -181,9 +232,8 @@ TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (size_t t = 0; t < kClients; ++t) {
-    clients.emplace_back([&, t] {
-      outcomes[t] = RunClient(&service, handles[t], critical[t], t * kRange, kRange,
-                              /*seed=*/31);
+    clients.emplace_back([&, t, issue = transport_for(t)] {
+      outcomes[t] = RunClient(issue, handles[t], critical[t], t * kRange, kRange, seed);
     });
   }
   for (std::thread& c : clients) {
@@ -225,6 +275,32 @@ TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_GT(stats.per_class[static_cast<int>(QosClass::kSysRead)].completed, 0u);
   EXPECT_GT(stats.per_class[static_cast<int>(QosClass::kBulk)].completed, 0u);
+}
+
+TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
+  SimClock clock;
+  SosDevice device(StressDeviceConfig(31), &clock);
+  ServeConfig config;
+  config.workers = 4;
+  config.qos = true;
+  AsyncBlockService service(&device, &clock, config);
+  RunAndAudit(service, [&](size_t) { return SubmitOnly(&service); }, /*seed=*/31);
+}
+
+TEST(ServeStressTest, SyncClientsAndSubmittersShareTheWorkers) {
+  // Even threads go through an InProcessClient and dispatch their own
+  // requests; odd threads only Submit and rely on the two workers.
+  SimClock clock;
+  SosDevice device(StressDeviceConfig(33), &clock);
+  ServeConfig config;
+  config.workers = 2;
+  config.qos = true;
+  AsyncBlockService service(&device, &clock, config);
+  InProcessClient client(&service);
+  RunAndAudit(
+      service,
+      [&](size_t t) { return t % 2 == 0 ? ThroughClient(&client) : SubmitOnly(&service); },
+      /*seed=*/33);
 }
 
 TEST(ServeStressTest, ShutdownRacingSubmissionsResolvesEveryFuture) {

@@ -637,6 +637,128 @@ TEST(ServeServiceTest, SubmitAfterShutdownResolvesUnavailable) {
   EXPECT_EQ(service.Stats().rejected, 1u);
 }
 
+TEST(ServeServiceTest, CallAfterShutdownResolvesUnavailable) {
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(8), &clock);
+  AsyncBlockService service(&device, &clock, ServeConfig{});
+  service.Shutdown();
+  const std::vector<ServeResponse> resps = service.Call(std::vector<ServeRequest>(2));
+  ASSERT_EQ(resps.size(), 2u);
+  for (const ServeResponse& resp : resps) {
+    EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(service.Stats().rejected, 2u);
+}
+
+// A seeded stream of synchronous calls of 1-10 requests each: runs of
+// adjacent SYS or SPARE reads/writes (so the coalescer merges them) mixed
+// with trims, flushes and describes.
+std::vector<std::vector<ServeRequest>> SeededCalls(PlacementHandle sys, PlacementHandle spare) {
+  Rng rng(DeriveSeed({0x63616c6cull /* "call" */}));
+  std::vector<std::vector<ServeRequest>> calls(120);
+  for (size_t c = 0; c < calls.size(); ++c) {
+    const uint64_t pick = rng.NextBounded(10);
+    const uint64_t start = rng.NextBounded(40);
+    const size_t n = 1 + rng.NextBounded(10);
+    for (size_t i = 0; i < n; ++i) {
+      ServeRequest req;
+      req.lba = start + i;
+      req.handle = pick % 2 == 0 ? sys : spare;
+      if (pick < 4) {
+        req.op = ServeOp::kWrite;
+        req.data = FillPage(req.lba, static_cast<uint32_t>(c));
+      } else if (pick < 8) {
+        req.op = ServeOp::kRead;
+      } else {
+        // Ops that never coalesce, mixed within the call.
+        const ServeOp ops[] = {ServeOp::kTrim, ServeOp::kFlush, ServeOp::kDescribePlacement};
+        req.op = ops[rng.NextBounded(3)];
+      }
+      calls[c].push_back(std::move(req));
+    }
+  }
+  return calls;
+}
+
+TEST(ServeServiceTest, CallMatchesSubmitRunPendingInPumpMode) {
+  // Same seed, two services in pump mode: one takes each call through
+  // Call(), the other through Submit x N, RunPending, get x N. Responses,
+  // sim-time stamps and the dispatch accounting must match.
+  struct Run {
+    SimClock clock;
+    SosDevice device{SmallDeviceConfig(11), &clock};
+    AsyncBlockService service{&device, &clock, ServeConfig{}};
+  };
+  Run by_call;
+  Run by_submit;
+  auto sys = by_call.service.OpenPlacement({Durability::kCritical});
+  auto spare = by_call.service.OpenPlacement({Durability::kDegradable});
+  ASSERT_TRUE(sys.ok() && spare.ok());
+  ASSERT_EQ(by_submit.service.OpenPlacement({Durability::kCritical}).value(), sys.value());
+  ASSERT_EQ(by_submit.service.OpenPlacement({Durability::kDegradable}).value(), spare.value());
+
+  for (const std::vector<ServeRequest>& call : SeededCalls(sys.value(), spare.value())) {
+    const std::vector<ServeResponse> got = by_call.service.Call(call);
+    std::vector<std::future<ServeResponse>> futures;
+    for (const ServeRequest& req : call) {
+      futures.push_back(by_submit.service.Submit(req));
+    }
+    by_submit.service.RunPending();
+    ASSERT_EQ(got.size(), futures.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      const ServeResponse want = futures[i].get();
+      EXPECT_EQ(got[i].status.code(), want.status.code());
+      EXPECT_EQ(got[i].data, want.data);
+      EXPECT_EQ(got[i].degraded, want.degraded);
+      EXPECT_EQ(got[i].spec.durability, want.spec.durability);
+      EXPECT_EQ(got[i].cls, want.cls);
+      EXPECT_EQ(got[i].submit_sim_us, want.submit_sim_us);
+      EXPECT_EQ(got[i].complete_sim_us, want.complete_sim_us);
+    }
+  }
+  const ServeStats a = by_call.service.Stats();
+  const ServeStats b = by_submit.service.Stats();
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.coalesced, b.coalesced);
+  EXPECT_GT(a.coalesced, 0u);
+  for (uint32_t c = 0; c < kNumQosClasses; ++c) {
+    EXPECT_EQ(a.per_class[c].completed, b.per_class[c].completed) << "class " << c;
+    EXPECT_EQ(a.per_class[c].errors, b.per_class[c].errors) << "class " << c;
+  }
+  EXPECT_EQ(by_call.clock.now(), by_submit.clock.now());
+}
+
+TEST(ServeServiceTest, AsyncCallLargerThanTheBulkCapCompletes) {
+  // 40 bulk writes in one Call against a bulk admission cap of 4: the call
+  // makes room by dispatching its own earlier requests.
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(12), &clock);
+  ServeConfig config;
+  config.workers = 2;
+  config.submission_depth = 8;
+  AsyncBlockService service(&device, &clock, config);
+  auto spare = service.OpenPlacement({Durability::kDegradable});
+  ASSERT_TRUE(spare.ok());
+  std::vector<ServeRequest> reqs(40);
+  for (uint64_t lba = 0; lba < reqs.size(); ++lba) {
+    reqs[lba].op = ServeOp::kWrite;
+    reqs[lba].lba = lba;
+    reqs[lba].data = FillPage(lba, 1);
+    reqs[lba].handle = spare.value();
+  }
+  const std::vector<ServeResponse> resps = service.Call(std::move(reqs));
+  ASSERT_EQ(resps.size(), 40u);
+  for (const ServeResponse& resp : resps) {
+    EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.cls, QosClass::kBulk);
+  }
+  const ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 40u);
+  EXPECT_EQ(stats.completed, 40u);
+}
+
 TEST(ServeServiceTest, LatencyIsSimTimeNotWallTime) {
   SimClock clock;
   SosDevice device(SmallDeviceConfig(9), &clock);
@@ -860,6 +982,35 @@ TEST(SosdServerTest, MultiPageFramesReassembleAcrossReads) {
     }
   }
   EXPECT_EQ(harness.service->Stats().completed, 2u * (8 + 32));
+}
+
+TEST(SosdServerTest, OversizedReadIsRefusedAndTheConnectionSurvives) {
+  // 257 written pages of 4 KiB make a read reply larger than
+  // kMaxFramePayload. The server refuses the frame before touching the
+  // device and keeps serving; 256 pages fit exactly.
+  constexpr uint32_t kPage = 4096;
+  constexpr uint32_t kPages = 257;
+  static_assert((kPages - 1) * kPage == kMaxFramePayload);
+  SocketHarness harness(27, /*workers=*/0, kPage);
+  {
+    SocketClient client(harness.client_fd);
+    auto handle = client.OpenPlacement({Durability::kDegradable});
+    ASSERT_TRUE(handle.ok());
+    for (uint64_t lba = 0; lba < kPages; ++lba) {
+      ASSERT_TRUE(client.Write(lba, FillPage(lba, 1, kPage), handle.value()).ok()) << lba;
+    }
+    const uint64_t submitted = harness.service->Stats().submitted;
+
+    auto oversized = client.ReadBatch(0, kPages, handle.value());
+    EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument)
+        << oversized.status().ToString();
+    EXPECT_EQ(harness.service->Stats().submitted, submitted);  // the device never saw it
+
+    auto fits = client.ReadBatch(1, kPages - 1, handle.value());
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    ASSERT_EQ(fits.value().size(), kPages - 1);
+    EXPECT_EQ(harness.service->Stats().submitted, submitted + kPages - 1);
+  }
 }
 
 TEST(SosdServerTest, PeerGoneBeforeReplyEndsTheConnection) {

@@ -4,13 +4,15 @@
 // the length-prefixed block protocol of src/serve/wire.h.
 //
 //   sosd --socket=/tmp/sosd.sock [--blocks=N --wordlines=N --page-size=N]
-//        [--seed=N] [--workers=N] [--depth=N] [--qos=on|off]
+//        [--seed=N] [--depth=N] [--qos=on|off]
 //
-// Each connection gets its own service thread; all connections share the
-// device through AsyncBlockService's gate, so concurrent clients see one
-// consistent block space. SIGINT/SIGTERM stop the accept loop, drain
-// in-flight requests, and remove the socket file. Stats go to stderr on
-// exit (sim-time numbers; nothing here prints to stdout).
+// Each connection gets its own service thread, which dispatches its own
+// requests (AsyncBlockService::Call; the service runs no workers). All
+// connections share the device through AsyncBlockService's gate, so
+// concurrent clients see one consistent block space. SIGINT/SIGTERM stop
+// the accept loop, drain in-flight requests, and remove the socket file.
+// Stats go to stderr on exit (sim-time numbers; nothing here prints to
+// stdout).
 
 #include <csignal>
 #include <cstdio>
@@ -44,7 +46,6 @@ int main(int argc, char** argv) {
   size_t* wordlines = flags.Size("wordlines", 64, "wordlines per block");
   size_t* page_size = flags.Size("page-size", 4096, "page size in bytes");
   uint64_t* seed = flags.U64("seed", 1, "device RNG seed");
-  size_t* workers = flags.Size("workers", 4, "service worker threads (>= 1)");
   size_t* depth = flags.Size("depth", 256, "submission queue depth");
   std::string* qos = flags.Enum("qos", "on", {"on", "off"}, "weighted per-class scheduling");
   flags.ParseOrDie(argc, argv);
@@ -69,7 +70,6 @@ int main(int argc, char** argv) {
   sos::SosDevice device(config, &clock);
 
   sos::serve::ServeConfig serve_config;
-  serve_config.workers = *workers == 0 ? 1 : *workers;  // a daemon must dispatch itself
   serve_config.submission_depth = *depth;
   serve_config.qos = *qos == "on";
   sos::serve::AsyncBlockService service(&device, &clock, serve_config);
@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
 
-  std::fprintf(stderr, "[sosd] listening on %s (%zu workers, qos=%s, depth=%zu)\n",
-               socket_path->c_str(), serve_config.workers, qos->c_str(), *depth);
+  std::fprintf(stderr,
+               "[sosd] listening on %s (connection threads dispatch, qos=%s, depth=%zu)\n",
+               socket_path->c_str(), qos->c_str(), *depth);
   server.ServeListener(listen_fd, g_stop);
 
   ::close(listen_fd);
