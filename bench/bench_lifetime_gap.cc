@@ -96,8 +96,9 @@ void Run(const BenchOptions& options) {
   std::printf(
       "\nEven on low-endurance PLC-based SOS, typical use leaves the flash with years of\n"
       "headroom beyond the 2-3 year device life -- the gap SOS spends on density (§4.1).\n"
-      "Note the regime change as the device runs out of free space (end free < ~15%%):\n"
-      "near-full GC dominates wear -- that endgame is managed by the §4.5 fallback (E11).\n");
+      "Note the regime change at 1.5x: wear jumps although the file system keeps ample\n"
+      "free space and auto-delete never fires. The device is not full; its static SPARE\n"
+      "partition is, and SPARE GC collapses (the one capacity pool of ROADMAP item 1).\n");
 
   ExportBatchTelemetry(batch.results, options);
   PrintJobsSummary(driver.jobs(), jobs.size(), batch.wall_seconds);

@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "src/flash/cell_tech.h"
-#include "src/flash/nand_package.h"
 #include "src/ftl/ftl.h"
 #include "src/sos/sos_device.h"
 
@@ -76,32 +75,26 @@ void PrintLatencyTables() {
       "Latency-sensitive SYS traffic is served from faster pseudo-QLC (%.0f us/page).\n\n",
       4096.0 / spare_read_us, sys_read_us);
 
-  PrintSection("Multi-die striping: measured sequential throughput scaling");
+  PrintSection("Multi-die striping: modeled sequential throughput scaling");
+  // A 4 MiB stream striped page-round-robin over N PLC dies: each die senses
+  // or programs its 1/N share back to back, and the dies overlap, so the
+  // makespan is one die's share times tR or tProg.
   TextTable striping({"dies", "seq read MB/s", "scaling", "seq write MB/s"});
+  const CellTechInfo& plc = GetCellTechInfo(CellTech::kPlc);
+  const uint64_t stripe_bytes = 4ull * kMiB;
+  const uint64_t stripe_pages = stripe_bytes / 4096;
   double one_die_read = 0.0;
   for (uint32_t dies : {1u, 2u, 4u, 8u}) {
-    NandPackageConfig pkg_config;
-    pkg_config.die.num_blocks = 32;
-    pkg_config.die.wordlines_per_block = 32;
-    pkg_config.die.page_size_bytes = 4096;
-    pkg_config.die.tech = CellTech::kPlc;
-    pkg_config.die.store_payloads = false;
-    pkg_config.num_dies = dies;
-    SimClock pkg_clock;
-    NandPackage package(pkg_config, &pkg_clock);
-    const uint64_t bytes = 4ull * kMiB;
-    const SimTimeUs write_start = pkg_clock.now();
-    IgnoreResult(package.StripeWrite(0, std::vector<uint8_t>(bytes)));
-    const double write_us = static_cast<double>(pkg_clock.now() - write_start);
-    auto read = package.StripeRead(0, bytes);
-    const double read_us = static_cast<double>(read.value().makespan_us);
-    const double read_mbps = static_cast<double>(bytes) / read_us;
+    const uint64_t pages_per_die = stripe_pages / dies;
+    const double read_us = static_cast<double>(pages_per_die * plc.read_latency_us);
+    const double write_us = static_cast<double>(pages_per_die * plc.program_latency_us);
+    const double read_mbps = static_cast<double>(stripe_bytes) / read_us;
     if (dies == 1) {
       one_die_read = read_mbps;
     }
     striping.AddRow({std::to_string(dies), FormatDouble(read_mbps, 1),
                      FormatDouble(read_mbps / one_die_read, 1) + "x",
-                     FormatDouble(static_cast<double>(bytes) / write_us, 1)});
+                     FormatDouble(static_cast<double>(stripe_bytes) / write_us, 1)});
   }
   PrintTable(striping);
 

@@ -22,6 +22,34 @@
 
 namespace sos {
 
+// Parses an exact non-negative decimal into `out`. Empty strings, sign
+// prefixes, leading whitespace, trailing characters ("4x") and values above
+// 2^64 - 1 are rejected, never truncated or clamped; the error message
+// starts with `what`.
+[[nodiscard]] inline Status ParseDecimalU64(std::string_view what, std::string_view text,
+                                            uint64_t* out) {
+  const std::string buf(text);
+  // strtoull silently wraps negatives and skips leading whitespace; demand
+  // a bare decimal so "--jobs=-1" and "--jobs= 4" fail instead of lying.
+  if (buf.empty() || buf[0] < '0' || buf[0] > '9') {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(what) + ": '" + buf + "' is not a non-negative integer");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(buf.c_str(), &end, 10);
+  if (errno == ERANGE) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(what) + ": '" + buf + "' is out of range");
+  }
+  if (end != buf.c_str() + buf.size()) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(what) + ": '" + buf + "' has trailing characters");
+  }
+  *out = value;
+  return Status::Ok();
+}
+
 // Declare-then-parse flag registry. Each declaration returns a stable pointer
 // to the parsed value (valid for the FlagSet's lifetime); Parse() fills the
 // values in and rejects anything not declared:
@@ -233,41 +261,18 @@ class FlagSet {
     return nullptr;
   }
 
-  static Status ParseU64(std::string_view name, std::string_view text, uint64_t* out) {
-    const std::string buf(text);
-    // strtoull silently wraps negatives and skips leading whitespace; demand
-    // a bare decimal so "--jobs=-1" and "--jobs= 4" fail instead of lying.
-    if (buf.empty() || buf[0] < '0' || buf[0] > '9') {
-      return Status(StatusCode::kInvalidArgument,
-                    "flag --" + std::string(name) + ": '" + buf + "' is not a non-negative integer");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(buf.c_str(), &end, 10);
-    if (errno == ERANGE) {
-      return Status(StatusCode::kInvalidArgument,
-                    "flag --" + std::string(name) + ": '" + buf + "' is out of range");
-    }
-    if (end != buf.c_str() + buf.size()) {
-      return Status(StatusCode::kInvalidArgument,
-                    "flag --" + std::string(name) + ": '" + buf + "' has trailing characters");
-    }
-    *out = value;
-    return Status::Ok();
-  }
-
   static Status Assign(Flag& flag, std::string_view value) {
     switch (flag.kind) {
       case Kind::kSize: {
         uint64_t parsed = 0;
-        if (Status s = ParseU64(flag.name, value, &parsed); !s.ok()) {
+        if (Status s = ParseDecimalU64("flag --" + flag.name, value, &parsed); !s.ok()) {
           return s;
         }
         flag.size_value = static_cast<size_t>(parsed);
         return Status::Ok();
       }
       case Kind::kU64:
-        return ParseU64(flag.name, value, &flag.u64_value);
+        return ParseDecimalU64("flag --" + flag.name, value, &flag.u64_value);
       case Kind::kPath:
         if (value.empty()) {
           return Status(StatusCode::kInvalidArgument,

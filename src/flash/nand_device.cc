@@ -115,9 +115,7 @@ Status NandDevice::EraseBlock(uint32_t block) {
     }
   }
   const SimTimeUs latency = GetCellTechInfo(blk.info.mode).erase_latency_us;
-  if (config_.advance_clock) {
-    clock_->Advance(latency);
-  }
+  clock_->Advance(latency);
   ++stats_.erases;
   stats_.busy_us += latency;
   if (action.kind == NandFaultAction::Kind::kPowerCut) {
@@ -170,9 +168,7 @@ Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const P
     payload.resize(config_.page_size_bytes, 0);  // NAND pads with the erased pattern
   }
   const SimTimeUs latency = GetCellTechInfo(blk.info.mode).program_latency_us;
-  if (config_.advance_clock) {
-    clock_->Advance(latency);
-  }
+  clock_->Advance(latency);
   ++stats_.programs;
   stats_.bytes_programmed += config_.page_size_bytes;
   stats_.busy_us += latency;
@@ -227,9 +223,7 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
     ErrorModel::InjectErrors(result.data, result.bit_errors, stream_seed);
   }
   result.latency_us = GetCellTechInfo(blk.info.mode).read_latency_us;
-  if (config_.advance_clock) {
-    clock_->Advance(result.latency_us);
-  }
+  clock_->Advance(result.latency_us);
   ++stats_.reads;
   stats_.bytes_read += config_.page_size_bytes;
   stats_.bit_errors_injected += result.bit_errors;

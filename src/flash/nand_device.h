@@ -59,11 +59,6 @@ struct NandConfig {
   // RBER source: fitted curves (default) or the physical threshold-voltage
   // model (src/flash/voltage_model.h).
   ErrorModelKind error_model = ErrorModelKind::kPhenomenological;
-  // When false the die does NOT advance the shared clock on operations (the
-  // caller owns timing). Used by NandPackage, which overlaps dies and
-  // advances the clock to batch completion itself. Latencies are still
-  // reported in each result / via CellTechInfo.
-  bool advance_clock = true;
   // Pre-aging: every block starts life with this many program/erase cycles
   // already on the odometer. The fleet simulator uses it to model devices
   // entering the population mid-life (archetype "initial age"); 0 keeps the

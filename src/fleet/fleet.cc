@@ -3,9 +3,9 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
+#include "src/common/flag_set.h"
 #include "src/sos/experiment.h"
 
 namespace sos::fleet {
@@ -37,19 +37,18 @@ Status ValidateFleetConfig(const FleetConfig& config) {
 
 Result<std::pair<uint64_t, uint64_t>> ParseShardSpec(const std::string& spec) {
   const size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
+  if (slash == std::string::npos) {
     return Status(StatusCode::kInvalidArgument, "shard spec must be i/N, got '" + spec + "'");
   }
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i == slash) {
-      continue;
-    }
-    if (spec[i] < '0' || spec[i] > '9') {
-      return Status(StatusCode::kInvalidArgument, "shard spec must be i/N, got '" + spec + "'");
-    }
+  const std::string what = "shard spec '" + spec + "'";
+  uint64_t index = 0;
+  uint64_t count = 0;
+  if (Status s = ParseDecimalU64(what, spec.substr(0, slash), &index); !s.ok()) {
+    return s;
   }
-  const uint64_t index = std::strtoull(spec.substr(0, slash).c_str(), nullptr, 10);
-  const uint64_t count = std::strtoull(spec.substr(slash + 1).c_str(), nullptr, 10);
+  if (Status s = ParseDecimalU64(what, spec.substr(slash + 1), &count); !s.ok()) {
+    return s;
+  }
   if (count == 0 || index >= count) {
     return Status(StatusCode::kInvalidArgument,
                   "shard spec needs 0 <= i < N, got '" + spec + "'");

@@ -43,7 +43,8 @@ struct FleetConfig {
 // shard_index >= shard_count or zero devices/shard_count.
 [[nodiscard]] Status ValidateFleetConfig(const FleetConfig& config);
 
-// Parses "i/N" (e.g. "0/4") into (shard_index, shard_count).
+// Parses "i/N" (e.g. "0/4") into (shard_index, shard_count). Both numbers
+// must be exact decimals that fit in 64 bits.
 Result<std::pair<uint64_t, uint64_t>> ParseShardSpec(const std::string& spec);
 
 // Runs this shard of the population and returns its partial (ledger +

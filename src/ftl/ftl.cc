@@ -178,44 +178,25 @@ std::optional<uint32_t> Ftl::AllocateBlock(Pool& pool, LifetimeHint lifetime) {
   if (pool.free_blocks.empty()) {
     return std::nullopt;
   }
-  size_t pick = 0;
+  // Lifetime-aware allocation ("Exploiting Data Longevity", PAPERS.md):
+  // short-lived data soaks up the most-worn free block (its imminent
+  // invalidation wastes none of a young block's endurance); long-lived data
+  // gets the youngest. Otherwise dynamic wear leveling takes the youngest,
+  // and a pool without it takes the head of the list.
   const bool lifetime_aware =
       config_.placement_policy == PlacementPolicy::kLifetime &&
       (lifetime == LifetimeHint::kShort || lifetime == LifetimeHint::kLong);
-  if (lifetime_aware) {
-    // Lifetime-aware allocation ("Exploiting Data Longevity", PAPERS.md):
-    // short-lived data soaks up the most-worn free block (its imminent
-    // invalidation wastes none of a young block's endurance); long-lived
-    // data gets the youngest. Strict comparisons keep the first (lowest
-    // free-list position) candidate on ties, so the pick is deterministic.
-    if (lifetime == LifetimeHint::kShort) {
-      uint32_t best_pec = 0;
-      for (size_t i = 0; i < pool.free_blocks.size(); ++i) {
-        const uint32_t pec = nand_.block_info(pool.free_blocks[i]).pec;
-        if (i == 0 || pec > best_pec) {
-          best_pec = pec;
-          pick = i;
-        }
-      }
-    } else {
-      uint32_t best_pec = std::numeric_limits<uint32_t>::max();
-      for (size_t i = 0; i < pool.free_blocks.size(); ++i) {
-        const uint32_t pec = nand_.block_info(pool.free_blocks[i]).pec;
-        if (pec < best_pec) {
-          best_pec = pec;
-          pick = i;
-        }
-      }
-    }
-  } else if (pool.config.wear_leveling) {
-    // Dynamic wear leveling: lowest-PEC free block first.
-    uint32_t best_pec = std::numeric_limits<uint32_t>::max();
-    for (size_t i = 0; i < pool.free_blocks.size(); ++i) {
-      const uint32_t pec = nand_.block_info(pool.free_blocks[i]).pec;
-      if (pec < best_pec) {
-        best_pec = pec;
-        pick = i;
-      }
+  const bool most_worn = lifetime_aware && lifetime == LifetimeHint::kShort;
+  const bool by_pec = lifetime_aware || pool.config.wear_leveling;
+  // Strict comparisons keep the first (lowest free-list position) candidate
+  // on ties, so the pick is deterministic.
+  size_t pick = 0;
+  uint32_t best_pec = nand_.block_info(pool.free_blocks[0]).pec;
+  for (size_t i = 1; by_pec && i < pool.free_blocks.size(); ++i) {
+    const uint32_t pec = nand_.block_info(pool.free_blocks[i]).pec;
+    if (most_worn ? pec > best_pec : pec < best_pec) {
+      best_pec = pec;
+      pick = i;
     }
   }
   const uint32_t id = pool.free_blocks[pick];
@@ -621,14 +602,8 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   if (cur->pool == target_pool) {
     return Status::Ok();
   }
-  auto read = ReadAt(*cur, /*count_stats=*/false);
-  if (!read.ok()) {
-    return read.status();
-  }
-  const bool tainted = cur->tainted || read.value().degraded;
   const uint32_t source_pool = cur->pool;
-  if (Status s = AppendPage(lba, read.value().data, directive, AppendKind::kMigration, tainted);
-      !s.ok()) {
+  if (Status s = MovePage(lba, *cur, directive, AppendKind::kMigration); !s.ok()) {
     return s;
   }
   Trace([&] {
@@ -636,7 +611,7 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
         .WithU64("lba", lba)
         .With("from", pools_[source_pool].config.name)
         .With("to", pools_[target_pool].config.name)
-        .WithU64("tainted", tainted ? 1 : 0);
+        .WithU64("tainted", l2p_.Find(lba)->tainted ? 1 : 0);
   });
   return Status::Ok();
 }
@@ -646,19 +621,7 @@ Status Ftl::Refresh(uint64_t lba) {
   if (!cur.has_value()) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
   }
-  const uint32_t pool_id = cur->pool;
-  // The rewritten copy keeps the old page's stream tag (accounting follows
-  // the data through scrubs, like relocations).
-  const uint32_t stream =
-      page_stream_[static_cast<size_t>(cur->block) * page_stride_ + cur->page];
-  auto read = ReadAt(*cur, /*count_stats=*/false);
-  if (!read.ok()) {
-    return read.status();
-  }
-  const bool tainted = cur->tainted || read.value().degraded;
-  return AppendPage(lba, read.value().data,
-                    WriteDirective{pool_id, LifetimeHint::kUnknown, stream}, AppendKind::kRefresh,
-                    tainted);
+  return MovePage(lba, *cur, InPlace(*cur), AppendKind::kRefresh);
 }
 
 uint32_t Ftl::BackgroundCollect(uint32_t max_blocks_per_pool) {
@@ -732,33 +695,33 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
         .WithU64("block", *victim)
         .WithU64("valid_pages", block_valid_[*victim]);
   });
-  if (!EvacuateAndRecycle(pool_id, *victim, /*count_as_wl=*/false).ok()) {
+  if (!EvacuateAndRecycle(pool_id, *victim, AppendKind::kGcRelocation).ok()) {
     return false;
   }
   MaybeStaticWearLevel(pool_id);
   return true;
 }
 
-Status Ftl::RelocatePage(uint32_t pool_id, uint64_t lba, const PhysLoc& loc,
-                         const FtlReadResult& read, bool count_as_wl) {
-  const bool tainted = loc.tainted || read.degraded;
-  // Relocated pages carry their stream tag with them: per-handle nand_writes
-  // charges GC/WL rewrites of a handle's data back to that handle.
-  const uint32_t stream = page_stream_[static_cast<size_t>(loc.block) * page_stride_ + loc.page];
-  return AppendPage(lba, read.data, WriteDirective{pool_id, LifetimeHint::kUnknown, stream},
-                    count_as_wl ? AppendKind::kWlRelocation : AppendKind::kGcRelocation, tainted);
+WriteDirective Ftl::InPlace(const PhysLoc& loc) const {
+  return WriteDirective{loc.pool, LifetimeHint::kUnknown,
+                        page_stream_[static_cast<size_t>(loc.block) * page_stride_ + loc.page]};
 }
 
-Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_as_wl) {
-  Pool& pool = pools_[pool_id];
-  if (!OwnedBy(block_id, pool_id)) {
-    return Status(StatusCode::kNotFound, "block not owned by pool");
+Status Ftl::MovePage(uint64_t lba, const PhysLoc& from, const WriteDirective& where,
+                     AppendKind kind) {
+  auto read = ReadAt(from, /*count_stats=*/false);
+  if (!read.ok()) {
+    return read.status();
   }
-  assert(!in_relocation_ && "nested relocation");
+  return AppendPage(lba, read.value().data, where, kind, from.tainted || read.value().degraded);
+}
+
+Status Ftl::MoveLivePages(uint32_t pool_id, uint32_t block_id, AppendKind kind, bool salvage) {
+  Pool& pool = pools_[pool_id];
+  const bool prev_relocation = in_relocation_;
   in_relocation_ = true;
   Status status = Status::Ok();
   const uint32_t pages = PagesPerBlock(pool);
-
   // One page at a time: read it, then re-append it before the next read.
   for (uint32_t p = 0; p < pages; ++p) {
     const uint64_t lba = P2lRow(block_id)[p];
@@ -770,19 +733,32 @@ Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_a
         cur->page != p) {
       continue;  // stale reverse entry
     }
-    auto read = ReadAt(*cur, /*count_stats=*/false);
-    if (!read.ok()) {
-      status = read.status();
-      break;
+    Status s = MovePage(lba, *cur, InPlace(*cur), kind);
+    if (s.ok()) {
+      continue;
     }
-    if (Status s = RelocatePage(pool_id, lba, *cur, read.value(), count_as_wl); !s.ok()) {
+    if (!salvage || s.code() == StatusCode::kPowerLost) {
       status = s;
       break;
     }
+    // Unreadable and unsalvageable: the mapping dies here, counted loudly.
+    if (auto dead = l2p_.Find(lba); dead.has_value()) {
+      InvalidateLoc(*dead);
+      l2p_.Erase(lba);
+    }
+    ++pool.stats.lost_pages_;
   }
-  in_relocation_ = false;
-  if (!status.ok()) {
-    return status;
+  in_relocation_ = prev_relocation;
+  return status;
+}
+
+Status Ftl::EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, AppendKind kind) {
+  if (!OwnedBy(block_id, pool_id)) {
+    return Status(StatusCode::kNotFound, "block not owned by pool");
+  }
+  assert(!in_relocation_ && "nested relocation");
+  if (Status s = MoveLivePages(pool_id, block_id, kind, /*salvage=*/false); !s.ok()) {
+    return s;
   }
   RecycleBlock(pool_id, block_id);
   return Status::Ok();
@@ -816,7 +792,7 @@ void Ftl::MaybeStaticWearLevel(uint32_t pool_id) {
       static_cast<double>(max_pec - min_pec) > kStaticWlSpread * endurance) {
     // Best-effort: a failed leveling pass just postpones the spread fix to a
     // later GC cycle; the write path that triggered it must not fail on it.
-    IgnoreResult(EvacuateAndRecycle(pool_id, *coldest, /*count_as_wl=*/true));
+    IgnoreResult(EvacuateAndRecycle(pool_id, *coldest, AppendKind::kWlRelocation));
   }
 }
 
@@ -920,43 +896,10 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
   // Rescue whatever it still holds: program/erase refuse on a grown-bad
   // block but reads keep working, so valid pages relocate through the
   // normal degradation-aware path.
-  const bool prev_relocation = in_relocation_;
-  in_relocation_ = true;
-  const uint32_t pages = PagesPerBlock(pool);
-  for (uint32_t p = 0; p < pages; ++p) {
-    const uint64_t lba = P2lRow(block_id)[p];
-    if (lba == kLbaInvalid || lba == kLbaParity) {
-      continue;
-    }
-    const auto cur = l2p_.Find(lba);
-    if (!cur.has_value() || cur->block != block_id || cur->pool != pool_id ||
-        cur->page != p) {
-      continue;  // stale reverse entry
-    }
-    bool relocated = false;
-    auto read = ReadAt(*cur, /*count_stats=*/false);
-    if (!read.ok() && read.status().code() == StatusCode::kPowerLost) {
-      in_relocation_ = prev_relocation;
-      return read.status();
-    }
-    if (read.ok()) {
-      Status s = RelocatePage(pool_id, lba, *cur, read.value(), /*count_as_wl=*/false);
-      if (!s.ok() && s.code() == StatusCode::kPowerLost) {
-        in_relocation_ = prev_relocation;
-        return s;
-      }
-      relocated = s.ok();
-    }
-    if (!relocated) {
-      // Unreadable and unsalvageable: the mapping dies here, counted loudly.
-      if (auto dead = l2p_.Find(lba); dead.has_value()) {
-        InvalidateLoc(*dead);
-        l2p_.Erase(lba);
-      }
-      ++pool.stats.lost_pages_;
-    }
+  if (Status s = MoveLivePages(pool_id, block_id, AppendKind::kGcRelocation, /*salvage=*/true);
+      !s.ok()) {
+    return s;
   }
-  in_relocation_ = prev_relocation;
 
   block_owner_[block_id] = kNoPool;
   --pool.num_blocks;

@@ -508,9 +508,10 @@ class Ftl {
   // Garbage collection: frees at least one block if possible.
   bool CollectGarbage(uint32_t pool_id);
   std::optional<uint32_t> PickGcVictim(uint32_t pool_id) const;
-  // Moves all valid pages off `block_id`, erases it, and returns it to the
-  // free list (or retires it).
-  [[nodiscard]] Status EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, bool count_as_wl);
+  // Moves all valid pages off `block_id` as `kind` (a GC or WL relocation),
+  // erases it, and returns it to the free list (or retires it). Stops at the
+  // first page that fails to move.
+  [[nodiscard]] Status EvacuateAndRecycle(uint32_t pool_id, uint32_t block_id, AppendKind kind);
 
   // Static wear leveling pass; no-op when disabled or spread is small.
   void MaybeStaticWearLevel(uint32_t pool_id);
@@ -556,11 +557,24 @@ class Ftl {
   [[nodiscard]] Result<FtlReadResult> DecodeRead(const PhysLoc& loc, ReadResult raw,
                                                  bool count_stats);
 
-  // One item of relocation work: re-appends `lba` (mapped at `loc`, read as
-  // `read`) into `pool_id` and reinstalls the mapping. Shared by the
-  // evacuation loop and by DropBadBlock's rescue loop.
-  [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba, const PhysLoc& loc,
-                                    const FtlReadResult& read, bool count_as_wl);
+  // The directive that keeps the page at `loc` in its pool under its stream
+  // tag: per-handle nand_writes charge GC/WL rewrites and scrubs of a
+  // handle's data back to that handle.
+  WriteDirective InPlace(const PhysLoc& loc) const;
+
+  // The one page move: reads `lba` at `from` (no host stats) and re-appends
+  // it under `where` as `kind`, carrying its taint forward (a degraded read
+  // taints the copy). Migration, refresh and every relocation go through
+  // here.
+  [[nodiscard]] Status MovePage(uint64_t lba, const PhysLoc& from, const WriteDirective& where,
+                                AppendKind kind);
+
+  // The one live-page walk: moves every valid page of `block_id` back into
+  // `pool_id` as `kind`, with GC re-entry blocked. Without `salvage` it
+  // stops at and returns the first failure. With it only kPowerLost is
+  // returned; any other failure drops that page's mapping into lost_pages.
+  [[nodiscard]] Status MoveLivePages(uint32_t pool_id, uint32_t block_id, AppendKind kind,
+                                     bool salvage);
 
   // Emits the trace event `build()` returns. Builds nothing when no sink is
   // attached or the sink is full.

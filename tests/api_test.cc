@@ -1,13 +1,12 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
 // Coverage for remaining public-API corners: the umbrella header compiles
-// and works end to end, ECC preset properties sweep, package/device edge
-// cases, and FS behaviour after capacity shrink.
+// and works end to end, ECC preset properties sweep, device edge cases,
+// and FS behaviour after capacity shrink.
 
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
-#include "src/flash/nand_package.h"
 #include "src/sos/sos.h"
 
 namespace sos {
@@ -177,26 +176,6 @@ TEST(EdgeCaseTest, RetryOnEcclessPoolIsConsistent) {
   // drift-tracked retries recover nearly all of them.
   EXPECT_GT(ftl.stats().retry_recoveries(), 10u);
   EXPECT_TRUE(ftl.CheckInvariants().ok());
-}
-
-TEST(EdgeCaseTest, PackageSingleDieMatchesSerialModel) {
-  // A 1-die package with queue depth 1 must reproduce the serial device's
-  // timing exactly.
-  SimClock pkg_clock;
-  NandPackageConfig config;
-  config.die.num_blocks = 4;
-  config.die.wordlines_per_block = 4;
-  config.die.page_size_bytes = 512;
-  config.die.tech = CellTech::kTlc;
-  config.num_dies = 1;
-  NandPackage package(config, &pkg_clock);
-  const std::vector<uint8_t> page(512, 1);
-  ASSERT_TRUE(package.QueueProgram({0, 0}, page).ok());
-  ASSERT_TRUE(package.QueueProgram({0, 1}, page).ok());
-  IgnoreResult(package.QueueRead({0, 0}));
-  const SimTimeUs makespan = package.Drain();
-  const CellTechInfo& info = GetCellTechInfo(CellTech::kTlc);
-  EXPECT_EQ(makespan, 2 * info.program_latency_us + info.read_latency_us);
 }
 
 TEST(EdgeCaseTest, UfsViewWithStagingStillTwoLuns) {

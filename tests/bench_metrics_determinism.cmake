@@ -2,15 +2,16 @@
 #
 # Artifact-level telemetry determinism check (ctest: bench_metrics_determinism).
 #
-# Runs bench_lifetime_gap twice -- serial and with a worker pool -- and
-# requires the exported metrics JSON, trace JSONL and the stdout report to be
+# Runs a bench twice -- serial and with a worker pool -- and requires the
+# exported metrics JSON, trace JSONL and the stdout report to be
 # byte-identical. This is the end-to-end form of the repo's determinism
 # contract: not just equal parsed values, but equal bytes, which is what CI
 # diffs against the in-repo golden.
 #
-# Expects -DBENCH=<path to bench_lifetime_gap> and -DWORK_DIR=<scratch dir>.
+# Expects -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>.
 # With -DGOLDEN=<file>, the serial arm's metrics JSON must also match that
-# file byte for byte.
+# file byte for byte. -DNO_TRACE=ON is for a bench without --trace-out: it
+# then compares only the metrics JSON and stdout.
 
 if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>")
@@ -18,17 +19,26 @@ endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
+set(compared "metrics_serial.json|metrics_parallel.json" "stdout_serial.txt|stdout_parallel.txt")
+if(NOT NO_TRACE)
+  list(APPEND compared "trace_serial.jsonl|trace_parallel.jsonl")
+endif()
+
 foreach(arm IN ITEMS serial parallel)
   if(arm STREQUAL "serial")
     set(jobs 1)
   else()
     set(jobs 4)
   endif()
+  set(trace_arg "--trace-out=${WORK_DIR}/trace_${arm}.jsonl")
+  if(NO_TRACE)
+    set(trace_arg "")
+  endif()
   execute_process(
     COMMAND "${BENCH}"
       --jobs=${jobs}
       --metrics-out=${WORK_DIR}/metrics_${arm}.json
-      --trace-out=${WORK_DIR}/trace_${arm}.jsonl
+      ${trace_arg}
     OUTPUT_FILE "${WORK_DIR}/stdout_${arm}.txt"
     ERROR_VARIABLE bench_stderr
     RESULT_VARIABLE bench_rc)
@@ -37,9 +47,7 @@ foreach(arm IN ITEMS serial parallel)
   endif()
 endforeach()
 
-foreach(pair IN ITEMS "metrics_serial.json|metrics_parallel.json"
-                      "trace_serial.jsonl|trace_parallel.jsonl"
-                      "stdout_serial.txt|stdout_parallel.txt")
+foreach(pair IN LISTS compared)
   string(REPLACE "|" ";" files "${pair}")
   list(GET files 0 a)
   list(GET files 1 b)
@@ -63,4 +71,4 @@ if(DEFINED GOLDEN)
   endif()
 endif()
 
-message(STATUS "metrics, trace and stdout byte-identical for --jobs=1 vs --jobs=4")
+message(STATUS "outputs byte-identical for --jobs=1 vs --jobs=4: ${compared}")

@@ -237,6 +237,7 @@ TEST(FleetConfigTest, ShardSpecParsing) {
   EXPECT_FALSE(ParseShardSpec("1/0").ok());
   EXPECT_FALSE(ParseShardSpec("8/8").ok());  // index must be < count
   EXPECT_FALSE(ParseShardSpec("1/2/3").ok());
+  EXPECT_FALSE(ParseShardSpec("0/18446744073709551616").ok());  // 2^64 does not fit
 }
 
 TEST(FleetConfigTest, Validation) {

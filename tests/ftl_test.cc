@@ -775,11 +775,34 @@ class ProgramFault : public NandFaultHook {
     return action_;
   }
 
+  std::optional<uint32_t> stuck() const { return stuck_; }
+
  private:
   NandFaultAction action_;
   uint64_t fire_at_;
   uint64_t programs_ = 0;
   std::optional<uint32_t> stuck_;
+};
+
+// A ProgramFault that also answers reads of page `page` of the stuck block
+// with `read_action`: the grown-bad drop's salvage read of that page fails.
+class SalvageReadFault : public ProgramFault {
+ public:
+  SalvageReadFault(uint64_t fire_at, uint32_t page, NandFaultAction read_action)
+      : ProgramFault(NandFaultAction::Fail(StatusCode::kWornOut, "stuck block"), fire_at),
+        page_(page),
+        read_action_(read_action) {}
+
+  NandFaultAction OnNandOp(NandOpKind op, uint32_t block, uint32_t page) override {
+    if (op == NandOpKind::kRead && stuck() == block && page == page_) {
+      return read_action_;
+    }
+    return ProgramFault::OnNandOp(op, block, page);
+  }
+
+ private:
+  uint32_t page_;
+  NandFaultAction read_action_;
 };
 
 TEST(FtlFaultTest, GrownBadBlockMidStreamKeepsAcknowledgedPages) {
@@ -804,6 +827,65 @@ TEST(FtlFaultTest, GrownBadBlockMidStreamKeepsAcknowledgedPages) {
     ASSERT_TRUE(read.ok()) << "lba " << lba;
     EXPECT_EQ(read.value().data, pages[lba]) << "lba " << lba;
   }
+  EXPECT_TRUE(ftl.CheckInvariants().ok());
+}
+
+TEST(FtlFaultTest, GrownBadBlockSalvageCountsAnUnreadablePageAsLost) {
+  const auto pages = StreamPages(1);
+  SimClock clock;
+  Ftl ftl(StripedPool(), &clock);
+  // As above, program op 6 sticks the first block after LBAs 0-3 landed on
+  // pages 0, 1, 2 and 4. The salvage read of page 1 (LBA 1) fails for good.
+  SalvageReadFault fault(6, 1, NandFaultAction::Fail(StatusCode::kWornOut, "dead page"));
+  ftl.nand().SetFaultHook(&fault);
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
+    const Status status = ftl.Write(lba, pages[lba], WriteDirective{});
+    ASSERT_TRUE(status.ok()) << "lba " << lba << ": " << status.ToString();
+  }
+  ftl.nand().SetFaultHook(nullptr);
+  EXPECT_EQ(ftl.stats().grown_bad_blocks(), 1u);
+  EXPECT_EQ(ftl.stats().gc_relocations(), 3u);
+  EXPECT_EQ(ftl.stats().lost_pages(), 1u);
+  for (uint64_t lba = 0; lba < kStreamPages; ++lba) {
+    auto read = ftl.Read(lba);
+    if (lba == 1) {
+      EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    EXPECT_EQ(read.value().data, pages[lba]) << "lba " << lba;
+  }
+  EXPECT_TRUE(ftl.CheckInvariants().ok());
+}
+
+TEST(FtlFaultTest, GrownBadBlockSalvagePassesUpAPowerCut) {
+  const auto pages = StreamPages(1);
+  SimClock clock;
+  Ftl ftl(StripedPool(), &clock);
+  // Power dies on the salvage read of page 1, after LBA 0 has been moved.
+  SalvageReadFault fault(6, 1, NandFaultAction::PowerCut(/*after_op=*/false, "power cut"));
+  ftl.nand().SetFaultHook(&fault);
+  uint64_t acked = 0;
+  Status status = Status::Ok();
+  while (acked < kStreamPages) {
+    status = ftl.Write(acked, pages[acked], WriteDirective{});
+    if (!status.ok()) {
+      break;
+    }
+    ++acked;
+  }
+  ftl.nand().SetFaultHook(nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kPowerLost);
+  ASSERT_EQ(acked, 4u);  // the write that hit the stuck block is not acknowledged
+  EXPECT_EQ(ftl.stats().lost_pages(), 0u);
+
+  ASSERT_TRUE(ftl.RecoverFromFlash().ok());
+  for (uint64_t lba = 0; lba < acked; ++lba) {
+    auto read = ftl.Read(lba);
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    EXPECT_EQ(read.value().data, pages[lba]) << "lba " << lba;
+  }
+  EXPECT_EQ(ftl.Read(acked).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(ftl.CheckInvariants().ok());
 }
 
