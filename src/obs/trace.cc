@@ -3,7 +3,9 @@
 #include "src/obs/trace.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "src/obs/metrics.h"
 
@@ -23,55 +25,49 @@ std::string FormatI64(int64_t v) {
   return buf;
 }
 
-// Field values are rendered by the With*() helpers; numeric ones arrive as
-// already-formatted decimal/%.17g strings and are emitted bare, everything
-// else is quoted. A value is "numeric" if the helper produced it, which we
-// detect conservatively by shape so hand-built string fields stay quoted.
-bool LooksNumeric(const std::string& v) {
-  if (v.empty()) {
-    return false;
-  }
-  size_t i = (v[0] == '-') ? 1 : 0;
-  if (i == v.size()) {
-    return false;
-  }
-  bool digits = false;
-  for (; i < v.size(); ++i) {
-    char c = v[i];
-    if (c >= '0' && c <= '9') {
-      digits = true;
-    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-      continue;
-    } else {
-      return false;
-    }
-  }
-  return digits;
-}
-
 }  // namespace
 
+void TraceEvent::AppendKey(const std::string& key) {
+  fields_ += ", \"";
+  AppendJsonEscaped(fields_, key);
+  fields_ += "\": ";
+}
+
 TraceEvent& TraceEvent::With(const std::string& key, const std::string& value) {
-  fields.emplace_back(key, value);
+  AppendKey(key);
+  fields_ += '"';
+  AppendJsonEscaped(fields_, value);
+  fields_ += '"';
   return *this;
 }
 
 TraceEvent& TraceEvent::WithU64(const std::string& key, uint64_t value) {
-  fields.emplace_back(key, FormatU64(value));
+  AppendKey(key);
+  fields_ += FormatU64(value);
   return *this;
 }
 
 TraceEvent& TraceEvent::WithI64(const std::string& key, int64_t value) {
-  fields.emplace_back(key, FormatI64(value));
+  AppendKey(key);
+  fields_ += FormatI64(value);
   return *this;
 }
 
 TraceEvent& TraceEvent::WithF64(const std::string& key, double value) {
-  fields.emplace_back(key, FormatJsonDouble(value));
+  if (!std::isfinite(value)) {
+    return With(key, FormatJsonDouble(value));  // "nan"/"inf"/"-inf" are not JSON numbers
+  }
+  AppendKey(key);
+  fields_ += FormatJsonDouble(value);
   return *this;
 }
 
 TraceSink::TraceSink(size_t capacity) : capacity_(capacity) { events_.reserve(capacity_); }
+
+std::vector<TraceEvent> TraceSink::TakeEvents() {
+  capacity_ = 0;
+  return std::exchange(events_, {});
+}
 
 void TraceSink::ToMetrics(MetricRegistry& registry, const std::string& prefix) const {
   registry.SetCounter(prefix + "trace.events", events_.size());
@@ -84,18 +80,7 @@ std::string TraceEventToJson(const TraceEvent& event) {
   out += ", \"type\": \"";
   AppendJsonEscaped(out, event.type);
   out += "\"";
-  for (const auto& [key, value] : event.fields) {
-    out += ", \"";
-    AppendJsonEscaped(out, key);
-    out += "\": ";
-    if (LooksNumeric(value)) {
-      out += value;
-    } else {
-      out += "\"";
-      AppendJsonEscaped(out, value);
-      out += "\"";
-    }
-  }
+  out += event.fields_json();
   out += "}";
   return out;
 }

@@ -4,10 +4,11 @@
 //
 // A TraceSink records discrete simulator events -- GC victim picks, pool
 // migrations, block retirement/resuscitation, auto-delete trims -- as a
-// bounded stream rendered to JSONL. Fields are an *ordered* key/value list
-// (insertion order = export order) so a trace line never depends on hash
-// order. Timestamps are simulated time only; components stamp events with
-// SimClock::now() at the emit site.
+// bounded stream rendered to JSONL. Fields are *ordered* (insertion order =
+// export order) so a trace line never depends on hash order, and each is
+// rendered to its JSONL bytes when it is added: an event stores one string
+// of fields, not a key/value list. Timestamps are simulated time only;
+// components stamp events with SimClock::now() at the emit site.
 //
 // Overflow policy: keep-first / drop-newest. Once `capacity` events are
 // buffered, further Emit() calls only bump the dropped counter, without
@@ -31,24 +32,37 @@ namespace sos::obs {
 class MetricRegistry;
 
 // One discrete simulator event. `type` follows the metric naming scheme
-// (`layer.component.event`, e.g. "ftl.gc.victim"); `fields` render in
+// (`layer.component.event`, e.g. "ftl.gc.victim"); fields render in
 // insertion order.
-struct TraceEvent {
+class TraceEvent {
+ public:
   TraceEvent() = default;
   TraceEvent(SimTimeUs t, std::string event_type) : t_us(t), type(std::move(event_type)) {}
 
   SimTimeUs t_us = 0;
   std::string type;
-  std::vector<std::pair<std::string, std::string>> fields;
 
+  // Equal time, type, and fields in the same order with the same rendering.
   bool operator==(const TraceEvent& other) const = default;
 
-  // Field helpers render values deterministically (decimal u64/i64, %.17g
-  // doubles) and return *this for chaining at the emit site.
+  // Field helpers render deterministically and return *this for chaining at
+  // the emit site. With() always quotes its (escaped) value; WithU64/WithI64
+  // render bare decimals; WithF64 renders %.17g bare when finite and quoted
+  // ("nan", "inf", "-inf") otherwise, since JSON has no such numbers.
   TraceEvent& With(const std::string& key, const std::string& value);
   TraceEvent& WithU64(const std::string& key, uint64_t value);
   TraceEvent& WithI64(const std::string& key, int64_t value);
   TraceEvent& WithF64(const std::string& key, double value);
+
+  // The fields exactly as TraceEventToJson writes them: `, "key": value`
+  // per field, in insertion order ("" for an event without fields).
+  const std::string& fields_json() const { return fields_; }
+
+ private:
+  // Appends `, "key": ` -- the field's bytes up to its value.
+  void AppendKey(const std::string& key);
+
+  std::string fields_;
 };
 
 // Bounded collector for TraceEvents. Not thread-safe by design: each worker
@@ -73,6 +87,11 @@ class TraceSink {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
+  // Hands the recorded events to the caller without copying them, leaving
+  // the sink empty and closed: later Emit() calls only count as dropped, so
+  // the taken events stay the first ones of the sink's life. A run calls it
+  // once, when its trace moves into its result.
+  std::vector<TraceEvent> TakeEvents();
   uint64_t dropped() const { return dropped_; }
   size_t capacity() const { return capacity_; }
 

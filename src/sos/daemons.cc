@@ -6,6 +6,7 @@
 #include "src/flash/voltage_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace sos {
@@ -37,6 +38,9 @@ constexpr double kPromoteThreshold = 0.2;
 // access features unsettled).
 constexpr SimTimeUs kMinDemoteAgeUs = kUsPerDay;
 
+// A file handle's durability as a migration pass sees it.
+enum class HandleDurability : uint8_t { kNotLooked, kClosed, kCritical, kDegradable };
+
 // Prediction horizon: refresh pages that would cross the threshold within
 // one scrub period.
 constexpr double kLookaheadYears = 0.25;
@@ -54,6 +58,31 @@ constexpr double kMinDeleteScore = 0.3;
 
 MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
   RunStats stats;
+  // Each handle's durability as this pass looked it up, by handle id: the
+  // device describes a handle once per pass, not once per file. Handles
+  // close only between passes; a reclassification may open one, possibly in
+  // a slot a file looked up while it was closed (the FDP alias), so it
+  // forgets the entry of the handle it names.
+  std::array<HandleDurability, kMaxPlacementHandles> seen;
+  seen.fill(HandleDurability::kNotLooked);
+  auto durability_of = [&](PlacementHandle handle) {
+    const auto describe = [&] {
+      const auto spec = fs_->DescribePlacement(handle);
+      if (!spec.ok()) {
+        return HandleDurability::kClosed;
+      }
+      return spec.value().durability == Durability::kCritical ? HandleDurability::kCritical
+                                                               : HandleDurability::kDegradable;
+    };
+    if (handle.id() >= seen.size()) {
+      return describe();  // malformed: fails the lookup, never cached
+    }
+    HandleDurability& entry = seen[handle.id()];
+    if (entry == HandleDurability::kNotLooked) {
+      entry = describe();
+    }
+    return entry;
+  };
   // Re-declares a file's placement with a fresh handle of the opposite
   // durability, keeping the file's lifetime hint. The directory memoizes
   // handles per spec, so repeat verdicts reuse one slot.
@@ -64,6 +93,9 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     auto handle = placements_->For(spec);
     if (!handle.ok()) {
       return false;
+    }
+    if (handle.value().id() < seen.size()) {
+      seen[handle.value().id()] = HandleDurability::kNotLooked;
     }
     return fs_->ReclassifyFile(id, handle.value()).ok();
   };
@@ -113,19 +145,18 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     if ((window.flags & (kDemoteSide | kPromoteSide)) == 0) {
       return;  // no verdict can act, whatever the file's durability
     }
-    const auto spec = fs_->DescribePlacement(file.placement);
-    if (!spec.ok()) {
-      return;  // handle closed out from under the file: nothing safe to do
-    }
-    const Durability durability = spec.value().durability;
-    if (durability == Durability::kCritical && (window.flags & kDemoteSide) != 0 &&
+    // A closed handle (closed out from under the file) matches neither
+    // branch: nothing safe to do.
+    const HandleDurability durability = durability_of(file.placement);
+    if (durability == HandleDurability::kCritical && (window.flags & kDemoteSide) != 0 &&
         now >= file.meta.created_us + kMinDemoteAgeUs) {
       if (reclassify(file.id, file.meta, Durability::kDegradable)) {
         ++stats.demoted;
       } else {
         ++stats.demote_failures;
       }
-    } else if (durability == Durability::kDegradable && (window.flags & kPromoteSide) != 0) {
+    } else if (durability == HandleDurability::kDegradable &&
+               (window.flags & kPromoteSide) != 0) {
       if (reclassify(file.id, file.meta, Durability::kCritical)) {
         ++stats.promoted;
       }

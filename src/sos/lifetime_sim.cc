@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/classify/corpus.h"
 #include "src/common/rng.h"
@@ -444,9 +445,11 @@ LifetimeResult LifetimeSim::Run() {
     ftl.nand().ToMetrics(device_registry, "flash.die.");
     result_.device_metrics_ = device_registry.Snapshot();
   }
-  result_.trace_ = trace_.events();
+  // The trace is the result's largest member: hand it over, and the result
+  // with it, rather than copy either.
+  result_.trace_ = trace_.TakeEvents();
   result_.trace_dropped_ = trace_.dropped();
-  return result_;
+  return std::move(result_);
 }
 
 }  // namespace sos

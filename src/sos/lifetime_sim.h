@@ -220,7 +220,7 @@ class LifetimeSim {
   explicit LifetimeSim(const LifetimeSimConfig& config);
 
   // Runs the configured number of days and returns the result. Can be called
-  // once per instance.
+  // once per instance: the result takes the run's trace and state over.
   LifetimeResult Run();
 
  private:

@@ -10,8 +10,10 @@
 #
 # Expects -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>.
 # With -DGOLDEN=<file>, the serial arm's metrics JSON must also match that
-# file byte for byte. -DNO_TRACE=ON is for a bench without --trace-out: it
-# then compares only the metrics JSON and stdout.
+# file byte for byte; with -DTRACE_GOLDEN_SHA256=<file>, the SHA-256 of the
+# serial arm's trace JSONL must equal the hex digest that file holds (the
+# trace is too large to commit). -DNO_TRACE=ON is for a bench without
+# --trace-out: it then compares only the metrics JSON and stdout.
 
 if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>")
@@ -68,6 +70,16 @@ if(DEFINED GOLDEN)
   if(NOT golden_rc EQUAL 0)
     message(FATAL_ERROR
         "${WORK_DIR}/metrics_serial.json differs from the golden ${GOLDEN}")
+  endif()
+endif()
+
+if(DEFINED TRACE_GOLDEN_SHA256)
+  file(SHA256 "${WORK_DIR}/trace_serial.jsonl" trace_sha256)
+  file(STRINGS "${TRACE_GOLDEN_SHA256}" golden_sha256 LIMIT_COUNT 1)
+  if(NOT trace_sha256 STREQUAL golden_sha256)
+    message(FATAL_ERROR
+        "${WORK_DIR}/trace_serial.jsonl has SHA-256 ${trace_sha256}, the golden "
+        "${TRACE_GOLDEN_SHA256} holds ${golden_sha256}")
   endif()
 endif()
 

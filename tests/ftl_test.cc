@@ -506,11 +506,16 @@ TEST(FtlTest, RetirementFollowsTheDieErrorModel) {
       if (event.type != "ftl.block.retired") {
         continue;
       }
-      for (const auto& [key, value] : event.fields) {
-        if (key == "pec") {
-          outcome.retired_at_pec.push_back(static_cast<uint32_t>(std::stoul(value)));
-        }
+      // The pec field as the JSONL export renders it: a bare decimal.
+      const std::string json = obs::TraceEventToJson(event);
+      const std::string tag = ", \"pec\": ";
+      const size_t at = json.find(tag);
+      if (at == std::string::npos) {
+        ADD_FAILURE() << "no pec field: " << json;
+        continue;
       }
+      const unsigned long pec = std::stoul(json.substr(at + tag.size()));
+      outcome.retired_at_pec.push_back(static_cast<uint32_t>(pec));
     }
     EXPECT_EQ(outcome.retired_at_pec.size(), ftl.stats().retired_blocks());
     for (uint32_t b = 0; b < config.nand.num_blocks; ++b) {

@@ -7,6 +7,7 @@
 // those guarantees are built from.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,28 @@ TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
   EXPECT_NE(jsonl.find("\"count\": 2"), std::string::npos);
 }
 
+// TakeEvents hands the recorded events over and closes the sink, so what
+// was taken stays the first events of the sink's life.
+TEST(TraceSinkTest, TakeEventsMovesTheEventsOutAndClosesTheSink) {
+  TraceSink sink(4);
+  sink.Emit([] { return TraceEvent{1, "a"}.WithU64("n", 1); });
+  sink.Emit([] { return TraceEvent{2, "b"}; });
+  const std::vector<TraceEvent> taken = sink.TakeEvents();
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(TraceEventToJson(taken[0]), "{\"t_us\": 1, \"type\": \"a\", \"n\": 1}");
+  EXPECT_EQ(taken[1].type, "b");
+  EXPECT_TRUE(sink.events().empty());
+
+  bool built = false;
+  sink.Emit([&] {
+    built = true;
+    return TraceEvent{3, "late"};
+  });
+  EXPECT_FALSE(built);
+  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(sink.dropped(), 1u);
+}
+
 TEST(TraceSinkTest, ToMetricsExportsEventAndDropCounters) {
   TraceSink sink(1);
   sink.Emit([] { return TraceEvent{0, "kept"}; });
@@ -176,6 +199,74 @@ TEST(TraceEventTest, FieldsRenderInInsertionOrder) {
   EXPECT_EQ(json,
             "{\"t_us\": 123, \"type\": \"ftl.gc.victim\", \"pool\": \"SYS\", "
             "\"block\": 7, \"score\": 0.5, \"delta\": -3}");
+}
+
+// Exact bytes of every field helper; the JSONL export is an artifact, so a
+// change of representation must not move one of them.
+TEST(TraceEventTest, HelpersRenderExactJson) {
+  const auto line = [](const TraceEvent& event) { return TraceEventToJson(event); };
+  EXPECT_EQ(line(TraceEvent{0, "t"}), "{\"t_us\": 0, \"type\": \"t\"}");
+  EXPECT_EQ(line(TraceEvent{0, "t"}.With("k", "v")),
+            "{\"t_us\": 0, \"type\": \"t\", \"k\": \"v\"}");
+  EXPECT_EQ(line(TraceEvent{0, "t"}.With("k", "")), "{\"t_us\": 0, \"type\": \"t\", \"k\": \"\"}");
+  EXPECT_EQ(line(TraceEvent{UINT64_MAX, "t"}.WithU64("u", 0).WithU64("max", UINT64_MAX)),
+            "{\"t_us\": 18446744073709551615, \"type\": \"t\", \"u\": 0, "
+            "\"max\": 18446744073709551615}");
+  EXPECT_EQ(line(TraceEvent{1, "t"}.WithI64("neg", -42).WithI64("min", INT64_MIN).WithI64("z", 0)),
+            "{\"t_us\": 1, \"type\": \"t\", \"neg\": -42, \"min\": -9223372036854775808, "
+            "\"z\": 0}");
+  EXPECT_EQ(line(TraceEvent{2, "t"}
+                     .WithF64("a", 0.1)
+                     .WithF64("b", 1e-300)
+                     .WithF64("c", -0.0)
+                     .WithF64("d", 1.5e300)),
+            "{\"t_us\": 2, \"type\": \"t\", \"a\": 0.10000000000000001, \"b\": 1e-300, "
+            "\"c\": -0, \"d\": 1.5000000000000001e+300}");
+  // Non-finite doubles are not JSON numbers: they render as strings.
+  EXPECT_EQ(line(TraceEvent{3, "t"}
+                     .WithF64("nan", std::numeric_limits<double>::quiet_NaN())
+                     .WithF64("inf", std::numeric_limits<double>::infinity())
+                     .WithF64("ninf", -std::numeric_limits<double>::infinity())),
+            "{\"t_us\": 3, \"type\": \"t\", \"nan\": \"nan\", \"inf\": \"inf\", "
+            "\"ninf\": \"-inf\"}");
+  // Quotes, backslashes and control characters are escaped in the type, in
+  // keys and in values.
+  EXPECT_EQ(line(TraceEvent{4, "a\"b"}.With("k\"\\\n", "v\t\x01\"\\")),
+            "{\"t_us\": 4, \"type\": \"a\\\"b\", \"k\\\"\\\\\\n\": \"v\\t\\u0001\\\"\\\\\"}");
+}
+
+// With() is the string helper: its value is quoted whatever its shape, so a
+// date, a version or a stray sign can never come out as a bare (invalid)
+// JSON token. Numbers go through WithU64/WithI64/WithF64.
+TEST(TraceEventTest, StringValuesAreAlwaysQuoted) {
+  TraceEvent event{5, "t"};
+  event.With("date", "2024-01-01")
+      .With("version", "1.2.3")
+      .With("signs", "--1")
+      .With("exp", "1e")
+      .With("number", "42");
+  EXPECT_EQ(TraceEventToJson(event),
+            "{\"t_us\": 5, \"type\": \"t\", \"date\": \"2024-01-01\", \"version\": \"1.2.3\", "
+            "\"signs\": \"--1\", \"exp\": \"1e\", \"number\": \"42\"}");
+}
+
+TEST(TraceEventTest, EqualityComparesTypeTimeAndFields) {
+  const auto make = [](SimTimeUs t) {
+    TraceEvent event{t, "ftl.migrate"};
+    event.WithU64("lba", 3).With("pool", "SPARE");
+    return event;
+  };
+  TraceEvent extra = make(7);
+  extra.WithU64("extra", 1);
+  TraceEvent reordered{7, "ftl.migrate"};
+  reordered.With("pool", "SPARE").WithU64("lba", 3);
+  TraceEvent retyped{7, "ftl.refresh"};
+  retyped.WithU64("lba", 3).With("pool", "SPARE");
+  EXPECT_TRUE(make(7) == make(7));
+  EXPECT_FALSE(make(7) == make(8));
+  EXPECT_FALSE(make(7) == extra);
+  EXPECT_FALSE(make(7) == reordered);
+  EXPECT_FALSE(make(7) == retyped);
 }
 
 TEST(ScopedLatencyTest, ObservesSimTimeDelta) {

@@ -476,6 +476,75 @@ TEST(MigrationDaemonTest, ScoreWindowsMatchExactScoringEveryPass) {
   EXPECT_LT(windowed.total.scored * 2, windowed.total.scanned);
 }
 
+// A pass sees every handle's durability as the device describes it at the
+// file's turn: a closed slot that a reclassification reopens mid-pass is
+// described afresh for the later files still holding it (the FDP alias), and
+// a handle closed between passes is skipped on the next pass.
+TEST(MigrationDaemonTest, DurabilityFollowsHandlesOpenedMidPass) {
+  DaemonFixture f;  // slot 0: critical, slot 1: degradable
+  // Promotions of long-lived files land in an already-open slot 2.
+  const PlacementHandle critical_long =
+      f.placements.For({Durability::kCritical, LifetimeHint::kLong}).value();
+  const PlacementHandle stale = OpenHandle(f.device, Durability::kCritical);    // slot 3
+  const PlacementHandle gone = OpenHandle(f.device, Durability::kCritical);     // slot 4
+  const PlacementHandle closing = OpenHandle(f.device, Durability::kCritical);  // slot 5
+  ASSERT_EQ(stale.id(), 3u);
+  ASSERT_EQ(gone.id(), 4u);
+
+  // Cache files score as expendable (demote), photos as precious (promote);
+  // every file declares a long lifetime.
+  MigrationDaemonConfig config;
+  config.type_score_bias[static_cast<size_t>(FileType::kCache)] = 1.0;
+  config.type_score_bias[static_cast<size_t>(FileType::kPhoto)] = -1.0;
+  auto add = [&](FileType type, PlacementHandle handle, SimTimeUs created_us) {
+    FileMeta meta;
+    meta.type = type;
+    meta.size_bytes = 512;
+    meta.created_us = created_us;
+    meta.expected_lifetime_us = 365 * kUsPerDay;
+    auto id = f.fs.CreateFile(meta, Block(static_cast<uint8_t>(type)), handle);
+    EXPECT_TRUE(id.ok());
+    return id.value();
+  };
+  f.clock.Advance(7 * kUsPerDay);
+  const uint64_t photo_on_stale = add(FileType::kPhoto, stale, 0);
+  const uint64_t cache_on_critical = add(FileType::kCache, f.critical, 0);
+  const uint64_t late_photo_on_stale = add(FileType::kPhoto, stale, 0);
+  const uint64_t cache_on_gone = add(FileType::kCache, gone, 0);
+  const uint64_t young_cache = add(FileType::kCache, closing, f.clock.now());
+  ASSERT_TRUE(f.device.ClosePlacement(stale).ok());
+  ASSERT_TRUE(f.device.ClosePlacement(gone).ok());
+
+  MigrationDaemon daemon(&f.fs, &f.placements, &f.priority, config);
+  // The first file's slot is closed: skipped. The second file's demotion
+  // opens degradable/long in the lowest free slot -- the stale one -- so the
+  // third file, still holding that slot, is now degradable and promoted.
+  // The fourth file's slot stays closed; the young file is too new to demote.
+  const MigrationDaemon::RunStats first = daemon.RunOnce(f.clock.now());
+  EXPECT_EQ(first.scanned, 5u);
+  EXPECT_EQ(first.demoted, 1u);
+  EXPECT_EQ(first.promoted, 1u);
+  EXPECT_EQ(first.demote_failures, 0u);
+  EXPECT_EQ(f.fs.PlacementOf(photo_on_stale), stale);
+  EXPECT_EQ(f.fs.PlacementOf(cache_on_critical), stale);  // the reopened slot
+  EXPECT_EQ(f.DurabilityOf(cache_on_critical), Durability::kDegradable);
+  EXPECT_EQ(f.fs.PlacementOf(late_photo_on_stale), critical_long);
+  EXPECT_EQ(f.fs.PlacementOf(cache_on_gone), gone);
+  EXPECT_EQ(f.fs.PlacementOf(young_cache), closing);
+
+  // The young file's critical slot closes between passes: the next pass must
+  // skip it, not act on what the previous pass saw. The first file, whose
+  // slot now aliases degradable/long, is promoted.
+  ASSERT_TRUE(f.device.ClosePlacement(closing).ok());
+  f.clock.Advance(2 * kUsPerDay);
+  const MigrationDaemon::RunStats second = daemon.RunOnce(f.clock.now());
+  EXPECT_EQ(second.demoted, 0u);
+  EXPECT_EQ(second.promoted, 1u);
+  EXPECT_EQ(second.demote_failures, 0u);
+  EXPECT_EQ(f.fs.PlacementOf(photo_on_stale), critical_long);
+  EXPECT_EQ(f.fs.PlacementOf(young_cache), closing);
+}
+
 TEST(MigrationDaemonTest, HigherThresholdDemotesLess) {
   auto demoted_at = [](double threshold) {
     DaemonFixture f;
@@ -658,6 +727,39 @@ TEST(LifetimeSimTest, DeterministicForSeed) {
   EXPECT_EQ(a.ftl().nand_writes(), b.ftl().nand_writes());
   EXPECT_EQ(a.final_max_wear_ratio(), b.final_max_wear_ratio());
   EXPECT_EQ(a.migration().demoted, b.migration().demoted);
+}
+
+// The result carries what the run's sink recorded: under a cap the run
+// overflows, the first `cap` events of an uncapped run and a drop count for
+// every other one. The cap changes the trace only, never the simulation.
+TEST(LifetimeSimTest, ResultCarriesTheBoundedTrace) {
+  LifetimeSimConfig config = QuickSim(DeviceKind::kSos, 60);
+  const LifetimeResult full = LifetimeSim(config).Run();
+  ASSERT_EQ(full.trace_dropped(), 0u);
+  constexpr size_t kCap = 16;
+  ASSERT_GT(full.trace().size(), kCap);
+
+  config.trace_capacity = kCap;
+  const LifetimeResult capped = LifetimeSim(config).Run();
+  ASSERT_EQ(capped.trace().size(), kCap);
+  EXPECT_TRUE(std::equal(capped.trace().begin(), capped.trace().end(), full.trace().begin()));
+  EXPECT_EQ(capped.trace_dropped(), full.trace().size() - kCap);
+  EXPECT_EQ(capped.host_bytes_written(), full.host_bytes_written());
+  EXPECT_EQ(capped.ftl().nand_writes(), full.ftl().nand_writes());
+
+  obs::MetricRegistry registry;
+  capped.ToMetrics(registry);
+  uint64_t events = ~0ull;
+  uint64_t dropped = ~0ull;
+  for (const obs::MetricRow& row : registry.Snapshot()) {
+    if (row.name == "obs.trace.events") {
+      events = row.counter;
+    } else if (row.name == "obs.trace.dropped") {
+      dropped = row.counter;
+    }
+  }
+  EXPECT_EQ(events, kCap);
+  EXPECT_EQ(dropped, capped.trace_dropped());
 }
 
 TEST(LifetimeSimTest, SamplesAreOrderedAndMonotoneInWear) {
