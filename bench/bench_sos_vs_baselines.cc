@@ -103,9 +103,8 @@ void Run(const BenchOptions& options) {
       "    (degradation under typical retention is mild and scrubbed).\n");
 
   PrintSection("Seed sensitivity (SOS build, 4 seeds, mean +/- stddev)");
-  std::vector<LifetimeResult> sweep(batch.results.begin() + static_cast<long>(kinds.size()),
-                                    batch.results.end());
-  const LifetimeAggregate agg = Aggregate(sweep);
+  const LifetimeAggregate agg =
+      Aggregate(std::span<const LifetimeResult>(batch.results).subspan(kinds.size()));
   TextTable sensitivity({"metric", "mean +/- stddev", "min", "max"});
   sensitivity.AddRow({"max wear ratio", FormatMeanStddev(agg.max_wear_ratio, 4),
                       FormatDouble(agg.max_wear_ratio.min(), 4),

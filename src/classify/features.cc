@@ -4,7 +4,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <string_view>
 
 #include "src/common/rng.h"
@@ -80,22 +79,6 @@ FeatureVector CompleteFeatures(const StaticFeatures& features, const FileMeta& m
 
 FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
   return CompleteFeatures(ExtractStaticFeatures(meta), meta, now_us);
-}
-
-const char* FeatureName(size_t i) {
-  static const char* kNumericNames[kNumericFeatures] = {
-      "log_size", "log_age", "log_recency", "read_rate", "write_rate", "entropy", "personal",
-  };
-  if (i < kNumericFeatures) {
-    return kNumericNames[i];
-  }
-  if (i < kNumericFeatures + kNumFileTypes) {
-    return FileTypeName(static_cast<FileType>(i - kNumericFeatures));
-  }
-  // thread_local: sweep jobs may query names concurrently from pool workers.
-  thread_local char buf[32];
-  std::snprintf(buf, sizeof(buf), "path_hash_%zu", i - kNumericFeatures - kNumFileTypes);
-  return buf;
 }
 
 }  // namespace sos

@@ -52,9 +52,6 @@ FeatureVector CompleteFeatures(const StaticFeatures& features, const FileMeta& m
 // Extracts features; `now_us` anchors the age/recency features.
 FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us);
 
-// Human-readable name of feature `i` (for model introspection dumps).
-const char* FeatureName(size_t i);
-
 }  // namespace sos
 
 #endif  // SOS_SRC_CLASSIFY_FEATURES_H_

@@ -80,18 +80,4 @@ double NaiveBayesClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const
   return 1.0 / (1.0 + std::exp(-log_odds));
 }
 
-std::array<double, kFeatureDim> NaiveBayesClassifier::FeatureLogOdds(const FileMeta& meta,
-                                                                     SimTimeUs now_us) const {
-  const FeatureVector f = ExtractFeatures(meta, now_us);
-  std::array<double, kFeatureDim> odds{};
-  for (size_t j = 0; j < kFeatureDim; ++j) {
-    const double dp = f[j] - positive_.mean[j];
-    const double dn = f[j] - negative_.mean[j];
-    const double lp = -0.5 * (std::log(2.0 * M_PI * positive_.var[j]) + dp * dp / positive_.var[j]);
-    const double ln = -0.5 * (std::log(2.0 * M_PI * negative_.var[j]) + dn * dn / negative_.var[j]);
-    odds[j] = lp - ln;
-  }
-  return odds;
-}
-
 }  // namespace sos

@@ -28,10 +28,6 @@ class NaiveBayesClassifier final : public BinaryClassifier {
 
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
 
-  // Log-odds contribution of each feature for a given sample; used by the
-  // introspection dump in the classifier bench.
-  std::array<double, kFeatureDim> FeatureLogOdds(const FileMeta& meta, SimTimeUs now_us) const;
-
  private:
   NaiveBayesClassifier() = default;
 

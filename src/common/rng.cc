@@ -119,32 +119,4 @@ uint64_t Rng::NextBinomial(uint64_t n, double p) {
   return static_cast<uint64_t>(draw);
 }
 
-ZipfDistribution::ZipfDistribution(size_t n, double skew) {
-  cdf_.resize(n > 0 ? n : 1);
-  double sum = 0.0;
-  for (size_t i = 0; i < cdf_.size(); ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), skew);
-    cdf_[i] = sum;
-  }
-  for (double& c : cdf_) {
-    c /= sum;
-  }
-}
-
-size_t ZipfDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  // Binary search for the first CDF entry >= u.
-  size_t lo = 0;
-  size_t hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 }  // namespace sos

@@ -11,7 +11,6 @@
 // Rng               -- xoshiro256** core generator.
 // SplitMix64        -- seed expander; also used to derive independent streams
 //                      from (seed, key...) tuples, e.g. per-page error streams.
-// ZipfDistribution  -- skewed access popularity used by workload generators.
 
 #ifndef SOS_SRC_COMMON_RNG_H_
 #define SOS_SRC_COMMON_RNG_H_
@@ -112,20 +111,6 @@ class Rng {
 
  private:
   std::array<uint64_t, 4> s_;
-};
-
-// Zipf(s) over {0, 1, ..., n-1}: rank 0 is the most popular item. Implemented
-// with a precomputed CDF and binary search; construction is O(n), sampling
-// O(log n). Used to model skewed file popularity on personal devices.
-class ZipfDistribution {
- public:
-  ZipfDistribution(size_t n, double skew);
-
-  size_t Sample(Rng& rng) const;
-  size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace sos

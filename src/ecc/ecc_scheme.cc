@@ -77,16 +77,6 @@ double EccScheme::PageFailureProb(double rber, uint32_t page_bytes) const {
   return std::clamp(1.0 - ok, 0.0, 1.0);
 }
 
-double EccScheme::Uber(double rber) const {
-  if (correctable_bits == 0) {
-    return rber;  // no ECC: every raw error is a user-visible error
-  }
-  // When a codeword fails, its raw errors leak; expected leaked bits per data
-  // bit is rber conditioned on failure, approximated by rber itself (the
-  // conditional raw count is close to the mean for the regimes we model).
-  return CodewordFailureProb(rber) * rber;
-}
-
 double EccScheme::MaxCorrectableRber(uint32_t page_bytes, double target) const {
   if (correctable_bits == 0) {
     return 0.0;

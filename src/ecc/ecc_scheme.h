@@ -6,14 +6,16 @@
 // additional redundancy" and a SPARE partition stored "with weak protection
 // (e.g., no ECC)" (paper §4.2). This module models ECC at the granularity
 // real controllers use -- a page is a sequence of codewords, each correcting
-// up to `t` bit errors -- and provides the analytical UBER math used by the
-// retirement policies and the lifetime benchmarks.
+// up to `t` bit errors -- and provides the analytical page-failure math used
+// by the retirement policies and the lifetime benchmarks.
 //
 // The decode path is a *capability model*: we do not run a real BCH decoder
 // over megabytes of payload (that would dominate simulation time for zero
 // fidelity gain); instead the sampled raw error count of a page is split
 // across its codewords and each codeword succeeds iff its share is <= t.
-// XOR parity (src/ecc/parity.h) covers the bit-exact path where it is cheap.
+// Pages ECC cannot decode are rebuilt, where the pool has parity, by the
+// FTL's intra-block XOR stripe (Ftl::AppendPage/WriteParityPage), the one
+// parity mechanism.
 
 #ifndef SOS_SRC_ECC_ECC_SCHEME_H_
 #define SOS_SRC_ECC_ECC_SCHEME_H_
@@ -53,11 +55,6 @@ struct EccScheme {
 
   // Probability at least one codeword of a page fails at `rber`.
   double PageFailureProb(double rber, uint32_t page_bytes) const;
-
-  // Uncorrectable bit error rate: expected residual error bits per data bit
-  // after decoding, at raw rate `rber`. When a codeword fails, all its raw
-  // errors leak through.
-  double Uber(double rber) const;
 
   // Highest RBER this scheme sustains while keeping the page failure
   // probability below `target` (bisection; monotone in rber).

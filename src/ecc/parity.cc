@@ -3,38 +3,8 @@
 #include "src/ecc/parity.h"
 
 #include <array>
-#include <cassert>
 
 namespace sos {
-
-std::vector<uint8_t> ComputeParityPage(std::span<const std::vector<uint8_t>> stripe) {
-  assert(!stripe.empty());
-  std::vector<uint8_t> parity(stripe.front().size(), 0);
-  for (const auto& page : stripe) {
-    assert(page.size() == parity.size() && "stripe pages must share a size");
-    for (size_t i = 0; i < parity.size(); ++i) {
-      parity[i] = static_cast<uint8_t>(parity[i] ^ page[i]);
-    }
-  }
-  return parity;
-}
-
-std::vector<uint8_t> ReconstructFromParity(std::span<const std::vector<uint8_t>> stripe,
-                                           std::span<const uint8_t> parity, size_t lost_index) {
-  assert(lost_index < stripe.size());
-  std::vector<uint8_t> rebuilt(parity.begin(), parity.end());
-  for (size_t p = 0; p < stripe.size(); ++p) {
-    if (p == lost_index) {
-      continue;
-    }
-    assert(stripe[p].size() == rebuilt.size() && "stripe pages must share a size");
-    for (size_t i = 0; i < rebuilt.size(); ++i) {
-      rebuilt[i] = static_cast<uint8_t>(rebuilt[i] ^ stripe[p][i]);
-    }
-  }
-  return rebuilt;
-}
-
 namespace {
 
 constexpr std::array<uint32_t, 256> BuildCrcTable() {

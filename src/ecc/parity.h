@@ -1,30 +1,21 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
-// XOR block parity (RAID-5 style) and CRC32 integrity checking.
-//
-// The SYS partition stores data "conservatively with additional redundancy
-// (e.g., parity)" (paper §4.2). ParityGroup implements the concrete scheme:
-// one XOR parity page protects a stripe of N data pages, so any single lost
-// page (an uncorrectable ECC failure) can be rebuilt from the survivors.
-// Crc32 provides the end-to-end integrity check the host uses to notice
+// CRC32 integrity checking: the end-to-end check the host uses to notice
 // silent corruption on the approximate partition.
+//
+// Block parity is not here. The SYS partition stores data "conservatively
+// with additional redundancy (e.g., parity)" (paper §4.2), and the FTL's
+// intra-block stripe is the one parity mechanism: Ftl::AppendPage XORs each
+// data page into the open stripe and Ftl::WriteParityPage stores it, so a
+// page whose ECC fails is rebuilt from the survivors.
 
 #ifndef SOS_SRC_ECC_PARITY_H_
 #define SOS_SRC_ECC_PARITY_H_
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sos {
-
-// Computes the XOR parity page over a stripe of equal-size pages.
-std::vector<uint8_t> ComputeParityPage(std::span<const std::vector<uint8_t>> stripe);
-
-// Rebuilds the page at `lost_index` from the surviving stripe members and the
-// parity page. `stripe[lost_index]` is ignored. All pages must share a size.
-std::vector<uint8_t> ReconstructFromParity(std::span<const std::vector<uint8_t>> stripe,
-                                           std::span<const uint8_t> parity, size_t lost_index);
 
 // Standard CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320).
 uint32_t Crc32(std::span<const uint8_t> data);

@@ -4,26 +4,11 @@
 
 #include <algorithm>
 
+#include "src/common/flag_set.h"
 #include "src/common/rng.h"
 
 namespace sos {
 namespace {
-
-// Strict decimal parse: every character must be a digit, no empties.
-bool ParseStrictU64(const std::string& text, uint64_t* out) {
-  if (text.empty() || text.size() > 19) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
 
 Status BadSpec(const std::string& spec, const char* why) {
   return Status(StatusCode::kInvalidArgument,
@@ -69,7 +54,7 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
   }
 
   FaultSpec out;
-  if (!ParseStrictU64(rest, &out.at_op)) {
+  if (!ParseDecimalU64("op index", rest, &out.at_op).ok()) {
     return BadSpec(spec, "op index must be a decimal number");
   }
 
@@ -88,7 +73,7 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
   if (name == "die_fail") {
     out.kind = FaultKind::kDieFail;
     if (!arg.empty()) {
-      if (arg[0] != 'd' || !ParseStrictU64(arg.substr(1), &value)) {
+      if (arg[0] != 'd' || !ParseDecimalU64("die", arg.substr(1), &value).ok()) {
         return BadSpec(spec, "die argument must be d<index>");
       }
       out.die = static_cast<uint32_t>(value);
@@ -102,8 +87,8 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
       return BadSpec(spec, "plane argument must be p<plane>/<num_planes>");
     }
     uint64_t planes = 0;
-    if (!ParseStrictU64(arg.substr(1, slash - 1), &value) ||
-        !ParseStrictU64(arg.substr(slash + 1), &planes)) {
+    if (!ParseDecimalU64("plane", arg.substr(1, slash - 1), &value).ok() ||
+        !ParseDecimalU64("num_planes", arg.substr(slash + 1), &planes).ok()) {
       return BadSpec(spec, "plane argument must be p<plane>/<num_planes>");
     }
     if (planes == 0 || value >= planes) {
@@ -115,34 +100,13 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
   }
   if (name == "block_stuck") {
     out.kind = FaultKind::kBlockStuck;
-    if (arg.empty() || arg[0] != 'b' || !ParseStrictU64(arg.substr(1), &value)) {
+    if (arg.empty() || arg[0] != 'b' || !ParseDecimalU64("block", arg.substr(1), &value).ok()) {
       return BadSpec(spec, "block argument must be b<block>");
     }
     out.block = static_cast<uint32_t>(value);
     return out;
   }
   return BadSpec(spec, "unknown fault kind");
-}
-
-std::string FormatFaultSpec(const FaultSpec& spec) {
-  std::string out = FaultKindName(spec.kind);
-  out += "@" + std::to_string(spec.at_op);
-  switch (spec.kind) {
-    case FaultKind::kDieFail:
-      if (spec.die != 0) {
-        out += ",d" + std::to_string(spec.die);
-      }
-      break;
-    case FaultKind::kPlaneFail:
-      out += ",p" + std::to_string(spec.plane) + "/" + std::to_string(spec.num_planes);
-      break;
-    case FaultKind::kBlockStuck:
-      out += ",b" + std::to_string(spec.block);
-      break;
-    default:
-      break;
-  }
-  return out;
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint32_t die_index)

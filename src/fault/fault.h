@@ -69,9 +69,6 @@ struct FaultSpec {
 // "block_stuck@50,b7".
 [[nodiscard]] Result<FaultSpec> ParseFaultSpec(const std::string& spec);
 
-// Canonical round-trip form of a spec (same grammar ParseFaultSpec accepts).
-std::string FormatFaultSpec(const FaultSpec& spec);
-
 // A full injection schedule for one run.
 struct FaultPlan {
   uint64_t seed = 1;

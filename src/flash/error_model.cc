@@ -28,20 +28,6 @@ double ErrorModel::Rber(const PageErrorState& state, double wear_term) {
   return std::clamp(rber, 0.0, 0.5);
 }
 
-double ErrorModel::ExpectedErrors(const PageErrorState& state, uint64_t bits) {
-  return Rber(state) * static_cast<double>(bits);
-}
-
-uint64_t ErrorModel::SampleErrorCount(const PageErrorState& state, uint64_t bits,
-                                      uint64_t stream_seed) {
-  const double rber = Rber(state);
-  if (rber <= 0.0 || bits == 0) {
-    return 0;
-  }
-  Rng rng(stream_seed);
-  return rng.NextBinomial(bits, rber);
-}
-
 uint64_t ErrorModel::InjectErrors(std::span<uint8_t> data, uint64_t error_count,
                                   uint64_t stream_seed) {
   const uint64_t total_bits = static_cast<uint64_t>(data.size()) * 8;

@@ -49,14 +49,6 @@ class ErrorModel {
   static double Rber(const PageErrorState& state, double wear_term);
   static double Rber(const PageErrorState& state) { return Rber(state, WearTerm(state)); }
 
-  // Expected number of bit errors in a payload of `bits` bits.
-  static double ExpectedErrors(const PageErrorState& state, uint64_t bits);
-
-  // Samples the number of bit errors for a payload of `bits` bits using a
-  // stream derived from `stream_seed`; deterministic for equal inputs.
-  static uint64_t SampleErrorCount(const PageErrorState& state, uint64_t bits,
-                                   uint64_t stream_seed);
-
   // Flips `error_count` distinct bits of `data` in place, positions drawn
   // from the `stream_seed` stream. Returns the number of bits flipped
   // (== error_count unless the payload has fewer bits).

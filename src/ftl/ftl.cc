@@ -1205,12 +1205,6 @@ bool Ftl::IsTainted(uint64_t lba) const {
   return loc.has_value() && loc->tainted;
 }
 
-uint32_t Ftl::PoolOf(uint64_t lba) const {
-  const auto loc = l2p_.Find(lba);
-  assert(loc.has_value());
-  return loc->pool;
-}
-
 Result<double> Ftl::PredictLbaRber(uint64_t lba, double ahead_years) const {
   const auto loc = l2p_.Find(lba);
   if (!loc.has_value()) {

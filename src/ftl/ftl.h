@@ -367,7 +367,6 @@ class Ftl {
   void SetTraceSink(obs::TraceSink* sink) { trace_ = sink; }
 
   bool IsMapped(uint64_t lba) const { return l2p_.Contains(lba); }
-  uint32_t PoolOf(uint64_t lba) const;
 
   // True when the stored copy of `lba` has absorbed unrecoverable corruption
   // during some past relocation (see FtlReadResult::tainted).

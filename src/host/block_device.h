@@ -127,10 +127,6 @@ class PlacementDirectory {
     return opened.value();
   }
 
-  [[nodiscard]] Result<PlacementSpec> Describe(PlacementHandle handle) const {
-    return device_->DescribePlacement(handle);
-  }
-
   void CloseAll() {
     for (const auto& [key, handle] : open_) {
       // Destruction-path cleanup: the device outlives us and a double close

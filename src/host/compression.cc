@@ -3,7 +3,6 @@
 #include "src/host/compression.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sos {
 
@@ -34,26 +33,6 @@ CorpusCompressionReport AnalyzeCorpus(std::span<const FileMeta> corpus,
     type.compressed_bytes += file.compressed_bytes;
   }
   return report;
-}
-
-double MeasuredEntropyBitsPerByte(std::span<const uint8_t> data) {
-  if (data.empty()) {
-    return 0.0;
-  }
-  std::array<uint64_t, 256> counts{};
-  for (uint8_t byte : data) {
-    ++counts[byte];
-  }
-  double entropy = 0.0;
-  const double n = static_cast<double>(data.size());
-  for (uint64_t count : counts) {
-    if (count == 0) {
-      continue;
-    }
-    const double p = static_cast<double>(count) / n;
-    entropy -= p * std::log2(p);
-  }
-  return entropy;
 }
 
 }  // namespace sos

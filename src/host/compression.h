@@ -51,10 +51,6 @@ struct CorpusCompressionReport {
 CorpusCompressionReport AnalyzeCorpus(std::span<const FileMeta> corpus,
                                       double framing_overhead = 0.03);
 
-// Measured Shannon entropy (bits/byte) of a concrete buffer; used by tests
-// to sanity-check the synthetic entropy attributes against real payloads.
-double MeasuredEntropyBitsPerByte(std::span<const uint8_t> data);
-
 }  // namespace sos
 
 #endif  // SOS_SRC_HOST_COMPRESSION_H_

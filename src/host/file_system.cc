@@ -287,12 +287,6 @@ const FileMeta* ExtentFileSystem::Lookup(uint64_t file_id) const {
   return file == nullptr ? nullptr : &file->meta;
 }
 
-PlacementHandle ExtentFileSystem::PlacementOf(uint64_t file_id) const {
-  const FsFile* file = Find(file_id);
-  assert(file != nullptr);
-  return file->placement;
-}
-
 Result<PlacementSpec> ExtentFileSystem::PlacementSpecOf(uint64_t file_id) const {
   const FsFile* file = Find(file_id);
   if (file == nullptr) {
@@ -321,10 +315,6 @@ FsStats ExtentFileSystem::Stats() const {
   stats.reads_issued = reads_issued_;
   stats.overcommitted = used_blocks_ > capacity_blocks_;
   return stats;
-}
-
-uint64_t ExtentFileSystem::FreeBlocks() const {
-  return capacity_blocks_ > used_blocks_ ? capacity_blocks_ - used_blocks_ : 0;
 }
 
 }  // namespace sos

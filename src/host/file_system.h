@@ -107,7 +107,6 @@ class ExtentFileSystem {
 
   // Null for unknown (never created or deleted) ids.
   const FileMeta* Lookup(uint64_t file_id) const;
-  PlacementHandle PlacementOf(uint64_t file_id) const;
   // The spec behind the file's handle (device lookup); errors if the handle
   // was closed out from under the file.
   [[nodiscard]] Result<PlacementSpec> PlacementSpecOf(uint64_t file_id) const;
@@ -115,7 +114,6 @@ class ExtentFileSystem {
   // handle was closed.
   [[nodiscard]] Result<PlacementSpec> DescribePlacement(PlacementHandle handle) const;
   FsStats Stats() const;
-  uint64_t FreeBlocks() const;
 
   // All file metadata in ascending id order (e.g. for retraining on the
   // live population).

@@ -33,20 +33,6 @@ double ImageQualityModel::PsnrDb(std::span<const uint8_t> original,
   return std::min(psnr, kMaxPsnrDb);
 }
 
-double ImageQualityModel::ExpectedPsnrDb(double ber) {
-  if (ber <= 0.0) {
-    return kMaxPsnrDb;
-  }
-  // E[MSE] per pixel: each bit-plane b flips with probability ber and
-  // contributes (2^b)^2 squared error. Sum_b 4^b for b=0..7 = (4^8-1)/3.
-  constexpr double kSumSquares = (65536.0 - 1.0) / 3.0;  // sum of 4^b for b=0..7 = 21845
-  const double mse = ber * kSumSquares;
-  if (mse <= 0.0) {
-    return kMaxPsnrDb;
-  }
-  return std::min(10.0 * std::log10(255.0 * 255.0 / mse), kMaxPsnrDb);
-}
-
 double ImageQualityModel::ScoreFromPsnr(double psnr_db) {
   constexpr double kLossless = 45.0;
   constexpr double kUnusable = 15.0;
@@ -173,40 +159,6 @@ std::vector<uint8_t> GenerateSyntheticVideo(const VideoConfig& config, uint32_t 
     byte = static_cast<uint8_t>(rng.NextU64() & 0xff);
   }
   return payload;
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate file quality.
-// ---------------------------------------------------------------------------
-
-double ExpectedFileQuality(MediaKind kind, double ber, uint64_t bytes) {
-  if (ber <= 0.0 || bytes == 0) {
-    return 1.0;
-  }
-  const double bits = static_cast<double>(bytes) * 8.0;
-  switch (kind) {
-    case MediaKind::kVideo: {
-      static const VideoQualityModel model{VideoConfig{}};
-      return model.ExpectedScore(ber, bytes);
-    }
-    case MediaKind::kImage:
-      return ImageQualityModel::ScoreFromPsnr(ImageQualityModel::ExpectedPsnrDb(ber));
-    case MediaKind::kAudio: {
-      // Audio frames conceal errors well and do not predict across frames;
-      // model as video with no propagation and gentler per-error damage.
-      VideoConfig cfg;
-      cfg.error_gain = 0.1;
-      cfg.i_propagation = 0.0;
-      cfg.p_propagation = 0.0;
-      const VideoQualityModel model{cfg};
-      return model.ExpectedScore(ber, bytes);
-    }
-    case MediaKind::kDocument:
-    case MediaKind::kBinary:
-      // Intolerant: quality is the probability the file is error-free.
-      return std::exp(-ber * bits);
-  }
-  return 0.0;
 }
 
 }  // namespace sos

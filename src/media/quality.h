@@ -19,9 +19,10 @@
 //    errors hurt only themselves ([72]). Most bytes live in tolerant P/B
 //    frames, which is exactly why MPEG data degrades gracefully.
 //
-// Both models provide a bit-exact path (compare original vs corrupted bytes)
-// and an analytical expectation path (quality as a function of BER) used by
-// the large-scale lifetime simulations that run without stored payloads.
+// Both models provide a bit-exact path (compare original vs corrupted bytes).
+// The video model also provides an analytical expectation path (quality as a
+// function of BER) used by the large-scale lifetime simulations that run
+// without stored payloads.
 
 #ifndef SOS_SRC_MEDIA_QUALITY_H_
 #define SOS_SRC_MEDIA_QUALITY_H_
@@ -44,11 +45,6 @@ class ImageQualityModel {
   // buffers. Identical buffers return kMaxPsnrDb (lossless sentinel).
   static constexpr double kMaxPsnrDb = 99.0;
   static double PsnrDb(std::span<const uint8_t> original, std::span<const uint8_t> corrupted);
-
-  // Expected PSNR of a raw 8-bit image at uniform bit error rate `ber`:
-  // each of the 8 bit-planes flips independently, E[MSE] =
-  // ber * sum_b (2^b)^2.
-  static double ExpectedPsnrDb(double ber);
 
   // Maps PSNR to a [0,1] quality score: >= 45 dB is visually lossless (1.0),
   // <= 15 dB is unusable (0.0), linear in between. The thresholds follow
@@ -111,25 +107,6 @@ class VideoQualityModel {
 // matters is positional (frame boundaries and GOP layout).
 std::vector<uint8_t> GenerateSyntheticVideo(const VideoConfig& config, uint32_t frames,
                                             uint64_t seed);
-
-// ---------------------------------------------------------------------------
-// Aggregate file quality.
-// ---------------------------------------------------------------------------
-
-// Media family of a stored file, used to select a degradation model.
-enum class MediaKind : uint8_t {
-  kVideo,
-  kImage,
-  kAudio,     // modeled like video with shallow propagation
-  kDocument,  // intolerant: any error is a defect
-  kBinary,    // intolerant: executables/libraries
-};
-
-// Expected quality in [0,1] of a file of `kind` after experiencing uniform
-// user-visible bit error rate `ber` over `bytes` bytes. The intolerant kinds
-// use the probability of *zero* errors (a single flip corrupts a document or
-// binary); tolerant kinds use their analytical models.
-double ExpectedFileQuality(MediaKind kind, double ber, uint64_t bytes);
 
 }  // namespace sos
 

@@ -19,12 +19,6 @@ std::string FormatU64(uint64_t v) {
   return buf;
 }
 
-std::string FormatI64(int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  return buf;
-}
-
 }  // namespace
 
 void TraceEvent::AppendKey(const std::string& key) {
@@ -47,12 +41,6 @@ TraceEvent& TraceEvent::WithU64(const std::string& key, uint64_t value) {
   return *this;
 }
 
-TraceEvent& TraceEvent::WithI64(const std::string& key, int64_t value) {
-  AppendKey(key);
-  fields_ += FormatI64(value);
-  return *this;
-}
-
 TraceEvent& TraceEvent::WithF64(const std::string& key, double value) {
   if (!std::isfinite(value)) {
     return With(key, FormatJsonDouble(value));  // "nan"/"inf"/"-inf" are not JSON numbers
@@ -67,11 +55,6 @@ TraceSink::TraceSink(size_t capacity) : capacity_(capacity) { events_.reserve(ca
 std::vector<TraceEvent> TraceSink::TakeEvents() {
   capacity_ = 0;
   return std::exchange(events_, {});
-}
-
-void TraceSink::ToMetrics(MetricRegistry& registry, const std::string& prefix) const {
-  registry.SetCounter(prefix + "trace.events", events_.size());
-  registry.SetCounter(prefix + "trace.dropped_events", dropped_);
 }
 
 std::string TraceEventToJson(const TraceEvent& event) {

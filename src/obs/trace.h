@@ -29,8 +29,6 @@
 
 namespace sos::obs {
 
-class MetricRegistry;
-
 // One discrete simulator event. `type` follows the metric naming scheme
 // (`layer.component.event`, e.g. "ftl.gc.victim"); fields render in
 // insertion order.
@@ -46,12 +44,11 @@ class TraceEvent {
   bool operator==(const TraceEvent& other) const = default;
 
   // Field helpers render deterministically and return *this for chaining at
-  // the emit site. With() always quotes its (escaped) value; WithU64/WithI64
-  // render bare decimals; WithF64 renders %.17g bare when finite and quoted
+  // the emit site. With() always quotes its (escaped) value; WithU64 renders
+  // a bare decimal; WithF64 renders %.17g bare when finite and quoted
   // ("nan", "inf", "-inf") otherwise, since JSON has no such numbers.
   TraceEvent& With(const std::string& key, const std::string& value);
   TraceEvent& WithU64(const std::string& key, uint64_t value);
-  TraceEvent& WithI64(const std::string& key, int64_t value);
   TraceEvent& WithF64(const std::string& key, double value);
 
   // The fields exactly as TraceEventToJson writes them: `, "key": value`
@@ -94,14 +91,6 @@ class TraceSink {
   std::vector<TraceEvent> TakeEvents();
   uint64_t dropped() const { return dropped_; }
   size_t capacity() const { return capacity_; }
-
-  // Registers the sink's own telemetry under `prefix`: `trace.events`
-  // (retained) and `trace.dropped_events` (lost to the keep-first cap).
-  // The dropped counter is exported unconditionally -- a zero row is how a
-  // reader can tell "nothing was dropped" from "nobody measured" (the
-  // "no silent caps" rule; fleet-scale runs cap per-device traces hard and
-  // still have to account for every event).
-  void ToMetrics(MetricRegistry& registry, const std::string& prefix = "") const;
 
   static constexpr size_t kDefaultCapacity = 65536;
 

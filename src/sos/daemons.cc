@@ -38,9 +38,6 @@ constexpr double kPromoteThreshold = 0.2;
 // access features unsettled).
 constexpr SimTimeUs kMinDemoteAgeUs = kUsPerDay;
 
-// A file handle's durability as a migration pass sees it.
-enum class HandleDurability : uint8_t { kNotLooked, kClosed, kCritical, kDegradable };
-
 // Prediction horizon: refresh pages that would cross the threshold within
 // one scrub period.
 constexpr double kLookaheadYears = 0.25;
@@ -54,35 +51,56 @@ constexpr double kRefreshFraction = 0.15;
 // likely-to-delete.
 constexpr double kMinDeleteScore = 0.3;
 
+// A file handle's durability as one pass sees it.
+enum class HandleDurability : uint8_t { kNotLooked, kClosed, kCritical, kDegradable };
+
+// Each handle's durability as one pass looked it up, by handle id: a pass
+// describes a handle once, not once per file. Handles close only between
+// passes, so a table lives for one pass. A pass that opens a handle forgets
+// that slot's entry: a reclassification may reopen a slot a file looked up
+// while it was closed (the FDP alias).
+class HandleDurabilityTable {
+ public:
+  explicit HandleDurabilityTable(const ExtentFileSystem& fs) : fs_(fs) {
+    seen_.fill(HandleDurability::kNotLooked);
+  }
+
+  HandleDurability Of(PlacementHandle handle) {
+    if (handle.id() >= seen_.size()) {
+      return Describe(handle);  // malformed: fails the lookup, never cached
+    }
+    HandleDurability& entry = seen_[handle.id()];
+    if (entry == HandleDurability::kNotLooked) {
+      entry = Describe(handle);
+    }
+    return entry;
+  }
+
+  void Forget(PlacementHandle handle) {
+    if (handle.id() < seen_.size()) {
+      seen_[handle.id()] = HandleDurability::kNotLooked;
+    }
+  }
+
+ private:
+  HandleDurability Describe(PlacementHandle handle) const {
+    const auto spec = fs_.DescribePlacement(handle);
+    if (!spec.ok()) {
+      return HandleDurability::kClosed;
+    }
+    return spec.value().durability == Durability::kCritical ? HandleDurability::kCritical
+                                                             : HandleDurability::kDegradable;
+  }
+
+  const ExtentFileSystem& fs_;
+  std::array<HandleDurability, kMaxPlacementHandles> seen_;
+};
+
 }  // namespace
 
 MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
   RunStats stats;
-  // Each handle's durability as this pass looked it up, by handle id: the
-  // device describes a handle once per pass, not once per file. Handles
-  // close only between passes; a reclassification may open one, possibly in
-  // a slot a file looked up while it was closed (the FDP alias), so it
-  // forgets the entry of the handle it names.
-  std::array<HandleDurability, kMaxPlacementHandles> seen;
-  seen.fill(HandleDurability::kNotLooked);
-  auto durability_of = [&](PlacementHandle handle) {
-    const auto describe = [&] {
-      const auto spec = fs_->DescribePlacement(handle);
-      if (!spec.ok()) {
-        return HandleDurability::kClosed;
-      }
-      return spec.value().durability == Durability::kCritical ? HandleDurability::kCritical
-                                                               : HandleDurability::kDegradable;
-    };
-    if (handle.id() >= seen.size()) {
-      return describe();  // malformed: fails the lookup, never cached
-    }
-    HandleDurability& entry = seen[handle.id()];
-    if (entry == HandleDurability::kNotLooked) {
-      entry = describe();
-    }
-    return entry;
-  };
+  HandleDurabilityTable handles(*fs_);
   // Re-declares a file's placement with a fresh handle of the opposite
   // durability, keeping the file's lifetime hint. The directory memoizes
   // handles per spec, so repeat verdicts reuse one slot.
@@ -94,9 +112,7 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     if (!handle.ok()) {
       return false;
     }
-    if (handle.value().id() < seen.size()) {
-      seen[handle.value().id()] = HandleDurability::kNotLooked;
-    }
+    handles.Forget(handle.value());
     return fs_->ReclassifyFile(id, handle.value()).ok();
   };
   // A retrain assigns the model in place; its windows die with it.
@@ -147,7 +163,7 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     }
     // A closed handle (closed out from under the file) matches neither
     // branch: nothing safe to do.
-    const HandleDurability durability = durability_of(file.placement);
+    const HandleDurability durability = handles.Of(file.placement);
     if (durability == HandleDurability::kCritical && (window.flags & kDemoteSide) != 0 &&
         now >= file.meta.created_us + kMinDemoteAgeUs) {
       if (reclassify(file.id, file.meta, Durability::kDegradable)) {
@@ -230,10 +246,10 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
   // risk ("SOS does not inherently rely on such redundant copies", §4.3).
   if (config_.cloud_repair) {
     Ftl& ftl = device_->ftl();
+    HandleDurabilityTable handles(*fs_);
     // Repair overwrites in place, which the walk allows.
     fs_->ForEachFile([&](const FileView& file) {
-      const auto spec = fs_->DescribePlacement(file.placement);
-      if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
+      if (handles.Of(file.placement) != HandleDurability::kDegradable) {
         return;  // only degradable data may rot; critical files stay exact
       }
       bool tainted = false;
@@ -308,9 +324,9 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
     uint64_t bytes;
   };
   std::vector<Candidate> candidates;
+  HandleDurabilityTable handles(*fs_);
   fs_->ForEachFile([&](const FileView& file) {
-    const auto spec = fs_->DescribePlacement(file.placement);
-    if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
+    if (handles.Of(file.placement) != HandleDurability::kDegradable) {
       return;
     }
     candidates.push_back({file.id,

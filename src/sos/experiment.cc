@@ -31,15 +31,6 @@ ExperimentBatch ExperimentDriver::RunBatch(const std::vector<ExperimentJob>& job
   return batch;
 }
 
-ExperimentBatch ExperimentDriver::Run(const std::vector<LifetimeSimConfig>& configs) {
-  std::vector<ExperimentJob> jobs;
-  jobs.reserve(configs.size());
-  for (const LifetimeSimConfig& config : configs) {
-    jobs.push_back({"", config});
-  }
-  return RunBatch(jobs);
-}
-
 std::vector<ExperimentJob> SeedSweep(const LifetimeSimConfig& base,
                                      const std::vector<uint64_t>& seeds) {
   std::vector<ExperimentJob> jobs;
@@ -54,7 +45,7 @@ std::vector<ExperimentJob> SeedSweep(const LifetimeSimConfig& base,
   return jobs;
 }
 
-LifetimeAggregate Aggregate(const std::vector<LifetimeResult>& results) {
+LifetimeAggregate Aggregate(std::span<const LifetimeResult> results) {
   LifetimeAggregate agg;
   for (const LifetimeResult& r : results) {
     agg.host_bytes_written.Add(static_cast<double>(r.host_bytes_written()));

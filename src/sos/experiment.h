@@ -23,6 +23,7 @@
 #define SOS_SRC_SOS_EXPERIMENT_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,9 +60,6 @@ class ExperimentDriver {
   // Runs every job and returns results in job order. Exceptions from a sim
   // propagate to the caller after the batch drains.
   ExperimentBatch RunBatch(const std::vector<ExperimentJob>& jobs);
-
-  // Convenience: configs only, no labels.
-  ExperimentBatch Run(const std::vector<LifetimeSimConfig>& configs);
 
   // Generic deterministic fan-out for non-LifetimeSim sweeps (FTL churn
   // runs, classifier evaluations): out[i] = fn(i), in index order. Runs
@@ -106,7 +104,7 @@ struct LifetimeAggregate {
   RunningStats files_deleted;    // auto-delete
 };
 
-LifetimeAggregate Aggregate(const std::vector<LifetimeResult>& results);
+LifetimeAggregate Aggregate(std::span<const LifetimeResult> results);
 
 // Serializes every result's telemetry into one metrics JSON document. Run i's
 // rows are prefixed "run.<i>.<kind-slug>." and registered in job order, so

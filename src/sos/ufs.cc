@@ -37,14 +37,6 @@ std::vector<UfsLunDescriptor> UfsView::Describe() const {
   return {lun0, lun1};
 }
 
-uint64_t UfsView::TotalBytes() const {
-  uint64_t total = 0;
-  for (const UfsLunDescriptor& lun : Describe()) {
-    total += lun.capacity_bytes;
-  }
-  return total;
-}
-
 std::string UfsView::Render() const {
   std::string out;
   char line[256];

@@ -43,9 +43,6 @@ class UfsView {
   // dynamic capacity). Snapshot of the current state.
   std::vector<UfsLunDescriptor> Describe() const;
 
-  // bAvailable-style summary: total exported bytes across LUNs.
-  uint64_t TotalBytes() const;
-
   // Renders the descriptor table the way `ufs-utils` would print it.
   std::string Render() const;
 

@@ -37,17 +37,6 @@ TEST(UmbrellaTest, MinimalUseCompilesAndRuns) {
 
 class EccPresetTest : public ::testing::TestWithParam<EccPreset> {};
 
-TEST_P(EccPresetTest, UberMonotonicInRber) {
-  const EccScheme scheme = EccScheme::FromPreset(GetParam());
-  double prev = -1.0;
-  for (double rber : {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2}) {
-    const double uber = scheme.Uber(rber);
-    EXPECT_GE(uber, prev);
-    EXPECT_LE(uber, rber + 1e-12);  // ECC never makes things worse in expectation
-    prev = uber;
-  }
-}
-
 TEST_P(EccPresetTest, DecodeZeroErrorsAlwaysClean) {
   const EccScheme scheme = EccScheme::FromPreset(GetParam());
   for (uint32_t page : {512u, 4096u, 16384u}) {

@@ -211,12 +211,6 @@ TEST(ScoreSpanTest, FingerprintTracksTrainedParameters) {
   EXPECT_EQ(assigned.Fingerprint(), c.Fingerprint());
 }
 
-TEST(FeaturesTest, NamesAreStable) {
-  EXPECT_STREQ(FeatureName(0), "log_size");
-  EXPECT_STREQ(FeatureName(6), "personal");
-  EXPECT_STREQ(FeatureName(kNumericFeatures), "system");
-}
-
 // --- Corpus ----------------------------------------------------------------
 
 TEST(CorpusTest, DeterministicForSeed) {
@@ -458,15 +452,6 @@ TEST(ModelsTest, BoostedStumpsEmptyCorpus) {
   EXPECT_EQ(empty.num_stumps(), 0u);
   FileMeta meta;
   EXPECT_GE(empty.Score(meta, 0), 0.0);
-}
-
-TEST(ModelsTest, NaiveBayesFeatureIntrospection) {
-  const auto m = TrainedModels::Make();
-  Rng rng(6);
-  const FileMeta photo = SynthesizeFile(FileType::kPhoto, kUsPerDay, 0.0, rng);
-  const auto odds = m.nb.FeatureLogOdds(photo, m.now);
-  // The photo one-hot must push toward expendable (positive log-odds).
-  EXPECT_GT(odds[kNumericFeatures + static_cast<size_t>(FileType::kPhoto)], 0.0);
 }
 
 }  // namespace

@@ -175,19 +175,6 @@ TEST(DeriveSeedTest, ContinuingFromAPrefixEqualsTheWholeList) {
   EXPECT_EQ(DeriveSeedFrom(DeriveSeed({1, 2, 3}), {}), DeriveSeed({1, 2, 3}));
 }
 
-TEST(ZipfTest, RankZeroMostPopular) {
-  ZipfDistribution zipf(100, 1.0);
-  Rng rng(43);
-  std::vector<int> counts(100, 0);
-  for (int i = 0; i < 50000; ++i) {
-    ++counts[zipf.Sample(rng)];
-  }
-  EXPECT_GT(counts[0], counts[10]);
-  EXPECT_GT(counts[0], counts[99]);
-  // Zipf(1.0): rank 0 should take roughly 1/H(100) ~ 19% of mass.
-  EXPECT_NEAR(counts[0] / 50000.0, 0.19, 0.05);
-}
-
 // --- Stats -----------------------------------------------------------------
 
 TEST(RunningStatsTest, BasicMoments) {

@@ -38,6 +38,15 @@ LifetimeSimConfig QuickConfig(DeviceKind kind, uint64_t seed, uint32_t days = 60
   return config;
 }
 
+// One unlabeled job per config, in config order.
+std::vector<ExperimentJob> Unlabeled(const std::vector<LifetimeSimConfig>& configs) {
+  std::vector<ExperimentJob> jobs;
+  for (const LifetimeSimConfig& config : configs) {
+    jobs.push_back({"", config});
+  }
+  return jobs;
+}
+
 LifetimeResult RunSerial(const LifetimeSimConfig& config) {
   LifetimeSim sim(config);
   return sim.Run();
@@ -139,7 +148,7 @@ TEST(DeterminismTest, SerialRerunAndParallelDriverAreBitIdentical) {
   // Same batch through the parallel driver: more workers than cores is fine,
   // scheduling must not leak into results, and order must be job order.
   ExperimentDriver driver(4);
-  const ExperimentBatch batch = driver.Run(configs);
+  const ExperimentBatch batch = driver.RunBatch(Unlabeled(configs));
   ASSERT_EQ(batch.results.size(), configs.size());
   EXPECT_EQ(batch.jobs_used, 4u);
   for (size_t i = 0; i < configs.size(); ++i) {
@@ -184,7 +193,7 @@ TEST(DeterminismTest, TelemetryExportBytesAreScheduleInvariant) {
       serial.push_back(RunSerial(config));
     }
     ExperimentDriver driver(4);
-    const ExperimentBatch batch = driver.Run(configs);
+    const ExperimentBatch batch = driver.RunBatch(Unlabeled(configs));
     ASSERT_EQ(batch.results.size(), serial.size());
 
     const std::string serial_metrics = BatchMetricsJson(serial);
@@ -275,7 +284,7 @@ TEST(DeterminismTest, PerHandleMetricsAreScheduleInvariant) {
     serial.push_back(RunSerial(config));
   }
   ExperimentDriver driver(4);
-  const ExperimentBatch batch = driver.Run(configs);
+  const ExperimentBatch batch = driver.RunBatch(Unlabeled(configs));
   ASSERT_EQ(batch.results.size(), configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(PlacementPolicyName(configs[i].sos.placement_policy));

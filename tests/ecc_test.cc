@@ -1,7 +1,6 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
-// Tests for the ECC layer: capability-model math, page decode, XOR parity,
-// and CRC32.
+// Tests for the ECC layer: capability-model math, page decode and CRC32.
 
 #include <cstdint>
 #include <string>
@@ -58,7 +57,6 @@ TEST(EccSchemeTest, ZeroRberNeverFails) {
   const EccScheme scheme = EccScheme::FromPreset(EccPreset::kBch);
   EXPECT_EQ(scheme.CodewordFailureProb(0.0), 0.0);
   EXPECT_EQ(scheme.PageFailureProb(0.0, 4096), 0.0);
-  EXPECT_EQ(scheme.Uber(0.0), 0.0);
 }
 
 TEST(EccSchemeTest, SaturatedRberAlwaysFails) {
@@ -71,11 +69,6 @@ TEST(EccSchemeTest, PageFailureAtLeastCodewordFailure) {
   for (double rber : {1e-4, 1e-3}) {
     EXPECT_GE(scheme.PageFailureProb(rber, 4096), scheme.CodewordFailureProb(rber));
   }
-}
-
-TEST(EccSchemeTest, NoEccUberEqualsRber) {
-  const EccScheme none = EccScheme::FromPreset(EccPreset::kNone);
-  EXPECT_DOUBLE_EQ(none.Uber(1e-4), 1e-4);
 }
 
 TEST(EccSchemeTest, MaxCorrectableRberConsistent) {
@@ -210,29 +203,6 @@ TEST(DecodePageTest, UncorrectableCountsStillScatter) {
   // Non-vacuity: counts above t can still decode when they spread out.
   EXPECT_TRUE(saw_success);
   EXPECT_TRUE(saw_failure);
-}
-
-// --- Parity ----------------------------------------------------------------
-
-TEST(ParityTest, ReconstructsAnyLostPage) {
-  Rng rng(9);
-  std::vector<std::vector<uint8_t>> stripe(5, std::vector<uint8_t>(64));
-  for (auto& page : stripe) {
-    for (auto& b : page) {
-      b = static_cast<uint8_t>(rng.NextU64());
-    }
-  }
-  const std::vector<uint8_t> parity = ComputeParityPage(stripe);
-  for (size_t lost = 0; lost < stripe.size(); ++lost) {
-    EXPECT_EQ(ReconstructFromParity(stripe, parity, lost), stripe[lost]) << "lost " << lost;
-  }
-}
-
-TEST(ParityTest, SinglePageStripe) {
-  std::vector<std::vector<uint8_t>> stripe{{1, 2, 3}};
-  const std::vector<uint8_t> parity = ComputeParityPage(stripe);
-  EXPECT_EQ(parity, stripe[0]);
-  EXPECT_EQ(ReconstructFromParity(stripe, parity, 0), stripe[0]);
 }
 
 // --- CRC32 -----------------------------------------------------------------

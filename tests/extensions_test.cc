@@ -11,7 +11,6 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/host/compression.h"
-#include "src/media/quality.h"
 #include "src/sos/daemons.h"
 #include "src/sos/ufs.h"
 
@@ -55,25 +54,6 @@ TEST(CompressionTest, PersonalCorpusSavesLittle) {
   EXPECT_GT(appdata.savings(), 0.2);
 }
 
-TEST(CompressionTest, MeasuredEntropyMatchesExpectations) {
-  // Uniform random bytes -> ~8 bits/byte; constant bytes -> 0.
-  Rng rng(3);
-  std::vector<uint8_t> random(64 * kKiB);
-  for (auto& b : random) {
-    b = static_cast<uint8_t>(rng.NextU64());
-  }
-  EXPECT_GT(MeasuredEntropyBitsPerByte(random), 7.9);
-  const std::vector<uint8_t> constant(4096, 0x55);
-  EXPECT_DOUBLE_EQ(MeasuredEntropyBitsPerByte(constant), 0.0);
-  EXPECT_DOUBLE_EQ(MeasuredEntropyBitsPerByte({}), 0.0);
-  // The synthetic "photo" (gradient + noise) sits in between: structured
-  // pixels, nontrivial but below media-codec entropy.
-  const auto image = GenerateSyntheticImage(128, 128, 4);
-  const double entropy = MeasuredEntropyBitsPerByte(image);
-  EXPECT_GT(entropy, 3.0);
-  EXPECT_LT(entropy, 8.0);
-}
-
 // --- UFS LUN view (§4.3, [75]) ------------------------------------------------
 
 SosDeviceConfig UfsTestDevice() {
@@ -99,7 +79,6 @@ TEST(UfsViewTest, TwoLunsWithCorrectAttributes) {
   EXPECT_EQ(luns[1].backing_mode, CellTech::kPlc);
   EXPECT_GT(luns[0].capacity_bytes, 0u);
   EXPECT_GT(luns[1].capacity_bytes, luns[0].capacity_bytes);  // PLC is denser
-  EXPECT_EQ(view.TotalBytes(), luns[0].capacity_bytes + luns[1].capacity_bytes);
 }
 
 TEST(UfsViewTest, AllocationTracksWrites) {

@@ -150,43 +150,6 @@ TEST(ErrorModelTest, RberClampedToHalf) {
   EXPECT_LE(ErrorModel::Rber(state), 0.5);
 }
 
-TEST(ErrorModelTest, SampleDeterministicPerSeed) {
-  PageErrorState state;
-  state.mode = CellTech::kPlc;
-  state.endurance_pec = 300;
-  state.pec_at_program = 250;
-  state.retention_years = 1.0;
-  const uint64_t bits = 4096 * 8;
-  EXPECT_EQ(ErrorModel::SampleErrorCount(state, bits, 99),
-            ErrorModel::SampleErrorCount(state, bits, 99));
-  // Different seeds should (almost surely) differ for a high-error state.
-  uint64_t distinct = 0;
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    if (ErrorModel::SampleErrorCount(state, bits, seed) !=
-        ErrorModel::SampleErrorCount(state, bits, seed + 100)) {
-      ++distinct;
-    }
-  }
-  EXPECT_GT(distinct, 0u);
-}
-
-TEST(ErrorModelTest, SampleMeanTracksExpectation) {
-  PageErrorState state;
-  state.mode = CellTech::kQlc;
-  state.endurance_pec = 1000;
-  state.pec_at_program = 800;
-  state.retention_years = 0.5;
-  const uint64_t bits = 32768;
-  const double expected = ErrorModel::ExpectedErrors(state, bits);
-  double total = 0.0;
-  const int trials = 2000;
-  for (int i = 0; i < trials; ++i) {
-    total += static_cast<double>(
-        ErrorModel::SampleErrorCount(state, bits, static_cast<uint64_t>(i)));
-  }
-  EXPECT_NEAR(total / trials, expected, expected * 0.2 + 0.5);
-}
-
 TEST(ErrorModelTest, InjectFlipsExactCount) {
   std::vector<uint8_t> data(512, 0);
   const uint64_t flipped = ErrorModel::InjectErrors(data, 37, 7);

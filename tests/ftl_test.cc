@@ -14,6 +14,7 @@
 #include "src/flash/fault_hook.h"
 #include "src/flash/voltage_model.h"
 #include "src/ftl/ftl.h"
+#include "tests/oracle/probes.h"
 
 namespace sos {
 namespace {
@@ -555,9 +556,9 @@ TEST(FtlTest, MigrateMovesBetweenPools) {
   config.pools = {a, b};
   Ftl ftl(config, &clock);
   ASSERT_TRUE(ftl.Write(5, Page(0x42), 0).ok());
-  EXPECT_EQ(ftl.PoolOf(5), 0u);
+  EXPECT_EQ(PoolsByLba(ftl).at(5), 0u);
   ASSERT_TRUE(ftl.Migrate(5, 1).ok());
-  EXPECT_EQ(ftl.PoolOf(5), 1u);
+  EXPECT_EQ(PoolsByLba(ftl).at(5), 1u);
   EXPECT_EQ(ftl.stats().migrations(), 1u);
   auto read = ftl.Read(5);
   ASSERT_TRUE(read.ok());

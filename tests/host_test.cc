@@ -10,6 +10,7 @@
 #include "src/host/file_system.h"
 #include "src/host/workload.h"
 #include "src/sos/sos_device.h"
+#include "tests/oracle/probes.h"
 
 namespace sos {
 namespace {
@@ -113,12 +114,12 @@ TEST(FileSystemTest, OverwriteTooLargeRejected) {
 
 TEST(FileSystemTest, DeleteFreesSpace) {
   FsFixture f;
-  const uint64_t free_before = f.fs.FreeBlocks();
+  const uint64_t used_before = f.fs.Stats().used_blocks;
   auto id = f.fs.CreateFile(PhotoMeta(4096), Content(4096, 4), f.critical);
   ASSERT_TRUE(id.ok());
-  EXPECT_LT(f.fs.FreeBlocks(), free_before);
+  EXPECT_GT(f.fs.Stats().used_blocks, used_before);
   ASSERT_TRUE(f.fs.DeleteFile(id.value()).ok());
-  EXPECT_EQ(f.fs.FreeBlocks(), free_before);
+  EXPECT_EQ(f.fs.Stats().used_blocks, used_before);
   EXPECT_EQ(f.fs.Stats().files, 0u);
 }
 
@@ -164,10 +165,10 @@ TEST(FileSystemTest, ReclassifyMovesPools) {
   FsFixture f;
   auto id = f.fs.CreateFile(PhotoMeta(2048), Content(2048, 7), f.critical);
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(f.fs.PlacementOf(id.value()), f.critical);
+  EXPECT_EQ(PlacementOf(f.fs, id.value()), f.critical);
   const auto sys_before = f.device.SysSnapshot().valid_pages;
   ASSERT_TRUE(f.fs.ReclassifyFile(id.value(), f.degradable).ok());
-  EXPECT_EQ(f.fs.PlacementOf(id.value()), f.degradable);
+  EXPECT_EQ(PlacementOf(f.fs, id.value()), f.degradable);
   EXPECT_LT(f.device.SysSnapshot().valid_pages, sys_before);
   EXPECT_GT(f.device.SpareSnapshot().valid_pages, 0u);
   // Content survives the migration.

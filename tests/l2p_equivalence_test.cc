@@ -30,6 +30,7 @@
 #include "src/ftl/ftl.h"
 #include "src/ftl/l2p.h"
 #include "tests/oracle/l2p_map.h"
+#include "tests/oracle/probes.h"
 
 namespace sos {
 namespace {
@@ -221,10 +222,11 @@ void RunShadowProperty(uint64_t seed, int geometry) {
     }
     if (op % 250 == 249) {
       ASSERT_TRUE(ftl.CheckInvariants().ok());
+      const std::map<uint64_t, uint32_t> pools = PoolsByLba(ftl);
       for (uint64_t l = 0; l < kLbas; ++l) {
         ASSERT_EQ(ftl.IsMapped(l), shadow.count(l) > 0) << "lba " << l;
         if (shadow.count(l) > 0) {
-          ASSERT_EQ(ftl.PoolOf(l), shadow.at(l).pool) << "lba " << l;
+          ASSERT_EQ(pools.at(l), shadow.at(l).pool) << "lba " << l;
         }
       }
     }
@@ -236,10 +238,11 @@ void RunShadowProperty(uint64_t seed, int geometry) {
   ftl.nand().PowerCut();
   ASSERT_TRUE(ftl.RecoverFromFlash().ok());
   ASSERT_TRUE(ftl.CheckInvariants().ok());
+  const std::map<uint64_t, uint32_t> recovered_pools = PoolsByLba(ftl);
   for (const auto& [lba, entry] : shadow) {
     SCOPED_TRACE("recovered lba " + std::to_string(lba));
     ASSERT_TRUE(ftl.IsMapped(lba));
-    EXPECT_EQ(ftl.PoolOf(lba), entry.pool);
+    EXPECT_EQ(recovered_pools.at(lba), entry.pool);
     const Result<FtlReadResult> read = ftl.Read(lba);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     if (!read.value().degraded && !read.value().tainted &&

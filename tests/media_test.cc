@@ -1,7 +1,6 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
-// Tests for the media quality models: PSNR math, GOP damage propagation,
-// and the per-kind tolerance ordering SOS's placement policy relies on.
+// Tests for the media quality models: PSNR math and GOP damage propagation.
 
 #include <gtest/gtest.h>
 
@@ -32,30 +31,6 @@ TEST(ImageQualityTest, PsnrDropsWithMoreErrors) {
   const double psnr_heavy = ImageQualityModel::PsnrDb(img, heavily);
   EXPECT_GT(psnr_light, psnr_heavy);
   EXPECT_LT(psnr_heavy, ImageQualityModel::kMaxPsnrDb);
-}
-
-TEST(ImageQualityTest, ExpectedPsnrMonotonicInBer) {
-  double prev = 1e9;
-  for (double ber : {1e-8, 1e-6, 1e-4, 1e-2}) {
-    const double psnr = ImageQualityModel::ExpectedPsnrDb(ber);
-    EXPECT_LT(psnr, prev);
-    prev = psnr;
-  }
-  EXPECT_DOUBLE_EQ(ImageQualityModel::ExpectedPsnrDb(0.0), ImageQualityModel::kMaxPsnrDb);
-}
-
-TEST(ImageQualityTest, ExpectedPsnrMatchesMeasured) {
-  // Inject errors at a known BER and compare measured PSNR to the analytic
-  // expectation (loose tolerance: one image, one draw).
-  const uint32_t side = 256;
-  const auto img = GenerateSyntheticImage(side, side, 5);
-  const double ber = 1e-3;
-  auto corrupted = img;
-  const uint64_t bits = static_cast<uint64_t>(img.size()) * 8;
-  ErrorModel::InjectErrors(corrupted, static_cast<uint64_t>(static_cast<double>(bits) * ber), 6);
-  const double measured = ImageQualityModel::PsnrDb(img, corrupted);
-  const double expected = ImageQualityModel::ExpectedPsnrDb(ber);
-  EXPECT_NEAR(measured, expected, 2.0);
 }
 
 TEST(ImageQualityTest, ScoreMappingAnchors) {
@@ -140,34 +115,6 @@ TEST(VideoQualityTest, GracefulDegradationRegime) {
   const VideoQualityModel model{VideoConfig{}};
   EXPECT_GT(model.ExpectedScore(1e-7, 16 * kMiB), 0.95);
   EXPECT_LT(model.ExpectedScore(1e-2, 16 * kMiB), 0.2);
-}
-
-// --- Aggregate kinds -------------------------------------------------------
-
-TEST(FileQualityTest, ToleranceOrdering) {
-  // At a modest BER, documents/binaries (intolerant) must score far below
-  // media (tolerant). This ordering is why SOS sends media to SPARE.
-  const double ber = 1e-6;
-  const uint64_t bytes = 4 * kMiB;
-  const double video = ExpectedFileQuality(MediaKind::kVideo, ber, bytes);
-  const double audio = ExpectedFileQuality(MediaKind::kAudio, ber, bytes);
-  const double image = ExpectedFileQuality(MediaKind::kImage, ber, bytes);
-  const double document = ExpectedFileQuality(MediaKind::kDocument, ber, bytes);
-  EXPECT_GT(video, 0.8);
-  EXPECT_GT(audio, video * 0.99);  // audio conceals at least as well
-  EXPECT_GT(image, 0.5);
-  EXPECT_LT(document, 0.01);  // ~33 expected flips ruin a document
-}
-
-TEST(FileQualityTest, PerfectAtZeroBer) {
-  for (MediaKind kind : {MediaKind::kVideo, MediaKind::kImage, MediaKind::kAudio,
-                         MediaKind::kDocument, MediaKind::kBinary}) {
-    EXPECT_DOUBLE_EQ(ExpectedFileQuality(kind, 0.0, kMiB), 1.0);
-  }
-}
-
-TEST(FileQualityTest, EmptyFileIsPerfect) {
-  EXPECT_DOUBLE_EQ(ExpectedFileQuality(MediaKind::kDocument, 1e-3, 0), 1.0);
 }
 
 }  // namespace

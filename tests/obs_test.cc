@@ -177,28 +177,13 @@ TEST(TraceSinkTest, TakeEventsMovesTheEventsOutAndClosesTheSink) {
   EXPECT_EQ(sink.dropped(), 1u);
 }
 
-TEST(TraceSinkTest, ToMetricsExportsEventAndDropCounters) {
-  TraceSink sink(1);
-  sink.Emit([] { return TraceEvent{0, "kept"}; });
-  sink.Emit([] { return TraceEvent{1, "dropped"}; });
-
-  MetricRegistry registry;
-  sink.ToMetrics(registry, "dev.");
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].name, "dev.trace.events");
-  EXPECT_EQ(snapshot[0].counter, 1u);
-  EXPECT_EQ(snapshot[1].name, "dev.trace.dropped_events");
-  EXPECT_EQ(snapshot[1].counter, 1u);
-}
-
 TEST(TraceEventTest, FieldsRenderInInsertionOrder) {
   TraceEvent event{123, "ftl.gc.victim"};
-  event.With("pool", "SYS").WithU64("block", 7).WithF64("score", 0.5).WithI64("delta", -3);
+  event.With("pool", "SYS").WithU64("block", 7).WithF64("score", 0.5);
   const std::string json = TraceEventToJson(event);
   EXPECT_EQ(json,
             "{\"t_us\": 123, \"type\": \"ftl.gc.victim\", \"pool\": \"SYS\", "
-            "\"block\": 7, \"score\": 0.5, \"delta\": -3}");
+            "\"block\": 7, \"score\": 0.5}");
 }
 
 // Exact bytes of every field helper; the JSONL export is an artifact, so a
@@ -212,9 +197,6 @@ TEST(TraceEventTest, HelpersRenderExactJson) {
   EXPECT_EQ(line(TraceEvent{UINT64_MAX, "t"}.WithU64("u", 0).WithU64("max", UINT64_MAX)),
             "{\"t_us\": 18446744073709551615, \"type\": \"t\", \"u\": 0, "
             "\"max\": 18446744073709551615}");
-  EXPECT_EQ(line(TraceEvent{1, "t"}.WithI64("neg", -42).WithI64("min", INT64_MIN).WithI64("z", 0)),
-            "{\"t_us\": 1, \"type\": \"t\", \"neg\": -42, \"min\": -9223372036854775808, "
-            "\"z\": 0}");
   EXPECT_EQ(line(TraceEvent{2, "t"}
                      .WithF64("a", 0.1)
                      .WithF64("b", 1e-300)
@@ -237,7 +219,7 @@ TEST(TraceEventTest, HelpersRenderExactJson) {
 
 // With() is the string helper: its value is quoted whatever its shape, so a
 // date, a version or a stray sign can never come out as a bare (invalid)
-// JSON token. Numbers go through WithU64/WithI64/WithF64.
+// JSON token. Numbers go through WithU64/WithF64.
 TEST(TraceEventTest, StringValuesAreAlwaysQuoted) {
   TraceEvent event{5, "t"};
   event.With("date", "2024-01-01")

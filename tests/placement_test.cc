@@ -14,6 +14,7 @@
 #include "src/common/units.h"
 #include "src/sos/lifetime_sim.h"
 #include "src/sos/sos_device.h"
+#include "tests/oracle/probes.h"
 
 namespace sos {
 namespace {
@@ -167,14 +168,14 @@ TEST(ReclassifyTest, SameClassIsNoOpWithoutFlashOps) {
   const PlacementHandle critical =
       device.OpenPlacement(Spec(Durability::kCritical)).value();
   ASSERT_TRUE(device.Write(7, Block(9), critical).ok());
-  ASSERT_EQ(device.ftl().PoolOf(7), device.sys_pool());
+  ASSERT_EQ(PoolsByLba(device.ftl()).at(7), device.sys_pool());
 
   const uint64_t nand_writes_before = device.ftl().stats().nand_writes();
   const uint64_t migrations_before = device.ftl().stats().migrations();
   ASSERT_TRUE(device.Reclassify(7, critical).ok());  // already resident in SYS
   EXPECT_EQ(device.ftl().stats().nand_writes(), nand_writes_before);
   EXPECT_EQ(device.ftl().stats().migrations(), migrations_before);
-  EXPECT_EQ(device.ftl().PoolOf(7), device.sys_pool());
+  EXPECT_EQ(PoolsByLba(device.ftl()).at(7), device.sys_pool());
 }
 
 TEST(ReclassifyTest, LifecycleErrorsMatchWritePath) {

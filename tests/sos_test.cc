@@ -16,6 +16,7 @@
 #include "src/sos/lifetime_sim.h"
 #include "src/sos/sos_device.h"
 #include "tests/oracle/exact_scoring.h"
+#include "tests/oracle/probes.h"
 
 namespace sos {
 namespace {
@@ -67,8 +68,8 @@ TEST(SosDeviceTest, DirectiveRoutesWrites) {
   const PlacementHandle degradable = OpenHandle(device, Durability::kDegradable);
   ASSERT_TRUE(device.Write(1, Block(1), critical).ok());
   ASSERT_TRUE(device.Write(2, Block(2), degradable).ok());
-  EXPECT_EQ(device.ftl().PoolOf(1), device.sys_pool());
-  EXPECT_EQ(device.ftl().PoolOf(2), device.spare_pool());
+  EXPECT_EQ(PoolsByLba(device.ftl()).at(1), device.sys_pool());
+  EXPECT_EQ(PoolsByLba(device.ftl()).at(2), device.spare_pool());
 }
 
 TEST(SosDeviceTest, SysReadsAreReliable) {
@@ -89,9 +90,9 @@ TEST(SosDeviceTest, ReclassifyMovesData) {
   const PlacementHandle degradable = OpenHandle(device, Durability::kDegradable);
   ASSERT_TRUE(device.Write(1, Block(7), critical).ok());
   ASSERT_TRUE(device.Reclassify(1, degradable).ok());
-  EXPECT_EQ(device.ftl().PoolOf(1), device.spare_pool());
+  EXPECT_EQ(PoolsByLba(device.ftl()).at(1), device.spare_pool());
   ASSERT_TRUE(device.Reclassify(1, critical).ok());
-  EXPECT_EQ(device.ftl().PoolOf(1), device.sys_pool());
+  EXPECT_EQ(PoolsByLba(device.ftl()).at(1), device.sys_pool());
   EXPECT_EQ(device.Reclassify(42, critical).code(), StatusCode::kNotFound);
 }
 
@@ -525,12 +526,12 @@ TEST(MigrationDaemonTest, DurabilityFollowsHandlesOpenedMidPass) {
   EXPECT_EQ(first.demoted, 1u);
   EXPECT_EQ(first.promoted, 1u);
   EXPECT_EQ(first.demote_failures, 0u);
-  EXPECT_EQ(f.fs.PlacementOf(photo_on_stale), stale);
-  EXPECT_EQ(f.fs.PlacementOf(cache_on_critical), stale);  // the reopened slot
+  EXPECT_EQ(PlacementOf(f.fs, photo_on_stale), stale);
+  EXPECT_EQ(PlacementOf(f.fs, cache_on_critical), stale);  // the reopened slot
   EXPECT_EQ(f.DurabilityOf(cache_on_critical), Durability::kDegradable);
-  EXPECT_EQ(f.fs.PlacementOf(late_photo_on_stale), critical_long);
-  EXPECT_EQ(f.fs.PlacementOf(cache_on_gone), gone);
-  EXPECT_EQ(f.fs.PlacementOf(young_cache), closing);
+  EXPECT_EQ(PlacementOf(f.fs, late_photo_on_stale), critical_long);
+  EXPECT_EQ(PlacementOf(f.fs, cache_on_gone), gone);
+  EXPECT_EQ(PlacementOf(f.fs, young_cache), closing);
 
   // The young file's critical slot closes between passes: the next pass must
   // skip it, not act on what the previous pass saw. The first file, whose
@@ -541,8 +542,8 @@ TEST(MigrationDaemonTest, DurabilityFollowsHandlesOpenedMidPass) {
   EXPECT_EQ(second.demoted, 0u);
   EXPECT_EQ(second.promoted, 1u);
   EXPECT_EQ(second.demote_failures, 0u);
-  EXPECT_EQ(f.fs.PlacementOf(photo_on_stale), critical_long);
-  EXPECT_EQ(f.fs.PlacementOf(young_cache), closing);
+  EXPECT_EQ(PlacementOf(f.fs, photo_on_stale), critical_long);
+  EXPECT_EQ(PlacementOf(f.fs, young_cache), closing);
 }
 
 TEST(MigrationDaemonTest, HigherThresholdDemotesLess) {
@@ -615,6 +616,44 @@ TEST(AutoDeleteTest, NeverDeletesSysFiles) {
   const auto stats = manager.RunOnce(f.clock.now());
   EXPECT_EQ(stats.files_deleted, 0u);
   EXPECT_EQ(f.fs.Stats().files, static_cast<uint64_t>(created));
+}
+
+TEST(AutoDeleteTest, CandidatesFollowTheHandleAtEachActivation) {
+  DaemonFixture f;  // slot 0: critical, slot 1: degradable
+  const PlacementHandle slot = OpenHandle(f.device, Durability::kDegradable);  // slot 2
+  auto add = [&](size_t i, PlacementHandle handle) {
+    FileMeta meta = f.corpus[i];
+    meta.size_bytes = 512;
+    auto id = f.fs.CreateFile(meta, Block(static_cast<uint8_t>(i)), handle);
+    EXPECT_TRUE(id.ok());
+    return id.value();
+  };
+  add(0, f.critical);  // never a candidate
+  const uint64_t junk = add(1, f.degradable);
+  const uint64_t first = add(2, slot);
+  const uint64_t second = add(3, slot);
+  ASSERT_TRUE(f.device.ClosePlacement(slot).ok());
+
+  // Activate on any used space and delete every candidate there is.
+  AutoDeleteConfig config;
+  config.low_water_free = 1.0;
+  config.high_water_free = 1.0;
+  AutoDeleteManager manager(&f.fs, &f.deletion, config);
+  // The two files on the closed slot are not candidates.
+  const auto closed = manager.RunOnce(f.clock.now());
+  EXPECT_EQ(closed.activations, 1u);
+  EXPECT_EQ(closed.files_deleted, 1u);
+  EXPECT_EQ(f.fs.Lookup(junk), nullptr);
+  EXPECT_NE(f.fs.Lookup(first), nullptr);
+
+  // The slot reopens as degradable between activations: the next one deletes
+  // its files, not acting on what the previous activation saw.
+  ASSERT_EQ(OpenHandle(f.device, Durability::kDegradable).id(), slot.id());
+  const auto reopened = manager.RunOnce(f.clock.now());
+  EXPECT_EQ(reopened.files_deleted, 2u);
+  EXPECT_EQ(f.fs.Lookup(first), nullptr);
+  EXPECT_EQ(f.fs.Lookup(second), nullptr);
+  EXPECT_EQ(f.fs.Stats().files, 1u);
 }
 
 TEST(DegradationMonitorTest, RefreshesAgedSparePages) {

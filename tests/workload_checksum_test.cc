@@ -230,7 +230,7 @@ uint64_t BitFlipWorkload() {
     state.retention_years = 0.25 * static_cast<double>(i % 16);
     state.reads_since_program = (i % 8) * 20000u;
     const uint64_t seed = DeriveSeed({0x464c4951ull, i});
-    const uint64_t count = ErrorModel::SampleErrorCount(state, kPageBytes * 8, seed);
+    const uint64_t count = Rng(seed).NextBinomial(kPageBytes * 8, ErrorModel::Rber(state));
     acc = DeriveSeed({acc, count, ErrorModel::InjectErrors(page, count, seed)});
   }
   uint64_t h = 1469598103934665603ull;  // FNV-1a over the accumulated corruption
