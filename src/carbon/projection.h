@@ -55,8 +55,6 @@ class CarbonProjection {
   // Inclusive range of yearly projections.
   std::vector<YearProjection> Range(int from_year, int to_year) const;
 
-  const ProjectionParams& params() const { return params_; }
-
  private:
   ProjectionParams params_;
 };

@@ -3,6 +3,7 @@
 #include "src/fault/fault.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/common/flag_set.h"
 #include "src/common/rng.h"
@@ -13,6 +14,18 @@ namespace {
 Status BadSpec(const std::string& spec, const char* why) {
   return Status(StatusCode::kInvalidArgument,
                 "malformed fault spec '" + spec + "': " + why);
+}
+
+// Parses a decimal die, block or plane index. False on anything
+// ParseDecimalU64 refuses and on values above UINT32_MAX, which would
+// otherwise wrap to a different index.
+bool ParseIndexU32(const std::string& text, uint32_t* out) {
+  uint64_t value = 0;
+  if (!ParseDecimalU64("index", text, &value).ok() || value > UINT32_MAX) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(value);
+  return true;
 }
 
 }  // namespace
@@ -58,7 +71,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
     return BadSpec(spec, "op index must be a decimal number");
   }
 
-  uint64_t value = 0;
   if (name == "power_cut" || name == "program_fail" || name == "erase_fail" ||
       name == "read_fail") {
     if (!arg.empty()) {
@@ -73,10 +85,9 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
   if (name == "die_fail") {
     out.kind = FaultKind::kDieFail;
     if (!arg.empty()) {
-      if (arg[0] != 'd' || !ParseDecimalU64("die", arg.substr(1), &value).ok()) {
-        return BadSpec(spec, "die argument must be d<index>");
+      if (arg[0] != 'd' || !ParseIndexU32(arg.substr(1), &out.die)) {
+        return BadSpec(spec, "die argument must be d<index> below 2^32");
       }
-      out.die = static_cast<uint32_t>(value);
     }
     return out;
   }
@@ -86,24 +97,20 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
     if (arg.empty() || arg[0] != 'p' || slash == std::string::npos) {
       return BadSpec(spec, "plane argument must be p<plane>/<num_planes>");
     }
-    uint64_t planes = 0;
-    if (!ParseDecimalU64("plane", arg.substr(1, slash - 1), &value).ok() ||
-        !ParseDecimalU64("num_planes", arg.substr(slash + 1), &planes).ok()) {
-      return BadSpec(spec, "plane argument must be p<plane>/<num_planes>");
+    if (!ParseIndexU32(arg.substr(1, slash - 1), &out.plane) ||
+        !ParseIndexU32(arg.substr(slash + 1), &out.num_planes)) {
+      return BadSpec(spec, "plane argument must be p<plane>/<num_planes> below 2^32");
     }
-    if (planes == 0 || value >= planes) {
+    if (out.num_planes == 0 || out.plane >= out.num_planes) {
       return BadSpec(spec, "plane index must be below num_planes");
     }
-    out.plane = static_cast<uint32_t>(value);
-    out.num_planes = static_cast<uint32_t>(planes);
     return out;
   }
   if (name == "block_stuck") {
     out.kind = FaultKind::kBlockStuck;
-    if (arg.empty() || arg[0] != 'b' || !ParseDecimalU64("block", arg.substr(1), &value).ok()) {
-      return BadSpec(spec, "block argument must be b<block>");
+    if (arg.empty() || arg[0] != 'b' || !ParseIndexU32(arg.substr(1), &out.block)) {
+      return BadSpec(spec, "block argument must be b<block> below 2^32");
     }
-    out.block = static_cast<uint32_t>(value);
     return out;
   }
   return BadSpec(spec, "unknown fault kind");

@@ -66,7 +66,8 @@ struct FaultSpec {
 //   power_cut@N | die_fail@N[,dD] | plane_fail@N,pP/M | block_stuck@N,bB |
 //   program_fail@N | erase_fail@N | read_fail@N
 // e.g. "power_cut@1000", "die_fail@2,d3", "plane_fail@64,p1/4",
-// "block_stuck@50,b7".
+// "block_stuck@50,b7". N is any 64-bit value; D, B, P and M must fit in
+// 32 bits.
 [[nodiscard]] Result<FaultSpec> ParseFaultSpec(const std::string& spec);
 
 // A full injection schedule for one run.

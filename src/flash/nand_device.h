@@ -216,9 +216,6 @@ class NandDevice {
   const NandStats& stats() const { return stats_; }
   SimClock& clock() { return *clock_; }
 
-  // Distribution of the model RBER used on every read of this die.
-  const obs::Histogram& rber_histogram() const { return rber_histogram_; }
-
   // Registers this die's op/byte counters, busy time, wear summary and the
   // read RBER histogram under `prefix` (e.g. "flash.die.").
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "flash.die.") const;

@@ -60,9 +60,6 @@ class VoltageModel {
   // tracks more of the retention drift (0.0 / 0.7 / 0.9 / 0.97 of it).
   // `sigma_wear` must equal SigmaWearFactor(state).
   static double RberAt(const PageErrorState& state, double sigma_wear, int retry_level);
-  static double RberAt(const PageErrorState& state, int retry_level = 0) {
-    return RberAt(state, SigmaWearFactor(state), retry_level);
-  }
 
   // The drift-tracking fraction applied at a retry level (exposed for tests).
   static double RetryTracking(int retry_level);

@@ -34,7 +34,7 @@ struct ArchetypeParams {
   // Probability the device runs the SOS scheme (vs the TLC baseline).
   double sos_fraction;
   // Full-size capacities (decimal GB) this profile ships with.
-  std::array<double, 3> full_size_gb;
+  std::array<uint64_t, 3> full_size_gb;
 };
 
 const ArchetypeParams& ParamsFor(Archetype archetype) {
@@ -42,17 +42,17 @@ const ArchetypeParams& ParamsFor(Archetype archetype) {
       /*photos=*/0.5, 2.0, /*videos_week=*/0.5, 2.0, /*cache=*/3.0, 8.0,
       /*app_updates=*/6.0, 16.0, /*installs_week=*/0.3, 1.0, /*deletes=*/2.0, 5.0,
       /*intensity=*/0.6, 1.0, /*blocks=*/24, 32, /*initial_pec=*/0, 60,
-      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{64.0, 128.0, 128.0}};
+      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{64, 128, 128}};
   static const ArchetypeParams kHoarderParams = {
       /*photos=*/3.0, 8.0, /*videos_week=*/2.0, 6.0, /*cache=*/5.0, 14.0,
       /*app_updates=*/8.0, 20.0, /*installs_week=*/0.5, 2.0, /*deletes=*/2.0, 5.0,
       /*intensity=*/0.8, 1.2, /*blocks=*/40, 56, /*initial_pec=*/20, 120,
-      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{128.0, 256.0, 512.0}};
+      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{128, 256, 512}};
   static const ArchetypeParams kChurnerParams = {
       /*photos=*/0.5, 2.0, /*videos_week=*/0.5, 2.0, /*cache=*/12.0, 28.0,
       /*app_updates=*/24.0, 56.0, /*installs_week=*/1.5, 4.0, /*deletes=*/5.0, 12.0,
       /*intensity=*/0.9, 1.4, /*blocks=*/32, 44, /*initial_pec=*/40, 200,
-      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{128.0, 128.0, 256.0}};
+      /*days=*/45, 90, /*sos_fraction=*/0.5, /*full_size_gb=*/{128, 128, 256}};
   switch (archetype) {
     case Archetype::kLight:
       return kLightParams;

@@ -72,7 +72,7 @@ struct DeviceDraw {
   uint64_t index = 0;
   Archetype archetype = Archetype::kLight;
   LifetimeSimConfig config;
-  double full_size_gb = 128.0;
+  uint64_t full_size_gb = 128;
 };
 
 // Samples device `index` of the population defined by (`mix`, `fleet_seed`).

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <type_traits>
 
 #include "src/carbon/embodied.h"
+#include "src/sos/sos_device.h"
 
 namespace sos::fleet {
 
@@ -31,29 +33,21 @@ std::vector<double> PecVarianceBounds() {
   return {1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 5000.0};
 }
 
-// Embodied kg of `gb` decimal GB built as the outcome's scheme. One shared
-// model instance: the anchor constant is compile-time fixed, so per-device
-// carbon is a pure function of the outcome.
-double ActualKg(const DeviceOutcome& outcome) {
-  const FlashCarbonModel model;
-  if (outcome.kind == DeviceKind::kSos) {
-    // SYS is pseudo-QLC, SPARE native PLC (paper §4.1-4.2).
-    return outcome.full_size_gb *
-           model.KgPerGbSplit(CellTech::kQlc, CellTech::kPlc, outcome.sys_share);
-  }
-  return outcome.full_size_gb * model.KgPerGb(CellTech::kTlc);
-}
-
-double TlcKg(const DeviceOutcome& outcome) {
-  const FlashCarbonModel model;
-  return outcome.full_size_gb * model.KgPerGb(CellTech::kTlc);
-}
-
 }  // namespace
 
 int64_t ToMicro(double value) { return std::llround(value * kMicroScale); }
 
 double FromMicro(int64_t micro) { return static_cast<double>(micro) / kMicroScale; }
+
+int64_t EmbodiedMicroKg(uint64_t gb, FleetKind kind) {
+  const FlashCarbonModel model;
+  // SYS is pseudo-QLC, SPARE native PLC (paper §4.1-4.2).
+  const double kg_per_gb =
+      kind == FleetKind::kSos
+          ? model.KgPerGbSplit(CellTech::kQlc, CellTech::kPlc, SosDeviceConfig{}.sys_share)
+          : model.KgPerGb(CellTech::kTlc);
+  return ToMicro(static_cast<double>(gb) * kg_per_gb);
+}
 
 // --- FleetHistogram ----------------------------------------------------------
 
@@ -94,7 +88,6 @@ DeviceOutcome MakeOutcome(const DeviceDraw& draw, const LifetimeResult& result) 
   outcome.archetype = draw.archetype;
   outcome.kind = result.kind();
   outcome.full_size_gb = draw.full_size_gb;
-  outcome.sys_share = draw.config.sos.sys_share;
   outcome.projected_lifetime_years = result.projected_lifetime_years();
   outcome.initial_exported_pages = result.initial_exported_pages();
   outcome.final_exported_pages = result.final_exported_pages();
@@ -108,14 +101,6 @@ DeviceOutcome MakeOutcome(const DeviceDraw& draw, const LifetimeResult& result) 
   return outcome;
 }
 
-// --- CarbonAccumulator -------------------------------------------------------
-
-void CarbonAccumulator::Add(const CarbonAccumulator& other) {
-  actual_micro_kg += other.actual_micro_kg;
-  tlc_counterfactual_micro_kg += other.tlc_counterfactual_micro_kg;
-  capacity_micro_gb += other.capacity_micro_gb;
-}
-
 // --- FleetLedger -------------------------------------------------------------
 
 FleetLedger::FleetLedger()
@@ -125,13 +110,11 @@ FleetLedger::FleetLedger()
       pec_variance_(PecVarianceBounds()) {}
 
 void FleetLedger::Fold(const DeviceOutcome& outcome) {
-  ++devices_;
-  ++archetype_devices_[static_cast<size_t>(outcome.archetype)];
-  if (outcome.kind == DeviceKind::kSos) {
-    ++sos_devices_;
-  } else {
-    ++baseline_devices_;
-  }
+  const auto archetype = static_cast<size_t>(outcome.archetype);
+  const auto kind = static_cast<size_t>(outcome.kind == DeviceKind::kSos ? FleetKind::kSos
+                                                                          : FleetKind::kBaseline);
+  ++devices_[archetype][kind];
+  capacity_gb_[archetype][kind] += outcome.full_size_gb;
 
   // Distribution observations. Lifetime is clamped to 100 years: a device
   // that saw no wear projects "effectively forever", which would swamp the
@@ -146,14 +129,6 @@ void FleetLedger::Fold(const DeviceOutcome& outcome) {
   capacity_retained_.Observe(retained);
   autodelete_files_.Observe(static_cast<double>(outcome.autodelete_files));
   pec_variance_.Observe(outcome.pec_variance);
-
-  // Carbon, micro-kg. Rounded once per device, then summed exactly.
-  CarbonAccumulator device_carbon;
-  device_carbon.actual_micro_kg = ToMicro(ActualKg(outcome));
-  device_carbon.tlc_counterfactual_micro_kg = ToMicro(TlcKg(outcome));
-  device_carbon.capacity_micro_gb = ToMicro(outcome.full_size_gb);
-  carbon_.Add(device_carbon);
-  archetype_carbon_[static_cast<size_t>(outcome.archetype)].Add(device_carbon);
 
   autodelete_files_total_ += outcome.autodelete_files;
   autodelete_bytes_total_ += outcome.autodelete_bytes;
@@ -195,32 +170,53 @@ std::string FleetLedger::ArchetypeKey(size_t i) {
   return std::string("archetype.") + ArchetypeName(static_cast<Archetype>(i)) + ".";
 }
 
-double FleetLedger::SavingsKg() const {
-  return FromMicro(carbon_.tlc_counterfactual_micro_kg - carbon_.actual_micro_kg);
+uint64_t FleetLedger::archetype_devices(size_t archetype) const {
+  return std::accumulate(devices_[archetype].begin(), devices_[archetype].end(), uint64_t{0});
+}
+
+uint64_t FleetLedger::KindDevices(FleetKind kind) const {
+  uint64_t total = 0;
+  for (const auto& row : devices_) {
+    total += row[static_cast<size_t>(kind)];
+  }
+  return total;
+}
+
+EmbodiedCarbon FleetLedger::PriceArchetypes(size_t first, size_t last) const {
+  EmbodiedCarbon carbon;
+  for (size_t a = first; a < last; ++a) {
+    for (size_t k = 0; k < kNumFleetKinds; ++k) {
+      const uint64_t gb = capacity_gb_[a][k];
+      carbon.capacity_gb += gb;
+      carbon.actual_micro_kg += EmbodiedMicroKg(gb, static_cast<FleetKind>(k));
+      carbon.tlc_counterfactual_micro_kg += EmbodiedMicroKg(gb, FleetKind::kBaseline);
+    }
+  }
+  return carbon;
 }
 
 void FleetLedger::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) const {
-  registry.SetCounter(prefix + "devices", devices_);
+  registry.SetCounter(prefix + "devices", devices());
   for (size_t i = 0; i < kNumArchetypes; ++i) {
-    registry.SetCounter(prefix + ArchetypeKey(i) + "devices", archetype_devices_[i]);
+    registry.SetCounter(prefix + ArchetypeKey(i) + "devices", archetype_devices(i));
   }
-  registry.SetCounter(prefix + "devices.sos", sos_devices_);
-  registry.SetCounter(prefix + "devices.baseline", baseline_devices_);
+  registry.SetCounter(prefix + "devices.sos", sos_devices());
+  registry.SetCounter(prefix + "devices.baseline", baseline_devices());
   registry.SetHistogram(prefix + "lifetime_years", lifetime_years_.ToObs());
   registry.SetHistogram(prefix + "capacity_retained", capacity_retained_.ToObs());
   registry.SetHistogram(prefix + "autodelete_files", autodelete_files_.ToObs());
   registry.SetHistogram(prefix + "pec_variance", pec_variance_.ToObs());
-  registry.SetGauge(prefix + "carbon.actual_kg", FromMicro(carbon_.actual_micro_kg));
+  const EmbodiedCarbon carbon = Carbon();
+  registry.SetGauge(prefix + "carbon.actual_kg", FromMicro(carbon.actual_micro_kg));
   registry.SetGauge(prefix + "carbon.tlc_counterfactual_kg",
-                    FromMicro(carbon_.tlc_counterfactual_micro_kg));
-  registry.SetGauge(prefix + "carbon.savings_kg", SavingsKg());
-  registry.SetGauge(prefix + "carbon.capacity_gb", FromMicro(carbon_.capacity_micro_gb));
+                    FromMicro(carbon.tlc_counterfactual_micro_kg));
+  registry.SetGauge(prefix + "carbon.savings_kg", FromMicro(carbon.savings_micro_kg()));
+  registry.SetGauge(prefix + "carbon.capacity_gb", static_cast<double>(carbon.capacity_gb));
   for (size_t i = 0; i < kNumArchetypes; ++i) {
     const std::string arch_prefix = prefix + ArchetypeKey(i) + "carbon.";
-    const CarbonAccumulator& acc = archetype_carbon_[i];
-    registry.SetGauge(arch_prefix + "actual_kg", FromMicro(acc.actual_micro_kg));
-    registry.SetGauge(arch_prefix + "savings_kg",
-                      FromMicro(acc.tlc_counterfactual_micro_kg - acc.actual_micro_kg));
+    const EmbodiedCarbon archetype_carbon = ArchetypeCarbon(i);
+    registry.SetGauge(arch_prefix + "actual_kg", FromMicro(archetype_carbon.actual_micro_kg));
+    registry.SetGauge(arch_prefix + "savings_kg", FromMicro(archetype_carbon.savings_micro_kg()));
   }
   registry.SetCounter(prefix + "autodelete.files", autodelete_files_total_);
   registry.SetCounter(prefix + "autodelete.bytes", autodelete_bytes_total_);

@@ -7,12 +7,13 @@
 // --jobs value and any shard split -- forbids floating-point accumulation:
 // double addition is commutative but NOT associative, so two shard
 // groupings of the same devices could disagree in the last ulp. Every
-// mergeable quantity in this ledger is therefore an integer: plain counts,
-// or fixed-point micro-units (value x 1e6, rounded ONCE per device at
-// observation time). Integer addition is an abelian monoid, so Merge() is
-// exactly associative and commutative and any fold order -- serial,
-// threaded, 2-shard, 8-shard -- lands on the same bits. Doubles are
-// materialized only at render time, from integers that are already exact.
+// mergeable quantity in this ledger is therefore an integer: plain counts
+// (devices, gigabytes, events), or fixed-point micro-units (value x 1e6,
+// rounded ONCE per device at observation time). Integer addition is an
+// abelian monoid, so Merge() is exactly associative and commutative and any
+// fold order -- serial, threaded, 2-shard, 8-shard -- lands on the same
+// bits. Doubles are materialized only at render time, from integers that
+// are already exact; carbon is one of them, priced from the gigabytes.
 
 #ifndef SOS_SRC_FLEET_LEDGER_H_
 #define SOS_SRC_FLEET_LEDGER_H_
@@ -87,8 +88,7 @@ class FleetHistogram {
 struct DeviceOutcome {
   Archetype archetype = Archetype::kLight;
   DeviceKind kind = DeviceKind::kSos;
-  double full_size_gb = 128.0;
-  double sys_share = 0.5;  // SOS split fraction (carbon arithmetic)
+  uint64_t full_size_gb = 128;
 
   double projected_lifetime_years = 0.0;
   uint64_t initial_exported_pages = 0;
@@ -104,24 +104,36 @@ struct DeviceOutcome {
 
 DeviceOutcome MakeOutcome(const DeviceDraw& draw, const LifetimeResult& result);
 
-// Embodied-carbon accumulator, micro-kg fixed point. `actual` is the carbon
-// of the fleet as configured (SOS split or TLC); `tlc_counterfactual` prices
-// the same usable capacity built as TLC -- the paper's baseline. Savings is
-// their difference, computed at render time from exact integers.
-struct CarbonAccumulator {
-  int64_t actual_micro_kg = 0;
-  int64_t tlc_counterfactual_micro_kg = 0;
-  int64_t capacity_micro_gb = 0;
+// The ledger's kind columns: a fleet device runs the SOS scheme or the TLC
+// baseline.
+enum class FleetKind : uint8_t { kSos = 0, kBaseline = 1 };
+inline constexpr size_t kNumFleetKinds = 2;
 
-  void Add(const CarbonAccumulator& other);
+// One integer cell per (archetype, kind), indexed [archetype][kind].
+using ArchetypeKindCells = std::array<std::array<uint64_t, kNumFleetKinds>, kNumArchetypes>;
 
-  bool operator==(const CarbonAccumulator&) const = default;
+// The fleet's carbon price: embodied micro-kg of `gb` decimal GB stored on
+// devices of `kind`. SOS gigabytes are priced as the pseudo-QLC / native
+// PLC split of a default SosDeviceConfig (fleet devices are built with it),
+// baseline gigabytes as TLC. The all-TLC counterfactual prices every
+// gigabyte as kBaseline. Rounded once per call, so totals priced cell by
+// cell are exact integer sums.
+int64_t EmbodiedMicroKg(uint64_t gb, FleetKind kind);
+
+// Embodied carbon of some of a ledger's gigabytes, priced at report time.
+struct EmbodiedCarbon {
+  uint64_t capacity_gb = 0;
+  int64_t actual_micro_kg = 0;              // as built: SOS split or TLC
+  int64_t tlc_counterfactual_micro_kg = 0;  // the same gigabytes built as TLC
+
+  int64_t savings_micro_kg() const { return tlc_counterfactual_micro_kg - actual_micro_kg; }
 };
 
-// The fleet-level aggregate: population counts, outcome distributions, and
-// the carbon ledger. Fold() ingests one device; Merge() combines ledgers
-// from any partition of the population (see file comment for why the result
-// is bit-exact either way).
+// The fleet-level aggregate: devices and stored gigabytes per archetype and
+// kind, and outcome distributions. Carbon is not a cell: it is priced from
+// the gigabytes when reported. Fold() ingests one device; Merge() combines
+// ledgers from any partition of the population (see file comment for why
+// the result is bit-exact either way).
 class FleetLedger {
  public:
   FleetLedger();
@@ -134,30 +146,27 @@ class FleetLedger {
 
   bool operator==(const FleetLedger&) const = default;
 
-  uint64_t devices() const { return devices_; }
-  const std::array<uint64_t, kNumArchetypes>& archetype_devices() const {
-    return archetype_devices_;
-  }
-  uint64_t sos_devices() const { return sos_devices_; }
-  uint64_t baseline_devices() const { return baseline_devices_; }
+  uint64_t devices() const { return sos_devices() + baseline_devices(); }
+  uint64_t archetype_devices(size_t archetype) const;
+  uint64_t sos_devices() const { return KindDevices(FleetKind::kSos); }
+  uint64_t baseline_devices() const { return KindDevices(FleetKind::kBaseline); }
   const FleetHistogram& lifetime_years() const { return lifetime_years_; }
   const FleetHistogram& capacity_retained() const { return capacity_retained_; }
   const FleetHistogram& autodelete_files() const { return autodelete_files_; }
   const FleetHistogram& pec_variance() const { return pec_variance_; }
-  const CarbonAccumulator& carbon() const { return carbon_; }
-  const std::array<CarbonAccumulator, kNumArchetypes>& archetype_carbon() const {
-    return archetype_carbon_;
-  }
   uint64_t autodelete_files_total() const { return autodelete_files_total_; }
   uint64_t autodelete_bytes_total() const { return autodelete_bytes_total_; }
   uint64_t create_failures_total() const { return create_failures_total_; }
   uint64_t host_bytes_total() const { return host_bytes_total_; }
   uint64_t daemon_activations_total() const { return daemon_activations_total_; }
   uint64_t trace_dropped_total() const { return trace_dropped_total_; }
-  int64_t lifetime_micro_years_total() const { return lifetime_years_.micro_sum(); }
 
-  // Carbon savings (kg) of the fleet vs the all-TLC counterfactual.
-  double SavingsKg() const;
+  // Prices the gigabytes of one archetype, or of the fleet, one
+  // EmbodiedMicroKg per cell.
+  EmbodiedCarbon ArchetypeCarbon(size_t archetype) const {
+    return PriceArchetypes(archetype, archetype + 1);
+  }
+  EmbodiedCarbon Carbon() const { return PriceArchetypes(0, kNumArchetypes); }
 
   // Registers the ledger under `prefix` ("fleet." by convention).
   // Registration order is fixed here, so the export is byte-stable for any
@@ -165,32 +174,23 @@ class FleetLedger {
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "fleet.") const;
 
   // The ledger schema: every mergeable cell once, with its partial-file
-  // key, in partial-file order. A cell is a uint64_t count, an int64_t
-  // micro-unit sum or a FleetHistogram. `visit(key, cell...)` gets the same
-  // cell of each ledger passed, so one walk serves Merge (two ledgers) and
-  // the partial codec (one). A new field is one line here plus its Fold and
+  // key, in partial-file order. A cell is a uint64_t count or a
+  // FleetHistogram. `visit(key, cell...)` gets the same cell of each ledger
+  // passed, so one walk serves Merge (two ledgers) and the partial codec
+  // (one). A new field is one line here plus its Fold and
   // ToMetrics lines.
   template <typename Visit, typename... Ledgers>
   static void ForEachCell(Visit&& visit, Ledgers&... ledgers) {
-    auto carbon = [&](const std::string& prefix, auto&... accs) {
-      visit(prefix + "actual_micro_kg", accs.actual_micro_kg...);
-      visit(prefix + "tlc_counterfactual_micro_kg", accs.tlc_counterfactual_micro_kg...);
-      visit(prefix + "capacity_micro_gb", accs.capacity_micro_gb...);
-    };
-    visit("devices", ledgers.devices_...);
-    for (size_t i = 0; i < kNumArchetypes; ++i) {
-      visit(ArchetypeKey(i) + "devices", ledgers.archetype_devices_[i]...);
+    for (size_t a = 0; a < kNumArchetypes; ++a) {
+      for (size_t k = 0; k < kNumFleetKinds; ++k) {
+        visit(ArchetypeKey(a) + "devices." + kKindNames[k], ledgers.devices_[a][k]...);
+        visit(ArchetypeKey(a) + "capacity_gb." + kKindNames[k], ledgers.capacity_gb_[a][k]...);
+      }
     }
-    visit("devices.sos", ledgers.sos_devices_...);
-    visit("devices.baseline", ledgers.baseline_devices_...);
     visit("lifetime_years", ledgers.lifetime_years_...);
     visit("capacity_retained", ledgers.capacity_retained_...);
     visit("autodelete_files", ledgers.autodelete_files_...);
     visit("pec_variance", ledgers.pec_variance_...);
-    carbon("carbon.", ledgers.carbon_...);
-    for (size_t i = 0; i < kNumArchetypes; ++i) {
-      carbon(ArchetypeKey(i) + "carbon.", ledgers.archetype_carbon_[i]...);
-    }
     visit("autodelete.files", ledgers.autodelete_files_total_...);
     visit("autodelete.bytes", ledgers.autodelete_bytes_total_...);
     visit("create_failures", ledgers.create_failures_total_...);
@@ -202,17 +202,17 @@ class FleetLedger {
  private:
   // "archetype.<name>." for archetype index i.
   static std::string ArchetypeKey(size_t i);
+  static constexpr std::array<const char*, kNumFleetKinds> kKindNames = {"sos", "baseline"};
 
-  uint64_t devices_ = 0;
-  std::array<uint64_t, kNumArchetypes> archetype_devices_ = {};
-  uint64_t sos_devices_ = 0;
-  uint64_t baseline_devices_ = 0;
+  uint64_t KindDevices(FleetKind kind) const;
+  EmbodiedCarbon PriceArchetypes(size_t first, size_t last) const;
+
+  ArchetypeKindCells devices_ = {};
+  ArchetypeKindCells capacity_gb_ = {};
   FleetHistogram lifetime_years_;
   FleetHistogram capacity_retained_;  // final/initial exported pages
   FleetHistogram autodelete_files_;   // auto-deleted files per device
   FleetHistogram pec_variance_;       // wear spread within each device
-  CarbonAccumulator carbon_;
-  std::array<CarbonAccumulator, kNumArchetypes> archetype_carbon_ = {};
   uint64_t autodelete_files_total_ = 0;
   uint64_t autodelete_bytes_total_ = 0;
   uint64_t create_failures_total_ = 0;

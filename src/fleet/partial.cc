@@ -2,7 +2,6 @@
 
 #include "src/fleet/partial.h"
 
-#include <array>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
@@ -212,17 +211,12 @@ bool SumsTo(uint64_t total, const Parts& parts) {
 
 // The count identities Fold and Merge preserve. A partial that breaks one
 // was edited or damaged, and merging it would corrupt the fleet totals.
+// The ledger's device count is the sum of its (archetype, kind) cells, so
+// the identities left to check tie it to the header and the histograms.
 Status CheckCounts(const FleetPartial& partial) {
   const FleetLedger& ledger = partial.ledger;
   const uint64_t devices = ledger.devices();
-  std::string broken;
-  if (partial.shard_devices != devices) {
-    broken = "shard_devices";
-  } else if (!SumsTo(devices, ledger.archetype_devices())) {
-    broken = "archetype devices";
-  } else if (!SumsTo(devices, std::array{ledger.sos_devices(), ledger.baseline_devices()})) {
-    broken = "devices.sos + devices.baseline";
-  }
+  std::string broken = partial.shard_devices != devices ? "shard_devices" : "";
   FleetLedger::ForEachCell(
       [&](const std::string& key, const auto& cell) {
         if constexpr (std::is_same_v<decltype(cell), const FleetHistogram&>) {

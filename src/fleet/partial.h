@@ -9,8 +9,8 @@
 // complete set of partials and reconstructs the exact ledger a
 // single-process run would have produced.
 //
-// Everything a partial carries is an integer (counts and micro-unit fixed
-// point) or an echo string -- no doubles -- so serialization is trivially
+// Everything a partial carries is an integer (counts, gigabytes and
+// micro-unit fixed point) or an echo string -- no doubles -- so serialization is trivially
 // exact and the merged ledger is bit-identical to the unsharded one. The
 // header echoes the population identity (seed, device count, mix, schema
 // version) and the shard coordinates; MergePartials() refuses mismatched
@@ -29,9 +29,10 @@
 namespace sos::fleet {
 
 // Version of the partial schema; bumped whenever the ledger layout changes
-// so a merge never silently combines incompatible files. Version 2 is the
-// flat layout: one key per FleetLedger::ForEachCell cell.
-inline constexpr uint64_t kPartialSchemaVersion = 2;
+// so a merge never silently combines incompatible files. Version 3 is the
+// flat layout of FleetLedger::ForEachCell (one key per cell) with devices
+// and gigabytes per (archetype, kind) and no carbon cells.
+inline constexpr uint64_t kPartialSchemaVersion = 3;
 
 // One shard's ledger plus the population identity it was computed from.
 struct FleetPartial {
@@ -53,8 +54,7 @@ std::string PartialToJson(const FleetPartial& partial);
 // Reads exactly what PartialToJson writes, in the same order.
 // kInvalidArgument on any other token, an integer outside its cell's type,
 // a schema version other than kPartialSchemaVersion, or a broken count
-// identity (devices == sum of archetype devices == devices.sos +
-// devices.baseline == shard_devices == every histogram's count == the sum
+// identity (shard_devices == devices == every histogram's count == the sum
 // of its buckets).
 Result<FleetPartial> ParsePartialJson(const std::string& json);
 

@@ -72,23 +72,22 @@ std::string FleetReport(const FleetPartial& partial) {
   out += "\n--- Population ---\n";
   TextTable population({"archetype", "devices", "share", "capacity (GB)", "embodied (kgCO2e)",
                         "savings vs TLC (kgCO2e)"});
+  auto add_row = [&](const char* name, uint64_t devices, double share,
+                     const EmbodiedCarbon& carbon) {
+    population.AddRow({name, FormatCount(devices), FormatPercent(share),
+                       FormatDouble(static_cast<double>(carbon.capacity_gb), 0),
+                       FormatDouble(FromMicro(carbon.actual_micro_kg), 2),
+                       FormatDouble(FromMicro(carbon.savings_micro_kg()), 2)});
+  };
   for (size_t i = 0; i < kNumArchetypes; ++i) {
-    const CarbonAccumulator& acc = ledger.archetype_carbon()[i];
-    const double share =
-        ledger.devices() > 0 ? static_cast<double>(ledger.archetype_devices()[i]) /
-                                   static_cast<double>(ledger.devices())
-                             : 0.0;
-    population.AddRow({ArchetypeName(static_cast<Archetype>(i)),
-                       FormatCount(ledger.archetype_devices()[i]), FormatPercent(share),
-                       FormatDouble(FromMicro(acc.capacity_micro_gb), 0),
-                       FormatDouble(FromMicro(acc.actual_micro_kg), 2),
-                       FormatDouble(FromMicro(acc.tlc_counterfactual_micro_kg - acc.actual_micro_kg),
-                                    2)});
+    const double share = ledger.devices() > 0 ? static_cast<double>(ledger.archetype_devices(i)) /
+                                                    static_cast<double>(ledger.devices())
+                                              : 0.0;
+    add_row(ArchetypeName(static_cast<Archetype>(i)), ledger.archetype_devices(i), share,
+            ledger.ArchetypeCarbon(i));
   }
-  population.AddRow({"total", FormatCount(ledger.devices()), FormatPercent(1.0),
-                     FormatDouble(FromMicro(ledger.carbon().capacity_micro_gb), 0),
-                     FormatDouble(FromMicro(ledger.carbon().actual_micro_kg), 2),
-                     FormatDouble(ledger.SavingsKg(), 2)});
+  const EmbodiedCarbon carbon = ledger.Carbon();
+  add_row("total", ledger.devices(), 1.0, carbon);
   out += population.Render();
 
   std::snprintf(line, sizeof(line), "\nSOS devices: %" PRIu64 "  baseline (TLC): %" PRIu64 "\n",
@@ -104,16 +103,16 @@ std::string FleetReport(const FleetPartial& partial) {
   out += distributions.Render();
 
   out += "\n--- Carbon ledger ---\n";
-  const double savings_kg = ledger.SavingsKg();
+  const double savings_kg = FromMicro(carbon.savings_micro_kg());
   const double per_device_kg =
       ledger.devices() > 0 ? savings_kg / static_cast<double>(ledger.devices()) : 0.0;
   // kg -> megatonnes: 1 Mt = 1e9 kg.
   const double world_mt = per_device_kg * kWorldDevices / 1e9;
   std::snprintf(line, sizeof(line), "embodied, as configured : %s kgCO2e\n",
-                FormatDouble(FromMicro(ledger.carbon().actual_micro_kg), 2).c_str());
+                FormatDouble(FromMicro(carbon.actual_micro_kg), 2).c_str());
   out += line;
   std::snprintf(line, sizeof(line), "embodied, all-TLC       : %s kgCO2e\n",
-                FormatDouble(FromMicro(ledger.carbon().tlc_counterfactual_micro_kg), 2).c_str());
+                FormatDouble(FromMicro(carbon.tlc_counterfactual_micro_kg), 2).c_str());
   out += line;
   std::snprintf(line, sizeof(line), "fleet savings           : %s kgCO2e (%s/device)\n",
                 FormatDouble(savings_kg, 2).c_str(), FormatDouble(per_device_kg, 3).c_str());

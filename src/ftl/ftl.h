@@ -149,7 +149,7 @@ struct FtlReadResult {
 // Ftl::stats() sums them into the device-wide aggregate and
 // Ftl::pool_stats() exposes the per-pool view. Mutation is confined to the
 // owning Ftl (friend); everything else reads through the accessors or
-// exports via Snapshot()/ToMetrics().
+// exports via ToMetrics(). A copy is a detached point-in-time value.
 class FtlStats {
  public:
   uint64_t host_writes() const { return host_writes_; }      // host data pages accepted
@@ -175,9 +175,6 @@ class FtlStats {
                ? static_cast<double>(nand_writes_) / static_cast<double>(host_writes_)
                : 0.0;
   }
-
-  // Point-in-time copy; names the intent at call sites that stash stats.
-  FtlStats Snapshot() const { return *this; }
 
   // Registers one counter per field under `prefix` ("ftl." for the
   // aggregate, "ftl.pool.<name>." per pool) plus a write-amplification

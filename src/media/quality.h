@@ -80,8 +80,6 @@ class VideoQualityModel {
  public:
   explicit VideoQualityModel(const VideoConfig& config) : config_(config) {}
 
-  const VideoConfig& config() const { return config_; }
-
   // Bit-exact score in [0,1]: diffs the buffers, attributes errors to frames,
   // propagates damage through the GOP structure, and averages retained
   // per-frame quality.

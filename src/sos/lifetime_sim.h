@@ -134,7 +134,7 @@ struct DaySample {
 
 // Outcome of one lifetime run. Mutation is confined to the owning
 // LifetimeSim (friend); consumers read through the accessors or export via
-// Snapshot()/ToMetrics(). The result is a plain value: it carries its
+// ToMetrics(). The result is a plain value: it carries its
 // telemetry (metric rows + trace events) across worker threads, so batch
 // exports stay independent of scheduling.
 class LifetimeResult {
@@ -177,9 +177,6 @@ class LifetimeResult {
   uint64_t daemon_activations() const { return daemon_activations_; }
   // Coarse health-state changes observed over the run (see HealthState).
   uint64_t health_transitions() const { return health_transitions_; }
-
-  // Point-in-time copy; names the intent at call sites that stash results.
-  LifetimeResult Snapshot() const { return *this; }
 
   // Registers the run's scalar outcomes (sim.*), daemon counters (sos.*)
   // and the captured device rows, each name prefixed with `prefix`.

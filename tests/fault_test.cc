@@ -43,6 +43,9 @@ TEST(FaultSpecTest, ParsesEveryGrammarForm) {
       {"read_fail@33", {FaultKind::kReadFailTransient, 33}},
       // The largest op index: 20 digits, still in range.
       {"power_cut@18446744073709551615", {FaultKind::kPowerCut, UINT64_MAX}},
+      // The largest die and block indices: 2^32 - 1.
+      {"die_fail@1,d4294967295", {FaultKind::kDieFail, 1, UINT32_MAX}},
+      {"block_stuck@5,b4294967295", {FaultKind::kBlockStuck, 5, 0, UINT32_MAX}},
   };
   for (const Case& c : kCases) {
     SCOPED_TRACE(c.text);
@@ -66,6 +69,10 @@ TEST(FaultSpecTest, RejectsMalformedSpecsWithHardErrors) {
       "power_cut@18446744073709551616",  // op index above 2^64 - 1
       "power_cut@+5",       // sign prefix
       "block_stuck@50,b",   // empty block index
+      // Die, block and plane indices are 32-bit: 2^32 must not wrap to 0.
+      "die_fail@1,d4294967296",
+      "block_stuck@5,b4294967296",
+      "plane_fail@1,p4294967296/4294967297",
   };
   for (const char* text : kBad) {
     SCOPED_TRACE(std::string("'") + text + "'");

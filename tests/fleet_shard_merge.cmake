@@ -10,14 +10,22 @@
 #   1. one process, --jobs=1          (reference)
 #   2. one process, --jobs=4          (thread fan-out)
 #   3. two shards -> bench_fleet --merge   (process fan-out)
+# The reference arm's metrics JSON must also match the golden byte for byte,
+# so every build of the test suite (sanitizer builds included) checks the
+# fleet's exported values, not only their invariance.
 # It then feeds --merge three inputs it must refuse -- one shard twice, a
-# truncated partial, a partial with an edited `devices` cell -- and requires
-# exit code 2 and no --metrics-out file for each.
+# truncated partial, a partial with an edited device-count cell -- and
+# requires exit code 2 and no --metrics-out file for each.
 #
-# Expects -DBENCH=<bench_fleet> and -DWORK_DIR=<scratch dir>.
+# Expects -DBENCH=<bench_fleet>, -DWORK_DIR=<scratch dir> and
+# -DGOLDEN=<metrics JSON of the reference arm>.
 
-if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "pass -DBENCH=<bench_fleet> and -DWORK_DIR=<scratch dir>")
+if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR OR NOT DEFINED GOLDEN)
+  message(FATAL_ERROR
+      "pass -DBENCH=<bench_fleet>, -DWORK_DIR=<scratch dir> and -DGOLDEN=<metrics JSON>")
+endif()
+if(NOT EXISTS "${GOLDEN}")
+  message(FATAL_ERROR "the golden ${GOLDEN} does not exist")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -71,6 +79,13 @@ foreach(arm IN ITEMS parallel merged)
   endforeach()
 endforeach()
 
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK_DIR}/metrics_serial.json" "${GOLDEN}"
+  RESULT_VARIABLE golden_rc)
+if(NOT golden_rc EQUAL 0)
+  message(FATAL_ERROR "${WORK_DIR}/metrics_serial.json differs from the golden ${GOLDEN}")
+endif()
+
 # Failure arms: a refused merge exits 2 and writes no metrics file.
 function(expect_refused label)
   set(out "${WORK_DIR}/metrics_${label}.json")
@@ -97,15 +112,18 @@ string(SUBSTRING "${p0}" 0 ${half} p0_truncated)
 file(WRITE "${WORK_DIR}/p0_truncated.json" "${p0_truncated}")
 expect_refused(truncated --merge=${WORK_DIR}/p0_truncated.json --merge=${WORK_DIR}/p1.json)
 
-string(REGEX MATCH "\"devices\": ([0-9]+)," devices_cell "${p0}")
+# One more light SOS device than the shard simulated: the ledger's device
+# count no longer matches its shard_devices header.
+set(edited_key "archetype.light.devices.sos")
+string(REGEX MATCH "\"${edited_key}\": ([0-9]+)," devices_cell "${p0}")
 if(NOT devices_cell)
-  message(FATAL_ERROR "p0.json has no \"devices\" cell to edit")
+  message(FATAL_ERROR "p0.json has no \"${edited_key}\" cell to edit")
 endif()
 math(EXPR edited "${CMAKE_MATCH_1} + 1")
-string(REPLACE "${devices_cell}" "\"devices\": ${edited}," p0_edited "${p0}")
+string(REPLACE "${devices_cell}" "\"${edited_key}\": ${edited}," p0_edited "${p0}")
 file(WRITE "${WORK_DIR}/p0_edited.json" "${p0_edited}")
 expect_refused(edited --merge=${WORK_DIR}/p0_edited.json --merge=${WORK_DIR}/p1.json)
 
 message(STATUS
-    "fleet aggregate byte-identical for jobs=1, jobs=4 and 2-shard bench merge; "
+    "fleet aggregate byte-identical for jobs=1, jobs=4, 2-shard bench merge and the golden; "
     "duplicate, truncated and edited partials refused")

@@ -33,8 +33,7 @@ DeviceOutcome RandomOutcome(Rng& rng) {
   DeviceOutcome outcome;
   outcome.archetype = static_cast<Archetype>(rng.NextBounded(kNumArchetypes));
   outcome.kind = rng.NextBool(0.5) ? DeviceKind::kSos : DeviceKind::kTlcBaseline;
-  outcome.full_size_gb = static_cast<double>(64u << rng.NextBounded(4));
-  outcome.sys_share = 0.25 + 0.5 * rng.NextDouble();
+  outcome.full_size_gb = 64u << rng.NextBounded(4);
   outcome.projected_lifetime_years = 120.0 * rng.NextDouble();
   outcome.initial_exported_pages = 10000 + rng.NextBounded(1000);
   outcome.final_exported_pages = outcome.initial_exported_pages - rng.NextBounded(5000);
@@ -149,7 +148,7 @@ TEST(ArchetypeTest, DrawIsDeterministicPerIndex) {
   EXPECT_EQ(a.config.nand.initial_pec, b.config.nand.initial_pec);
   EXPECT_DOUBLE_EQ(a.config.workload.photos_per_day, b.config.workload.photos_per_day);
   EXPECT_DOUBLE_EQ(a.config.workload.cache_files_per_day, b.config.workload.cache_files_per_day);
-  EXPECT_DOUBLE_EQ(a.full_size_gb, b.full_size_gb);
+  EXPECT_EQ(a.full_size_gb, b.full_size_gb);
 }
 
 TEST(ArchetypeTest, DrawOrderIndependent) {
@@ -303,14 +302,96 @@ TEST(FleetLedgerTest, FoldCountsArchetypesAndKinds) {
   const FleetLedger ledger = FoldAll(outcomes);
   EXPECT_EQ(ledger.devices(), 300u);
   uint64_t archetype_sum = 0;
-  for (uint64_t c : ledger.archetype_devices()) {
-    archetype_sum += c;
+  for (size_t i = 0; i < kNumArchetypes; ++i) {
+    archetype_sum += ledger.archetype_devices(i);
   }
   EXPECT_EQ(archetype_sum, 300u);
   EXPECT_EQ(ledger.sos_devices() + ledger.baseline_devices(), 300u);
   EXPECT_EQ(ledger.lifetime_years().count(), 300u);
   // SOS devices cost less carbon than the TLC counterfactual, never more.
-  EXPECT_GE(ledger.carbon().tlc_counterfactual_micro_kg, ledger.carbon().actual_micro_kg);
+  const EmbodiedCarbon carbon = ledger.Carbon();
+  EXPECT_GT(carbon.tlc_counterfactual_micro_kg, carbon.actual_micro_kg);
+  for (size_t i = 0; i < kNumArchetypes; ++i) {
+    EXPECT_GE(ledger.ArchetypeCarbon(i).savings_micro_kg(), 0) << i;
+  }
+  EXPECT_LT(EmbodiedMicroKg(64, FleetKind::kSos), EmbodiedMicroKg(64, FleetKind::kBaseline));
+}
+
+// --- Carbon pricing ----------------------------------------------------------
+
+void ExpectSameCarbon(const EmbodiedCarbon& a, const EmbodiedCarbon& b, const std::string& what) {
+  EXPECT_EQ(a.capacity_gb, b.capacity_gb) << what;
+  EXPECT_EQ(a.actual_micro_kg, b.actual_micro_kg) << what;
+  EXPECT_EQ(a.tlc_counterfactual_micro_kg, b.tlc_counterfactual_micro_kg) << what;
+}
+
+EmbodiedCarbon Plus(EmbodiedCarbon a, const EmbodiedCarbon& b) {
+  a.capacity_gb += b.capacity_gb;
+  a.actual_micro_kg += b.actual_micro_kg;
+  a.tlc_counterfactual_micro_kg += b.tlc_counterfactual_micro_kg;
+  return a;
+}
+
+TEST(FleetCarbonTest, PricingAMergedLedgerSumsThePricesOfItsParts) {
+  Rng rng(83);
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    const std::vector<DeviceOutcome> outcomes = RandomOutcomes(100 + trial, 150);
+    std::vector<FleetLedger> parts(2 + rng.NextBounded(4));
+    for (const DeviceOutcome& outcome : outcomes) {
+      parts[rng.NextBounded(parts.size())].Fold(outcome);
+    }
+    FleetLedger merged;
+    EmbodiedCarbon summed;
+    std::array<EmbodiedCarbon, kNumArchetypes> archetype_summed = {};
+    for (const FleetLedger& part : parts) {
+      ASSERT_TRUE(merged.Merge(part).ok());
+      summed = Plus(summed, part.Carbon());
+      for (size_t i = 0; i < kNumArchetypes; ++i) {
+        archetype_summed[i] = Plus(archetype_summed[i], part.ArchetypeCarbon(i));
+      }
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    ExpectSameCarbon(merged.Carbon(), summed, what);
+    for (size_t i = 0; i < kNumArchetypes; ++i) {
+      ExpectSameCarbon(merged.ArchetypeCarbon(i), archetype_summed[i],
+                       what + " archetype " + std::to_string(i));
+    }
+  }
+}
+
+// The gauge called `name` in `registry`; fails the test if there is none.
+double GaugeValue(const obs::MetricRegistry& registry, const std::string& name) {
+  for (const obs::MetricRow& row : registry.Snapshot()) {
+    if (row.name == name && row.kind == obs::MetricKind::kGauge) {
+      return row.gauge;
+    }
+  }
+  ADD_FAILURE() << "no gauge " << name;
+  return 0.0;
+}
+
+TEST(FleetCarbonTest, HandBuiltLedgerExportsExactCarbon) {
+  // 128 GB of SOS at 0.108 kg/GB (the 50/50 pseudo-QLC / PLC split) and
+  // 64 GB of TLC at 0.16 kg/GB.
+  FleetLedger ledger;
+  DeviceOutcome sos;
+  sos.archetype = Archetype::kLight;
+  sos.kind = DeviceKind::kSos;
+  sos.full_size_gb = 128;
+  ledger.Fold(sos);
+  DeviceOutcome tlc;
+  tlc.archetype = Archetype::kAppChurner;
+  tlc.kind = DeviceKind::kTlcBaseline;
+  tlc.full_size_gb = 64;
+  ledger.Fold(tlc);
+
+  obs::MetricRegistry registry;
+  ledger.ToMetrics(registry);
+  EXPECT_EQ(GaugeValue(registry, "fleet.carbon.actual_kg"), 13.824 + 10.24);
+  EXPECT_EQ(GaugeValue(registry, "fleet.carbon.tlc_counterfactual_kg"), 20.48 + 10.24);
+  EXPECT_EQ(GaugeValue(registry, "fleet.carbon.capacity_gb"), 192.0);
+  EXPECT_EQ(GaugeValue(registry, "fleet.archetype.light.carbon.actual_kg"), 13.824);
+  EXPECT_EQ(GaugeValue(registry, "fleet.archetype.app_churner.carbon.savings_kg"), 0.0);
 }
 
 TEST(FleetLedgerTest, MergeEqualsUnpartitionedFold) {
@@ -467,8 +548,8 @@ TEST(FleetPartialTest, JsonRoundTripIsExact) {
   EXPECT_EQ(PartialToJson(parsed.value()), json);
   EXPECT_EQ(parsed.value().shard_index, 1u);
   EXPECT_EQ(parsed.value().ledger.devices(), 100u);
-  EXPECT_EQ(parsed.value().ledger.carbon().actual_micro_kg,
-            partial.ledger.carbon().actual_micro_kg);
+  EXPECT_EQ(parsed.value().ledger.Carbon().actual_micro_kg,
+            partial.ledger.Carbon().actual_micro_kg);
 }
 
 // Replaces the value after the first `"key": ` in `json` (up to the next
@@ -498,7 +579,7 @@ TEST(FleetPartialTest, ParseRejectsGarbage) {
   // Trailing bytes, a truncated file, and a missing cell.
   EXPECT_FALSE(ParsePartialJson(json + "x").ok());
   EXPECT_FALSE(ParsePartialJson(json.substr(0, json.size() / 2)).ok());
-  const size_t cell = json.find("    \"devices.sos\"");
+  const size_t cell = json.find("    \"archetype.light.devices.sos\"");
   ASSERT_NE(cell, std::string::npos);
   std::string missing = json;
   missing.erase(cell, json.find('\n', cell) + 1 - cell);
@@ -506,11 +587,12 @@ TEST(FleetPartialTest, ParseRejectsGarbage) {
 }
 
 TEST(FleetPartialTest, ParseNamesARefusedSchemaVersion) {
-  const std::string json = WithValue(PartialToJson(MakePartial(41, 0, 1)), "schema_version", "1");
+  // Version 2, the layout with carbon cells, is the one a stale partial has.
+  const std::string json = WithValue(PartialToJson(MakePartial(41, 0, 1)), "schema_version", "2");
   Result<FleetPartial> parsed = ParsePartialJson(json);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("schema version 1"), std::string::npos)
+  EXPECT_NE(parsed.status().message().find("schema version 2 is not supported"), std::string::npos)
       << parsed.status().ToString();
 }
 
@@ -556,21 +638,21 @@ TEST(FleetPartialTest, ParseChecksCountIdentities) {
   const FleetPartial valid = MakePartial(53, 0, 2);
   ASSERT_TRUE(ParsePartialJson(PartialToJson(valid)).ok());
 
-  // Each entry breaks one identity: the leaves it bumps by one.
-  std::vector<std::vector<std::string>> breaks = {
-      {"devices"},                  // every identity at once
-      {"archetype.light.devices"},  // devices == sum of archetype devices
-      {"devices.sos"},              // devices == sos + baseline
-      {"devices.baseline"},
-  };
+  // Each entry breaks one identity: the leaves it bumps by one. One more
+  // device in any (archetype, kind) cell breaks shard_devices == devices.
+  std::vector<std::vector<std::string>> breaks;
   FleetLedger::ForEachCell(
       [&](const std::string& key, const auto& cell) {
+        if (key.find(".devices.") != std::string::npos) {
+          breaks.push_back({key});
+        }
         if constexpr (std::is_same_v<decltype(cell), const FleetHistogram&>) {
           breaks.push_back({key + ".buckets[0]"});                     // count == sum of buckets
           breaks.push_back({key + ".count", key + ".buckets[0]"});     // count == devices
         }
       },
       valid.ledger);
+  ASSERT_EQ(breaks.size(), kNumArchetypes * kNumFleetKinds + 2 * 4);  // 4 histograms
   for (const std::vector<std::string>& leaves : breaks) {
     FleetPartial broken = valid;
     for (const std::string& leaf : leaves) {

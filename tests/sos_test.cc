@@ -822,6 +822,24 @@ TEST(LifetimeSimTest, PeriodicRetrainingRuns) {
   EXPECT_EQ(result.create_failures(), 0u);
 }
 
+// Cloud repair inside a lifetime run: a pre-aged die rots demoted files
+// within the first monitor pass. Without the cloud they are counted at risk;
+// with it every one is restored from the copy the run stored at create or
+// update time.
+TEST(LifetimeSimTest, CloudRepairsWhatWouldBeAtRisk) {
+  LifetimeSimConfig config = QuickSim(DeviceKind::kSos, 45);
+  config.nand.store_payloads = true;  // cloud copies need the file bytes
+  config.nand.initial_pec = 200;
+  const LifetimeResult local = LifetimeSim(config).Run();
+  ASSERT_GT(local.monitor().files_at_risk, 0u);
+  EXPECT_EQ(local.monitor().files_repaired, 0u);
+
+  config.enable_cloud = true;
+  const LifetimeResult cloud = LifetimeSim(config).Run();
+  EXPECT_EQ(cloud.monitor().files_at_risk, 0u);
+  EXPECT_GT(cloud.monitor().files_repaired, 0u);
+}
+
 TEST(LifetimeSimTest, NameCoverage) {
   EXPECT_STRNE(DeviceKindName(DeviceKind::kSos), "???");
   EXPECT_STRNE(DeviceKindName(DeviceKind::kTlcBaseline), "???");

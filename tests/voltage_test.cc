@@ -22,13 +22,19 @@ PageErrorState FreshState(CellTech mode) {
   return state;
 }
 
+// The voltage model's RBER at `retry_level`, with the wear factor the device
+// caches per block computed in place.
+double Rber(const PageErrorState& state, int retry_level = 0) {
+  return VoltageModel::RberAt(state, VoltageModel::SigmaWearFactor(state), retry_level);
+}
+
 // --- Calibration and physics --------------------------------------------------
 
 class VoltageModelTechTest : public ::testing::TestWithParam<CellTech> {};
 
 TEST_P(VoltageModelTechTest, FreshRberMatchesCatalog) {
   const double catalog = GetCellTechInfo(GetParam()).base_rber;
-  const double physical = VoltageModel::RberAt(FreshState(GetParam()));
+  const double physical = Rber(FreshState(GetParam()));
   EXPECT_NEAR(physical, catalog, catalog * 0.05) << CellTechName(GetParam());
 }
 
@@ -37,7 +43,7 @@ TEST_P(VoltageModelTechTest, MonotonicInRetention) {
   double prev = 0.0;
   for (double years : {0.0, 0.5, 1.0, 3.0, 8.0}) {
     state.retention_years = years;
-    const double rber = VoltageModel::RberAt(state);
+    const double rber = Rber(state);
     EXPECT_GE(rber, prev);
     prev = rber;
   }
@@ -49,7 +55,7 @@ TEST_P(VoltageModelTechTest, MonotonicInWear) {
   double prev = 0.0;
   for (double frac : {0.0, 0.3, 0.7, 1.0, 1.5}) {
     state.pec_at_program = static_cast<uint32_t>(frac * state.endurance_pec);
-    const double rber = VoltageModel::RberAt(state);
+    const double rber = Rber(state);
     EXPECT_GE(rber, prev);
     prev = rber;
   }
@@ -58,9 +64,9 @@ TEST_P(VoltageModelTechTest, MonotonicInWear) {
 TEST_P(VoltageModelTechTest, RetryLowersRetentionErrors) {
   PageErrorState state = FreshState(GetParam());
   state.retention_years = 3.0;
-  const double no_retry = VoltageModel::RberAt(state, 0);
-  const double retry1 = VoltageModel::RberAt(state, 1);
-  const double retry2 = VoltageModel::RberAt(state, 2);
+  const double no_retry = Rber(state, 0);
+  const double retry1 = Rber(state, 1);
+  const double retry2 = Rber(state, 2);
   EXPECT_LT(retry1, no_retry);
   EXPECT_LE(retry2, retry1);
 }
@@ -76,7 +82,7 @@ TEST(VoltageModelTest, DenserCellsDegradeFasterUnderSameDrift) {
   PageErrorState tlc = FreshState(CellTech::kTlc);
   PageErrorState plc = FreshState(CellTech::kPlc);
   tlc.retention_years = plc.retention_years = 2.0;
-  EXPECT_GT(VoltageModel::RberAt(plc), VoltageModel::RberAt(tlc));
+  EXPECT_GT(Rber(plc), Rber(tlc));
 }
 
 TEST(VoltageModelTest, TracksPhenomenologicalModelShape) {
@@ -87,7 +93,7 @@ TEST(VoltageModelTest, TracksPhenomenologicalModelShape) {
     PageErrorState state = FreshState(tech);
     for (double years : {0.5, 1.0, 2.0}) {
       state.retention_years = years;
-      const double physical = VoltageModel::RberAt(state);
+      const double physical = Rber(state);
       const double fitted = ErrorModel::Rber(state);
       EXPECT_LT(physical, fitted * 10.0) << CellTechName(tech) << " @" << years;
       EXPECT_GT(physical, fitted / 10.0) << CellTechName(tech) << " @" << years;
@@ -108,7 +114,7 @@ TEST(VoltageModelTest, ComputeRberDispatch) {
   EXPECT_DOUBLE_EQ(ComputeRber(ErrorModelKind::kPhenomenological, state, 0),
                    ErrorModel::Rber(state));
   EXPECT_DOUBLE_EQ(ComputeRber(ErrorModelKind::kVoltage, state, 0),
-                   VoltageModel::RberAt(state, 0));
+                   Rber(state, 0));
   // Phenomenological retry approximates the tracking effect.
   EXPECT_LT(ComputeRber(ErrorModelKind::kPhenomenological, state, 2),
             ComputeRber(ErrorModelKind::kPhenomenological, state, 0));
