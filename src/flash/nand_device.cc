@@ -14,6 +14,7 @@ NandDevice::NandDevice(const NandConfig& config, SimClock* clock)
   assert(clock != nullptr);
   assert(config_.num_blocks > 0 && config_.wordlines_per_block > 0 && config_.page_size_bytes > 0);
   blocks_.resize(config_.num_blocks);
+  labels_.assign(config_.num_blocks, kNoLabel);
   for (uint32_t b = 0; b < config_.num_blocks; ++b) {
     Block& blk = blocks_[b];
     blk.info.mode = config_.tech;  // native density until told otherwise
@@ -105,7 +106,6 @@ Status NandDevice::EraseBlock(uint32_t block) {
   RefreshWearFactor(blk);
   blk.info.next_page = 0;
   blk.info.programmed_pages = 0;
-  blk.info.erased = true;
   for (auto& page : blk.pages) {
     page = PageMeta{};
   }
@@ -161,7 +161,6 @@ Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const P
   page.oob = oob != nullptr ? *oob : PageOob{};
   ++blk.info.next_page;
   ++blk.info.programmed_pages;
-  blk.info.erased = false;
   if (config_.store_payloads) {
     auto& payload = blk.data[addr.page];
     payload.assign(data.begin(), data.end());
@@ -259,13 +258,8 @@ Status NandDevice::SetBlockLabel(uint32_t block, uint32_t label) {
   if (block >= blocks_.size()) {
     return Status(StatusCode::kInvalidArgument, "block out of range");
   }
-  blocks_[block].label = label;
+  labels_[block] = label;
   return Status::Ok();
-}
-
-uint32_t NandDevice::block_label(uint32_t block) const {
-  assert(block < blocks_.size());
-  return blocks_[block].label;
 }
 
 Result<std::vector<uint8_t>> NandDevice::PeekClean(PageAddr addr) const {

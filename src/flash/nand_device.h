@@ -34,6 +34,7 @@
 #ifndef SOS_SRC_FLASH_NAND_DEVICE_H_
 #define SOS_SRC_FLASH_NAND_DEVICE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -93,7 +94,6 @@ struct PageAddr {
 struct PageOob {
   uint64_t lba = 0;    // host LBA, or a reserved marker (see src/ftl)
   uint64_t seq = 0;    // monotonically increasing write sequence number
-  uint32_t pool = 0;   // owning FTL pool id at program time
   uint8_t flags = 0;   // FTL-defined bits (tainted, parity, ...)
 
   bool operator==(const PageOob&) const = default;
@@ -112,7 +112,6 @@ struct BlockInfo {
   uint32_t pec = 0;                // completed program/erase cycles
   uint32_t next_page = 0;          // sequential-programming cursor
   uint32_t programmed_pages = 0;   // pages currently holding data
-  bool erased = true;              // true after erase until first program
 };
 
 // Cumulative device counters for benches.
@@ -184,13 +183,16 @@ class NandDevice {
   //
   // One uint32 of per-block metadata that survives erase cycles, modeling
   // the FTL superblock/root structure real drives keep in a reserved region:
-  // which pool owns the block. Written outside the op path (no latency, no
-  // fault interception) because label updates piggyback on ops the FTL
-  // already performs.
+  // which pool owns the block, the FTL's only record of it. Written outside
+  // the op path (no latency, no fault interception, even while powered off)
+  // because label updates piggyback on ops the FTL already performs.
 
   [[nodiscard]] Status SetBlockLabel(uint32_t block, uint32_t label);
   // kNoLabel when the block was never labeled. Asserts on a bad address.
-  uint32_t block_label(uint32_t block) const;
+  uint32_t block_label(uint32_t block) const {
+    assert(block < labels_.size());
+    return labels_[block];
+  }
 
   // Reads a programmed page, injecting bit errors per the error model.
   // `retry_level` > 0 models a READ-RETRY re-read with reference voltages
@@ -237,7 +239,6 @@ class NandDevice {
 
   struct Block {
     BlockInfo info;
-    uint32_t label = kNoLabel;             // durable owner tag, survives erase
     // Read-path invariants. Every programmed page of the block has
     // pec_at_program == info.pec, so its RBER's wear factor is the block's:
     // WearFactor(error_model, ...) at info.pec in info.mode, refreshed by
@@ -279,6 +280,7 @@ class NandDevice {
   NandConfig config_;
   SimClock* clock_;
   std::vector<Block> blocks_;
+  std::vector<uint32_t> labels_;  // durable owner tag per block, flat for FTL scans
   NandStats stats_;
   bool powered_ = true;
   NandFaultHook* fault_hook_ = nullptr;

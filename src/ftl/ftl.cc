@@ -93,7 +93,6 @@ Ftl::Ftl(const FtlConfig& config, SimClock* clock)
   page_stride_ = config_.nand.PagesPerBlock(config_.nand.tech);
   p2l_.assign(static_cast<size_t>(total_blocks) * page_stride_, kLbaInvalid);
   page_stream_.assign(static_cast<size_t>(total_blocks) * page_stride_, 0);
-  block_owner_.assign(total_blocks, kNoPool);
   block_valid_.assign(total_blocks, 0);
   block_last_write_.assign(total_blocks, 0);
   block_sealed_.assign(total_blocks, 0);
@@ -124,11 +123,7 @@ Ftl::Ftl(const FtlConfig& config, SimClock* clock)
       Status s = nand_.SetBlockMode(next_block, pool.config.mode);
       assert(s.ok());
       (void)s;
-      // Durable owner label: recovery reassigns the block to this pool.
-      Status label = nand_.SetBlockLabel(next_block, static_cast<uint32_t>(p));
-      assert(label.ok());
-      (void)label;
-      block_owner_[next_block] = static_cast<uint32_t>(p);
+      SetOwner(next_block, static_cast<uint32_t>(p));
       ++pool.num_blocks;
       pool.free_blocks.push_back(next_block);
     }
@@ -272,7 +267,6 @@ bool Ftl::EnsureWritable(uint32_t pool_id, ActiveSlot& slot, bool allow_gc,
   ResetBlockRow(*block);
   // A fresh stripe starts with a fresh block.
   std::fill(slot.stripe_xor.begin(), slot.stripe_xor.end(), 0);
-  slot.stripe_fill = 0;
   return true;
 }
 
@@ -289,7 +283,6 @@ Status Ftl::WriteParityPage(uint32_t pool_id, ActiveSlot& slot) {
   PageOob oob;
   oob.lba = kLbaParity;
   oob.seq = write_seq_;
-  oob.pool = pool_id;
   oob.flags = kOobFlagParity;
   if (Status s = nand_.Program({bid, page}, payload, &oob); !s.ok()) {
     return s;
@@ -300,7 +293,6 @@ Status Ftl::WriteParityPage(uint32_t pool_id, ActiveSlot& slot) {
   ++pool.stats.parity_writes_;
   ++pool.stats.nand_writes_;
   std::fill(slot.stripe_xor.begin(), slot.stripe_xor.end(), 0);
-  slot.stripe_fill = 0;
   if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
     block_sealed_[bid] = 1;
     slot.block.reset();
@@ -346,7 +338,6 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
       PageOob oob;
       oob.lba = lba;
       oob.seq = write_seq_;
-      oob.pool = pool_id;
       oob.flags = tainted ? kOobFlagTainted : 0;
       // A post-op power cut advances the program cursor for a page the host
       // never saw acknowledged: only an Ok program commits.
@@ -371,13 +362,12 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
           for (size_t b = 0; b < n; ++b) {
             parity[b] ^= bytes[b];
           }
-          ++slot.stripe_fill;
         }
         // Re-look the old copy up: GC run by EnsureWritable may have moved it.
         if (auto old = l2p_.Find(lba); old.has_value()) {
           InvalidateLoc(*old);
         }
-        l2p_.Set(lba, PhysLoc{pool_id, bid, page, tainted});
+        l2p_.Set(lba, PhysLoc{bid, page, tainted});
         switch (kind) {
           case AppendKind::kHostWrite:
             ++pool.stats.host_writes_;
@@ -421,10 +411,11 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
 }
 
 void Ftl::InvalidateLoc(const PhysLoc& loc) {
-  Pool& pool = pools_[loc.pool];
-  if (!OwnedBy(loc.block, loc.pool)) {
+  const uint32_t pool_id = PoolOf(loc.block);
+  if (pool_id == NandDevice::kNoLabel) {
     return;  // block was retired out from under the mapping
   }
+  Pool& pool = pools_[pool_id];
   uint64_t* row = P2lRow(loc.block);
   if (loc.page < PagesPerBlock(pool) && row[loc.page] != kLbaInvalid &&
       row[loc.page] != kLbaParity) {
@@ -463,10 +454,8 @@ Result<FtlReadResult> Ftl::ReadAt(const PhysLoc& loc, bool count_stats) {
 }
 
 Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool count_stats) {
-  Pool& pool = pools_[loc.pool];
+  Pool& pool = pools_[PoolOf(loc.block)];
   FtlReadResult result;
-  result.raw_rber = raw.rber;
-  result.pool_id = loc.pool;
   result.tainted = loc.tainted;
 
   // A page whose errors are all correctable decodes whatever the seed, so
@@ -519,8 +508,7 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
     const uint32_t stripe = pool.config.parity_stripe;
     const uint32_t start = loc.page / stripe * stripe;
     const uint32_t parity_page = start + stripe - 1;
-    const bool stripe_complete = OwnedBy(loc.block, loc.pool) &&
-                                 parity_page < PagesPerBlock(pool) &&
+    const bool stripe_complete = parity_page < PagesPerBlock(pool) &&
                                  P2lRow(loc.block)[parity_page] == kLbaParity;
     if (stripe_complete) {
       bool rescue_ok = true;
@@ -544,7 +532,6 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
         if (clean.ok()) {
           result.data = std::move(clean.value());
         }
-        result.parity_rescued = true;
         if (count_stats) {
           ++pool.stats.parity_rescues_;
         }
@@ -599,10 +586,10 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   if (!cur.has_value()) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
   }
-  if (cur->pool == target_pool) {
+  const uint32_t source_pool = PoolOf(cur->block);
+  if (source_pool == target_pool) {
     return Status::Ok();
   }
-  const uint32_t source_pool = cur->pool;
   if (Status s = MovePage(lba, *cur, directive, AppendKind::kMigration); !s.ok()) {
     return s;
   }
@@ -653,8 +640,8 @@ std::optional<uint32_t> Ftl::PickGcVictim(uint32_t pool_id) const {
   // Ascending block-id scan: with a strict `>` comparison the first (lowest
   // id) of any score tie wins, reproducing the id tie-break the hash-map
   // implementation enforced explicitly.
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    if (block_owner_[id] != pool_id) {
+  for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+    if (PoolOf(id) != pool_id) {
       continue;
     }
     if (block_sealed_[id] == 0 || pool.IsActive(id)) {
@@ -703,7 +690,7 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
 }
 
 WriteDirective Ftl::InPlace(const PhysLoc& loc) const {
-  return WriteDirective{loc.pool, LifetimeHint::kUnknown,
+  return WriteDirective{PoolOf(loc.block), LifetimeHint::kUnknown,
                         page_stream_[static_cast<size_t>(loc.block) * page_stride_ + loc.page]};
 }
 
@@ -729,8 +716,7 @@ Status Ftl::MoveLivePages(uint32_t pool_id, uint32_t block_id, AppendKind kind, 
       continue;
     }
     const auto cur = l2p_.Find(lba);
-    if (!cur.has_value() || cur->block != block_id || cur->pool != pool_id ||
-        cur->page != p) {
+    if (!cur.has_value() || cur->block != block_id || cur->page != p) {
       continue;  // stale reverse entry
     }
     Status s = MovePage(lba, *cur, InPlace(*cur), kind);
@@ -774,8 +760,8 @@ void Ftl::MaybeStaticWearLevel(uint32_t pool_id) {
   std::optional<uint32_t> coldest;
   // Ascending scan + strict `<`: the lowest-id block among equal-PEC eligible
   // candidates wins, matching the old map implementation's tie-break.
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    if (block_owner_[id] != pool_id) {
+  for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+    if (PoolOf(id) != pool_id) {
       continue;
     }
     const uint32_t pec = nand_.block_info(id).pec;
@@ -837,10 +823,10 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
     return;
   }
 
-  // Retired from this pool.
-  block_owner_[block_id] = kNoPool;
+  // Retired from this pool: the block leaves service unless resuscitation
+  // relabels it below, so recovery must not hand it back.
+  SetOwner(block_id, NandDevice::kNoLabel);
   --pool.num_blocks;
-  ++pool.retired;
   ++pool.stats.retired_blocks_;
   Trace([&] {
     return obs::TraceEvent{clock_->now(), "ftl.block.retired"}
@@ -849,20 +835,15 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
         .WithU64("pec", nand_.block_info(block_id).pec);
   });
 
-  bool resuscitated = false;
   if (pool.resuscitate_pool.has_value()) {
     Pool& target = pools_[*pool.resuscitate_pool];
     Status mode_status = nand_.SetBlockMode(block_id, target.config.mode);
     if (mode_status.ok() && !ShouldRetire(target, block_id)) {
-      block_owner_[block_id] = *pool.resuscitate_pool;
+      SetOwner(block_id, *pool.resuscitate_pool);
       ++target.num_blocks;
       ResetBlockRow(block_id);
       target.free_blocks.push_back(block_id);
       ++pool.stats.resuscitated_blocks_;
-      resuscitated = true;
-      Status label = nand_.SetBlockLabel(block_id, *pool.resuscitate_pool);
-      assert(label.ok());
-      (void)label;
       Trace([&] {
         return obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
             .With("from", pool.config.name)
@@ -870,12 +851,6 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
             .WithU64("block", block_id);
       });
     }
-  }
-  if (!resuscitated) {
-    // The block left service entirely; recovery must not hand it back.
-    Status label = nand_.SetBlockLabel(block_id, NandDevice::kNoLabel);
-    assert(label.ok());
-    (void)label;
   }
   NotifyCapacity();
 }
@@ -901,13 +876,10 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
     return s;
   }
 
-  block_owner_[block_id] = kNoPool;
   --pool.num_blocks;
   ResetBlockRow(block_id);
   ++pool.stats.grown_bad_blocks_;
-  Status label = nand_.SetBlockLabel(block_id, NandDevice::kNoLabel);
-  assert(label.ok());
-  (void)label;
+  SetOwner(block_id, NandDevice::kNoLabel);
   Trace([&] {
     return obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
         .With("pool", pool.config.name)
@@ -931,7 +903,6 @@ Status Ftl::RecoverFromFlash() {
   // wiped in place (capacity kept), not reallocated.
   l2p_.Clear();
   std::fill(p2l_.begin(), p2l_.end(), kLbaInvalid);
-  std::fill(block_owner_.begin(), block_owner_.end(), kNoPool);
   std::fill(block_valid_.begin(), block_valid_.end(), 0u);
   std::fill(block_last_write_.begin(), block_last_write_.end(), SimTimeUs{0});
   std::fill(block_sealed_.begin(), block_sealed_.end(), uint8_t{0});
@@ -951,14 +922,13 @@ Status Ftl::RecoverFromFlash() {
     stats.nand_writes = 0;
   }
 
-  // Pass 1: walk the die in block order. Labels assign ownership; OOB
-  // records per-page identity. Multiple copies of an LBA are expected (the
+  // Pass 1: walk the die in block order. Labels already are the ownership;
+  // OOB records per-page identity. Multiple copies of an LBA are expected (the
   // cut can land between a new program and the old copy's invalidation) --
   // collect the candidates and let the highest write sequence win. Host
   // LBAs are dense, so the candidate table is a flat vector too.
   struct Candidate {
     uint64_t seq = 0;
-    uint32_t pool = 0;
     uint32_t block = 0;
     uint32_t page = 0;
     bool tainted = false;
@@ -984,7 +954,6 @@ Status Ftl::RecoverFromFlash() {
     }
     Pool& pool = pools_[label];
     const uint32_t pages = PagesPerBlock(pool);
-    block_owner_[b] = label;
     ++pool.num_blocks;
     const BlockInfo& info = nand_.block_info(b);
     if (info.programmed_pages == 0) {
@@ -1009,8 +978,7 @@ Status Ftl::RecoverFromFlash() {
         continue;
       }
       row[p] = meta.lba;
-      const Candidate cand{meta.seq, label, b, p, (meta.flags & kOobFlagTainted) != 0,
-                           true};
+      const Candidate cand{meta.seq, b, p, (meta.flags & kOobFlagTainted) != 0, true};
       Candidate& slot = winner_slot(meta.lba);
       if (!slot.present || cand.seq > slot.seq) {
         slot = cand;
@@ -1030,8 +998,8 @@ Status Ftl::RecoverFromFlash() {
   // then ascending block id) so counter increments replay identically.
   for (uint32_t pool_id = 0; pool_id < pools_.size(); ++pool_id) {
     Pool& pool = pools_[pool_id];
-    for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-      if (block_owner_[id] != pool_id) {
+    for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+      if (PoolOf(id) != pool_id) {
         continue;
       }
       uint64_t* row = P2lRow(id);
@@ -1042,8 +1010,8 @@ Status Ftl::RecoverFromFlash() {
           continue;
         }
         const Candidate& win = winners[lba];
-        if (win.pool == pool_id && win.block == id && win.page == p) {
-          l2p_.Set(lba, PhysLoc{pool_id, id, p, win.tainted});
+        if (win.block == id && win.page == p) {
+          l2p_.Set(lba, PhysLoc{id, p, win.tainted});
           ++block_valid_[id];
           ++pool.valid_pages;
           ++last_recovery_.replayed_pages;
@@ -1121,9 +1089,10 @@ uint64_t Ftl::ExportedPages() const {
 
 Ftl::PecMoments Ftl::PecMomentsOf(uint32_t pool_id) const {
   PecMoments moments;
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    const uint32_t owner = block_owner_[id];
-    if (owner == kNoPool || (pool_id != kNoPool && owner != pool_id)) {
+  for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+    const uint32_t owner = PoolOf(id);
+    if (owner == NandDevice::kNoLabel ||
+        (pool_id != NandDevice::kNoLabel && owner != pool_id)) {
       continue;
     }
     const uint32_t pec = nand_.block_info(id).pec;
@@ -1167,7 +1136,7 @@ PoolSnapshot Ftl::Snapshot(uint32_t pool_id) const {
   snap.mode = pool.config.mode;
   snap.total_blocks = pool.num_blocks;
   snap.free_blocks = static_cast<uint32_t>(pool.free_blocks.size());
-  snap.retired_blocks = pool.retired;
+  snap.retired_blocks = static_cast<uint32_t>(pool.stats.retired_blocks_);
   snap.exported_pages = ExportedPagesOf(pool);
   snap.valid_pages = pool.valid_pages;
   const PecMoments pec = PecMomentsOf(pool_id);
@@ -1198,7 +1167,7 @@ void Ftl::RegisterStream(uint32_t stream, const std::string& name) {
   StreamEntry(stream).name = name;
 }
 
-double Ftl::PecVariance() const { return PecMomentsOf(kNoPool).Variance(); }
+double Ftl::PecVariance() const { return PecMomentsOf(NandDevice::kNoLabel).Variance(); }
 
 bool Ftl::IsTainted(uint64_t lba) const {
   const auto loc = l2p_.Find(lba);
@@ -1222,12 +1191,12 @@ Status Ftl::CheckInvariants() const {
   // invariants are broken at once, every run reports the same first
   // violation -- the report feeds golden-output test logs.
 
-  // Block ownership is disjoint by construction (one owner word per block);
-  // verify the per-pool counts agree with the owner array.
+  // Block ownership is disjoint by construction (one label per block);
+  // verify the per-pool counts agree with the labels.
   std::vector<uint32_t> owned_count(pools_.size(), 0);
-  for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-    const uint32_t owner = block_owner_[id];
-    if (owner == kNoPool) {
+  for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+    const uint32_t owner = PoolOf(id);
+    if (owner == NandDevice::kNoLabel) {
       continue;
     }
     if (owner >= pools_.size()) {
@@ -1238,7 +1207,7 @@ Status Ftl::CheckInvariants() const {
   for (uint32_t p = 0; p < pools_.size(); ++p) {
     if (owned_count[p] != pools_[p].num_blocks) {
       return fail("pool '" + pools_[p].config.name + "' num_blocks=" +
-                  std::to_string(pools_[p].num_blocks) + " but owner entries=" +
+                  std::to_string(pools_[p].num_blocks) + " but labeled blocks=" +
                   std::to_string(owned_count[p]));
     }
   }
@@ -1249,15 +1218,11 @@ Status Ftl::CheckInvariants() const {
     if (!forward.ok()) {
       return;
     }
-    if (loc.pool >= pools_.size()) {
-      forward = fail("mapping with bad pool id");
-      return;
-    }
-    const Pool& pool = pools_[loc.pool];
-    if (!OwnedBy(loc.block, loc.pool)) {
+    if (loc.block >= config_.nand.num_blocks || PoolOf(loc.block) == NandDevice::kNoLabel) {
       forward = fail("LBA " + std::to_string(lba) + " maps to unowned block");
       return;
     }
+    const Pool& pool = pools_[PoolOf(loc.block)];
     if (loc.page >= PagesPerBlock(pool) || P2lRow(loc.block)[loc.page] != lba) {
       forward = fail("LBA " + std::to_string(lba) + " reverse entry mismatch");
     }
@@ -1270,8 +1235,8 @@ Status Ftl::CheckInvariants() const {
   for (uint32_t p = 0; p < pools_.size(); ++p) {
     const Pool& pool = pools_[p];
     uint64_t pool_valid = 0;
-    for (uint32_t id = 0; id < block_owner_.size(); ++id) {
-      if (block_owner_[id] != p) {
+    for (uint32_t id = 0; id < config_.nand.num_blocks; ++id) {
+      if (PoolOf(id) != p) {
         continue;
       }
       const uint64_t* row = P2lRow(id);
@@ -1282,7 +1247,7 @@ Status Ftl::CheckInvariants() const {
           continue;
         }
         const auto loc = l2p_.Find(lba);
-        if (!loc.has_value() || loc->pool != p || loc->block != id || loc->page != page) {
+        if (!loc.has_value() || loc->block != id || loc->page != page) {
           // A stale reverse entry is only legal when the LBA now lives
           // elsewhere (overwrite left the old copy behind until GC) or was
           // trimmed; either way it awaits GC.
@@ -1324,7 +1289,7 @@ std::vector<uint64_t> Ftl::LbasInPool(uint32_t pool_id) const {
   // ForEachMapped walks ascending LBAs, so the scrub order is deterministic
   // without an explicit sort.
   l2p_.ForEachMapped([&](uint64_t lba, const PhysLoc& loc) {
-    if (loc.pool == pool_id) {
+    if (PoolOf(loc.block) == pool_id) {
       lbas.push_back(lba);
     }
   });

@@ -37,6 +37,7 @@
 #ifndef SOS_SRC_FTL_FTL_H_
 #define SOS_SRC_FTL_FTL_H_
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -134,15 +135,12 @@ struct FtlReadResult {
   std::vector<uint8_t> data;        // empty in metadata-only simulations
   uint64_t residual_bit_errors = 0; // post-ECC errors in `data`
   bool degraded = false;            // ECC failed and parity could not rescue
-  bool parity_rescued = false;
   // True when the *stored* copy is known to have absorbed unrecoverable
   // corruption at some earlier relocation (GC, migration, refresh): the
   // controller re-encoded degraded bytes, so even an error-free read of the
   // current physical page cannot return the original data. This is the
   // signal SOS's cloud-repair path keys on (paper §4.3).
   bool tainted = false;
-  double raw_rber = 0.0;
-  uint32_t pool_id = 0;
 };
 
 // Cumulative FTL operation counters. One instance lives inside each pool;
@@ -400,10 +398,6 @@ class Ftl {
   // excluded from exported capacity.
   static constexpr uint32_t kGcReserveBlocks = 2;
 
-  // block_owner_ sentinel: block belongs to no pool (never formatted,
-  // retired without resuscitation, or dropped as grown-bad).
-  static constexpr uint32_t kNoPool = UINT32_MAX;
-
   // An append point: a partially-programmed block plus its open parity
   // stripe. `stream` is the placement tag a per-stream slot serves (0 for
   // the shared host and cold slots).
@@ -411,13 +405,12 @@ class Ftl {
     uint32_t stream = 0;
     std::optional<uint32_t> block;
     std::vector<uint8_t> stripe_xor;  // running parity of the open stripe
-    uint32_t stripe_fill = 0;         // data pages since last parity write
   };
 
   // A fresh append point for `stream`: no block, an empty parity stripe.
   ActiveSlot NewSlot(uint32_t stream) const {
     return ActiveSlot{stream, std::nullopt,
-                      std::vector<uint8_t>(config_.nand.page_size_bytes, 0), 0};
+                      std::vector<uint8_t>(config_.nand.page_size_bytes, 0)};
   }
 
   // Fixed positions in Pool::slots; per-stream slots follow them.
@@ -429,14 +422,13 @@ class Ftl {
     FtlPoolConfig config;
     uint32_t data_slots_per_block = 0;  // pages per block minus parity slots
     double retire_rber = 0.0;           // resolved bound
-    uint32_t num_blocks = 0;            // owned blocks (block_owner_ == this)
+    uint32_t num_blocks = 0;            // blocks labeled with this pool
     std::deque<uint32_t> free_blocks;
     // Every append point of the pool: the host slot, the cold slot, then
     // per-stream slots (FDP-style reclaim units) opened lazily in first-write
     // order under non-legacy placement policies. Append-ordered vector:
     // deterministic iteration, tiny N (bounded by the handle table).
     std::vector<ActiveSlot> slots;
-    uint32_t retired = 0;
     uint64_t valid_pages = 0;
     std::optional<uint32_t> resuscitate_pool;  // resolved target pool id
     FtlStats stats;                     // this pool's share of the counters
@@ -530,7 +522,7 @@ class Ftl {
   static uint64_t ExportedPagesOf(const Pool& pool);
 
   // Integer PEC moments over the blocks `pool_id` owns, or over every
-  // pool-owned block of the die for kNoPool.
+  // pool-owned block of the die for NandDevice::kNoLabel.
   struct PecMoments {
     uint64_t count = 0;
     uint64_t sum = 0;
@@ -583,17 +575,28 @@ class Ftl {
 
   // --- Flat per-page / per-block metadata (struct-of-arrays) ---------------
   //
-  // All four block arrays are indexed by NAND block id; the reverse map is a
+  // All three block arrays are indexed by NAND block id; the reverse map is a
   // single flat vector with a fixed per-block stride of `page_stride_`
   // entries (the die's native-mode page count, an upper bound for every
-  // pool mode). See DESIGN.md §11 for the layout diagram.
+  // pool mode). Block ownership is not among them: the die's durable block
+  // label is the one record of it (PoolOf). See DESIGN.md §11 for the
+  // layout diagram.
 
   uint64_t* P2lRow(uint32_t block) { return &p2l_[static_cast<size_t>(block) * page_stride_]; }
   const uint64_t* P2lRow(uint32_t block) const {
     return &p2l_[static_cast<size_t>(block) * page_stride_];
   }
+  // The pool that owns `block`, or NandDevice::kNoLabel for none; it is also
+  // the pool of every page mapped into the block. SetOwner writes it (a
+  // label write never fails on a valid block, even while powered off).
+  uint32_t PoolOf(uint32_t block) const { return nand_.block_label(block); }
+  void SetOwner(uint32_t block, uint32_t pool_id) {
+    Status s = nand_.SetBlockLabel(block, pool_id);
+    assert(s.ok());
+    (void)s;
+  }
   bool OwnedBy(uint32_t block, uint32_t pool_id) const {
-    return block < block_owner_.size() && block_owner_[block] == pool_id;
+    return block < config_.nand.num_blocks && PoolOf(block) == pool_id;
   }
   // Wipes a block's whole reverse-map row (full stride, so stale entries
   // from a previous, denser mode can never leak) and zeroes its counters.
@@ -610,7 +613,6 @@ class Ftl {
   // of the durable OOB format: zeroed wholesale by RecoverFromFlash, so
   // per-handle accounting restarts after a power cut.
   std::vector<uint8_t> page_stream_;
-  std::vector<uint32_t> block_owner_;      // pool id or kNoPool
   std::vector<uint32_t> block_valid_;      // live data pages per block
   std::vector<SimTimeUs> block_last_write_;
   std::vector<uint8_t> block_sealed_;      // bool; fully programmed

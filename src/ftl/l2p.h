@@ -13,9 +13,12 @@
 //
 //     bit 63      valid     (0 = unmapped; an all-zero word is "absent")
 //     bit 62      tainted   (sticky corruption marker, travels with the map)
-//     bits 52-61  pool      (10 bits, up to 1024 pools)
+//     bits 52-61  unused    (always 0)
 //     bits 20-51  block     (32 bits)
 //     bits 0-19   page      (20 bits, up to 1M pages per block)
+//
+// An entry holds no pool: a page's pool is its block's, which the die's
+// durable block label records (NandDevice::block_label).
 //
 // The table grows on demand (amortized doubling) so arbitrary test LBAs
 // still work; Clear() keeps capacity so recovery does not reallocate.
@@ -36,7 +39,6 @@ namespace sos {
 
 // Physical location of one logical page.
 struct PhysLoc {
-  uint32_t pool = 0;
   uint32_t block = 0;
   uint32_t page = 0;
   // Sticky corruption marker; travels with the mapping through relocations,
@@ -50,21 +52,17 @@ class L2pTable {
  public:
   static constexpr uint64_t kValidBit = 1ull << 63;
   static constexpr uint64_t kTaintedBit = 1ull << 62;
-  static constexpr uint32_t kPoolBits = 10;
   static constexpr uint32_t kPageBits = 20;
 
   static uint64_t Pack(const PhysLoc& loc) {
-    assert(loc.pool < (1u << kPoolBits));
     assert(loc.page < (1u << kPageBits));
     return kValidBit | (loc.tainted ? kTaintedBit : 0) |
-           (static_cast<uint64_t>(loc.pool) << (kPageBits + 32)) |
            (static_cast<uint64_t>(loc.block) << kPageBits) |
            static_cast<uint64_t>(loc.page);
   }
 
   static PhysLoc Unpack(uint64_t entry) {
     PhysLoc loc;
-    loc.pool = static_cast<uint32_t>((entry >> (kPageBits + 32)) & ((1u << kPoolBits) - 1));
     loc.block = static_cast<uint32_t>((entry >> kPageBits) & 0xFFFFFFFFull);
     loc.page = static_cast<uint32_t>(entry & ((1u << kPageBits) - 1));
     loc.tainted = (entry & kTaintedBit) != 0;

@@ -42,6 +42,11 @@ struct WorkloadEvent {
 // Driver-facing generator interface: day-batched event streams over
 // generator-scoped refs. Implementations: the mobile generator below and the
 // flash-cache generator (src/host/cache_workload.h).
+//
+// Ref contract, which drivers index by (LifetimeSim keeps a vector indexed
+// by ref): every kCreate mints a fresh ref, the refs are 1, 2, 3... in the
+// order the creates are made, and a ref is never reused. After N creates
+// every ref an event names lies in [1, N].
 class WorkloadGenerator {
  public:
   virtual ~WorkloadGenerator() = default;

@@ -243,7 +243,8 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
   // *stored* bytes absorbed unrecoverable corruption during a relocation
   // (FtlReadResult::tainted); those are the repair candidates. With a cloud
   // copy the local data is restored; without one the file is counted as at
-  // risk ("SOS does not inherently rely on such redundant copies", §4.3).
+  // risk, once however many passes find it so ("SOS does not inherently rely
+  // on such redundant copies", §4.3).
   if (config_.cloud_repair) {
     Ftl& ftl = device_->ftl();
     HandleDurabilityTable handles(*fs_);
@@ -270,7 +271,13 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
           ++stats.files_repaired;
         }
       } else {
-        ++stats.files_at_risk;
+        if (file.id > counted_at_risk_.size()) {
+          counted_at_risk_.resize(file.id, 0);
+        }
+        if (counted_at_risk_[file.id - 1] == 0) {
+          counted_at_risk_[file.id - 1] = 1;
+          ++stats.files_at_risk;
+        }
       }
     });
   }

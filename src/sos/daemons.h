@@ -136,7 +136,9 @@ class DegradationMonitor {
     uint64_t pages_scanned = 0;
     uint64_t pages_refreshed = 0;
     uint64_t files_repaired = 0;
-    uint64_t files_at_risk = 0;  // degraded, no cloud copy available
+    // Degraded with no cloud copy available, counted on the first pass that
+    // finds the file at risk: a file that stays rotten is not counted again.
+    uint64_t files_at_risk = 0;
   };
 
   // `fs` and `device` must outlive the monitor; `cloud` may be null.
@@ -156,6 +158,9 @@ class DegradationMonitor {
   DegradationMonitorConfig config_;
   CloudBackup* cloud_;
   RunStats lifetime_;
+  // Indexed by file id - 1 (ids are dense and never reused): 1 once a pass
+  // has counted the file at risk.
+  std::vector<uint8_t> counted_at_risk_;
 };
 
 // ---------------------------------------------------------------------------

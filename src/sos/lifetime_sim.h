@@ -75,7 +75,7 @@ struct LifetimeSimConfig {
   uint32_t classify_period_days = 1;
   uint32_t scrub_period_days = 30;
   bool enable_autodelete = true;
-  bool enable_cloud = false;  // cloud repair needs payloads on
+  bool enable_cloud = false;
 
   MigrationDaemonConfig migration;
   AutoDeleteConfig autodelete;
@@ -228,6 +228,10 @@ class LifetimeSim {
   std::vector<uint8_t> ContentFor(uint64_t ref, uint64_t bytes);
   // Re-derives the coarse health state and counts/traces transitions.
   void UpdateHealthState(uint32_t day);
+  // The live file `ref` names, or 0 for none.
+  uint64_t FileIdOf(uint64_t ref) const {
+    return ref < ref_to_fsid_.size() ? ref_to_fsid_[ref] : 0;
+  }
 
   LifetimeSimConfig config_;
   SimClock clock_;
@@ -244,11 +248,10 @@ class LifetimeSim {
   std::unique_ptr<DegradationMonitor> monitor_;
   std::unique_ptr<AutoDeleteManager> autodelete_;
   std::unique_ptr<InMemoryCloud> cloud_;
-  // Workload file-ref -> live file id. Lookup/erase only -- never iterated:
-  // any walk of this map would feed hash order into the simulation (soslint
-  // R1). Iteration over live files goes through fs_->ScanFiles(), which is
-  // id-ordered.
-  std::unordered_map<uint64_t, uint64_t> ref_to_fsid_;
+  // Workload file-ref -> live file id, indexed by ref; 0 is "no file" (file
+  // ids start at 1). Refs are dense and never reused (WorkloadGenerator), so
+  // the vector holds one word per create the workload ever made.
+  std::vector<uint64_t> ref_to_fsid_;
   obs::TraceSink trace_;
   HealthState health_state_ = HealthState::kHealthy;
   LifetimeResult result_;

@@ -4,6 +4,7 @@
 // parity rescue, retirement/capacity variance, resuscitation, migration.
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -303,9 +304,10 @@ TEST(FtlTest, ParityRescuesFailedPage) {
   uint64_t rescued = 0;
   uint64_t degraded = 0;
   for (uint64_t lba = 0; lba < 80; ++lba) {
+    const uint64_t rescues_before = ftl.stats().parity_rescues();
     auto read = ftl.Read(lba);
     ASSERT_TRUE(read.ok());
-    if (read.value().parity_rescued) {
+    if (ftl.stats().parity_rescues() > rescues_before) {
       ++rescued;
       EXPECT_EQ(read.value().data, Page(static_cast<uint8_t>(lba)));
     }
@@ -460,10 +462,36 @@ TEST(FtlTest, ResuscitationMovesWornBlocksToSparserPool) {
   EXPECT_GT(ftl.stats().retired_blocks(), 0u);
   EXPECT_GT(ftl.stats().resuscitated_blocks(), 0u);
   EXPECT_GT(ftl.Snapshot(second_id).total_blocks, 0u);
+  ASSERT_TRUE(ftl.CheckInvariants().ok()) << ftl.CheckInvariants().ToString();
   // Resuscitated blocks are writable through the second pool.
   EXPECT_TRUE(ftl.Write(1000, Page(7), second_id).ok());
   auto read = ftl.Read(1000);
   ASSERT_TRUE(read.ok());
+
+  // The block label alone carries pool membership: a remount rebuilds every
+  // pool's blocks and pages, those reborn in the sparser mode included.
+  struct PoolCounts {
+    uint32_t total_blocks;
+    uint32_t free_blocks;
+    uint32_t retired_blocks;
+    uint64_t valid_pages;
+    bool operator==(const PoolCounts&) const = default;
+  };
+  auto counts = [&ftl] {
+    std::vector<PoolCounts> all;
+    for (uint32_t pool = 0; pool < ftl.num_pools(); ++pool) {
+      const PoolSnapshot snap = ftl.Snapshot(pool);
+      all.push_back({snap.total_blocks, snap.free_blocks, snap.retired_blocks, snap.valid_pages});
+    }
+    return all;
+  };
+  const std::vector<PoolCounts> before = counts();
+  const std::map<uint64_t, uint32_t> pools_before = PoolsByLba(ftl);
+  ASSERT_GT(pools_before.count(1000), 0u);
+  EXPECT_EQ(pools_before.at(1000), second_id);
+  ASSERT_TRUE(ftl.RecoverFromFlash().ok());
+  EXPECT_EQ(counts(), before);
+  EXPECT_EQ(PoolsByLba(ftl), pools_before);
 }
 
 TEST(FtlTest, RetirementFollowsTheDieErrorModel) {

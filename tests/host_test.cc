@@ -7,6 +7,7 @@
 
 #include "src/common/units.h"
 #include "src/flash/fault_hook.h"
+#include "src/host/cache_workload.h"
 #include "src/host/file_system.h"
 #include "src/host/workload.h"
 #include "src/sos/sos_device.h"
@@ -386,6 +387,40 @@ TEST(WorkloadTest, IntensityScalesWrites) {
     }
   }
   EXPECT_GT(creates_heavy, creates_light * 2);
+}
+
+// The ref contract LifetimeSim indexes by: creates mint refs 1, 2, 3... in
+// order, a ref is never reused, and no event names a ref not yet minted.
+TEST(WorkloadTest, CreateRefsAreDenseAndNeverReused) {
+  MobileWorkloadConfig mobile;
+  mobile.seed = 18;
+  FlashCacheWorkloadConfig cache;
+  cache.seed = 18;
+  MobileWorkloadGenerator mobile_gen(mobile);
+  FlashCacheWorkloadGenerator cache_gen(cache);
+  for (WorkloadGenerator* gen : std::vector<WorkloadGenerator*>{&mobile_gen, &cache_gen}) {
+    std::set<uint64_t> minted;
+    uint64_t creates = 0;
+    for (uint64_t day = 0; day < 60; ++day) {
+      const std::vector<WorkloadEvent> events = gen->Day(day);
+      for (const WorkloadEvent& ev : events) {
+        if (ev.op == WorkloadOp::kCreate) {
+          ++creates;
+          EXPECT_TRUE(minted.insert(ev.file_ref).second) << "ref " << ev.file_ref << " reused";
+        }
+      }
+      // Within a day events are time-sorted, so refs need not appear in
+      // order, but the day's creates are exactly the next refs.
+      ASSERT_EQ(minted.size(), creates);
+      ASSERT_TRUE(minted.empty() || (*minted.begin() == 1 && *minted.rbegin() == creates))
+          << "day " << day;
+      for (const WorkloadEvent& ev : events) {
+        EXPECT_GE(ev.file_ref, 1u);
+        EXPECT_LE(ev.file_ref, creates) << "day " << day;
+      }
+    }
+    EXPECT_GT(creates, 100u);
+  }
 }
 
 TEST(WorkloadTest, DropRefRemovesFromLiveSet) {

@@ -39,7 +39,6 @@ namespace {
 
 PhysLoc RandomLoc(Rng& rng) {
   PhysLoc loc;
-  loc.pool = static_cast<uint32_t>(rng.NextBounded(1u << 10));
   loc.block = static_cast<uint32_t>(rng.NextBounded(1u << 20));
   loc.page = static_cast<uint32_t>(rng.NextBounded(1u << 20));
   loc.tainted = rng.NextBounded(8) == 0;
@@ -183,7 +182,7 @@ void RunShadowProperty(uint64_t seed, int geometry) {
         EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
       } else {
         ASSERT_TRUE(read.ok()) << read.status().ToString();
-        EXPECT_EQ(read.value().pool_id, it->second.pool);
+        EXPECT_EQ(PoolsByLba(ftl).at(lba), it->second.pool);
         if (!read.value().degraded && !read.value().tainted &&
             read.value().residual_bit_errors == 0) {
           EXPECT_EQ(read.value().data, it->second.payload);

@@ -710,6 +710,43 @@ TEST(DegradationMonitorTest, CloudRepairRestoresContent) {
   EXPECT_LT(diff_bits, 16u);
 }
 
+// A file that stays rotten is at risk once, not once per pass: a second pass
+// over the same tainted, never-overwritten files adds nothing.
+TEST(DegradationMonitorTest, CountsEachFileAtRiskOnce) {
+  DaemonFixture f;
+  for (int i = 0; i < 4; ++i) {
+    FileMeta media;
+    media.type = FileType::kVideo;
+    media.path = "dcim/camera/clip" + std::to_string(i) + ".mp4";
+    media.size_bytes = 4096;
+    auto id = f.fs.CreateFile(media, std::vector<uint8_t>(4096, 0xEE), f.critical);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(f.fs.ReclassifyFile(id.value(), f.degradable).ok());
+  }
+  f.clock.Advance(YearsToUs(2.5));
+  DegradationMonitor monitor(&f.fs, &f.device, {});  // cloud repair on, no cloud
+  const auto first = monitor.RunOnce(f.clock.now());
+  ASSERT_GT(first.files_at_risk, 0u);
+
+  // Every file counted is still tainted when the second pass looks again.
+  uint64_t tainted_files = 0;
+  f.fs.ForEachFile([&](const FileView& file) {
+    bool tainted = false;
+    for (const Extent& extent : file.extents) {
+      for (uint32_t i = 0; i < extent.blocks; ++i) {
+        tainted = tainted || f.device.ftl().IsTainted(extent.lba + i);
+      }
+    }
+    tainted_files += tainted ? 1 : 0;
+  });
+  EXPECT_EQ(tainted_files, first.files_at_risk);
+
+  f.clock.Advance(30 * kUsPerDay);
+  const auto second = monitor.RunOnce(f.clock.now());
+  EXPECT_EQ(second.files_at_risk, 0u);
+  EXPECT_EQ(monitor.lifetime_stats().files_at_risk, first.files_at_risk);
+}
+
 // --- Lifetime simulation ---------------------------------------------------
 
 LifetimeSimConfig QuickSim(DeviceKind kind, uint32_t days = 120) {
@@ -825,19 +862,23 @@ TEST(LifetimeSimTest, PeriodicRetrainingRuns) {
 // Cloud repair inside a lifetime run: a pre-aged die rots demoted files
 // within the first monitor pass. Without the cloud they are counted at risk;
 // with it every one is restored from the copy the run stored at create or
-// update time.
+// update time. With payloads off the copy is of a synthetic file, and the
+// repair rewrites it at full size, which clears its taint all the same.
 TEST(LifetimeSimTest, CloudRepairsWhatWouldBeAtRisk) {
-  LifetimeSimConfig config = QuickSim(DeviceKind::kSos, 45);
-  config.nand.store_payloads = true;  // cloud copies need the file bytes
-  config.nand.initial_pec = 200;
-  const LifetimeResult local = LifetimeSim(config).Run();
-  ASSERT_GT(local.monitor().files_at_risk, 0u);
-  EXPECT_EQ(local.monitor().files_repaired, 0u);
+  for (bool payloads : {true, false}) {
+    SCOPED_TRACE(payloads ? "payloads on" : "payloads off");
+    LifetimeSimConfig config = QuickSim(DeviceKind::kSos, 45);
+    config.nand.store_payloads = payloads;
+    config.nand.initial_pec = 200;
+    const LifetimeResult local = LifetimeSim(config).Run();
+    ASSERT_GT(local.monitor().files_at_risk, 0u);
+    EXPECT_EQ(local.monitor().files_repaired, 0u);
 
-  config.enable_cloud = true;
-  const LifetimeResult cloud = LifetimeSim(config).Run();
-  EXPECT_EQ(cloud.monitor().files_at_risk, 0u);
-  EXPECT_GT(cloud.monitor().files_repaired, 0u);
+    config.enable_cloud = true;
+    const LifetimeResult cloud = LifetimeSim(config).Run();
+    EXPECT_EQ(cloud.monitor().files_at_risk, 0u);
+    EXPECT_GT(cloud.monitor().files_repaired, 0u);
+  }
 }
 
 TEST(LifetimeSimTest, NameCoverage) {

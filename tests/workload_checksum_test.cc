@@ -85,13 +85,12 @@ uint64_t L2pWorkload() {
     const uint64_t action = rng.NextBounded(8);
     if (action < 4) {
       if (auto loc = table.Find(lba)) {
-        acc = DeriveSeed({acc, loc->pool, loc->block, loc->page, loc->tainted ? 1u : 0u});
+        acc = DeriveSeed({acc, loc->block, loc->page, loc->tainted ? 1u : 0u});
       } else {
         acc = DeriveSeed({acc, 0xdeadull});
       }
     } else if (action < 7) {
       PhysLoc loc;
-      loc.pool = static_cast<uint32_t>(lba & 3u);
       loc.block = static_cast<uint32_t>(i & 0xffffffu);
       loc.page = static_cast<uint32_t>((i * 7u) & 0xfffffu);
       loc.tainted = (i & 31u) == 0;
