@@ -37,11 +37,10 @@ Status NandDevice::SetBlockMode(uint32_t block, CellTech mode) {
                   "mode denser than the die's native technology");
   }
   Block& blk = blocks_[block];
-  if (blk.info.programmed_pages > 0) {
+  if (blk.info.next_page > 0) {
     return Status(StatusCode::kFailedPrecondition, "block holds data; erase before mode change");
   }
   blk.info.mode = mode;
-  blk.info.next_page = 0;
   RefreshWearFactor(blk);
   blk.pages.assign(config_.PagesPerBlock(mode), PageMeta{});
   if (config_.store_payloads) {
@@ -104,16 +103,8 @@ Status NandDevice::EraseBlock(uint32_t block) {
   Block& blk = blocks_[block];
   ++blk.info.pec;
   RefreshWearFactor(blk);
+  // Page state below the cursor is rewritten by each Program.
   blk.info.next_page = 0;
-  blk.info.programmed_pages = 0;
-  for (auto& page : blk.pages) {
-    page = PageMeta{};
-  }
-  if (config_.store_payloads) {
-    for (auto& payload : blk.data) {
-      payload.clear();
-    }
-  }
   const SimTimeUs latency = GetCellTechInfo(blk.info.mode).erase_latency_us;
   clock_->Advance(latency);
   ++stats_.erases;
@@ -134,7 +125,7 @@ Status NandDevice::AddrError(PageAddr addr) const {
   return Status(StatusCode::kInvalidArgument, "page out of range for block mode");
 }
 
-Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const PageOob* oob) {
+Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const PageOob& oob) {
   if (Status s = CheckAddr(addr); !s.ok()) {
     return s;
   }
@@ -145,22 +136,15 @@ Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const P
   if (addr.page != blk.info.next_page) {
     return Status(StatusCode::kFailedPrecondition, "pages must be programmed sequentially");
   }
-  PageMeta& page = blk.pages[addr.page];
-  if (page.programmed) {
-    return Status(StatusCode::kFailedPrecondition, "page already programmed; erase block first");
-  }
   NandFaultAction action;
   if (Status s = GateOp(NandOpKind::kProgram, addr.block, addr.page, &action); !s.ok()) {
     return s;
   }
-  page.programmed = true;
+  PageMeta& page = blk.pages[addr.page];
   page.program_time_us = clock_->now();
-  page.pec_at_program = blk.info.pec;
   page.reads = 0;
-  page.has_oob = oob != nullptr;
-  page.oob = oob != nullptr ? *oob : PageOob{};
+  page.oob = oob;
   ++blk.info.next_page;
-  ++blk.info.programmed_pages;
   if (config_.store_payloads) {
     auto& payload = blk.data[addr.page];
     payload.assign(data.begin(), data.end());
@@ -169,7 +153,6 @@ Status NandDevice::Program(PageAddr addr, std::span<const uint8_t> data, const P
   const SimTimeUs latency = GetCellTechInfo(blk.info.mode).program_latency_us;
   clock_->Advance(latency);
   ++stats_.programs;
-  stats_.bytes_programmed += config_.page_size_bytes;
   stats_.busy_us += latency;
   if (action.kind == NandFaultAction::Kind::kPowerCut) {
     // Post-op cut: bytes + OOB reached the cells but the host never saw an
@@ -184,7 +167,7 @@ PageErrorState NandDevice::ErrorStateFor(const Block& blk, const PageMeta& page)
   PageErrorState state;
   state.mode = blk.info.mode;
   state.endurance_pec = EnduranceIn(blk.info.mode);
-  state.pec_at_program = page.pec_at_program;
+  state.pec_at_program = blk.info.pec;
   state.retention_years =
       UsToYears(clock_->now() >= page.program_time_us ? clock_->now() - page.program_time_us : 0);
   state.reads_since_program = page.reads;
@@ -196,22 +179,21 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
     return s;
   }
   Block& blk = blocks_[addr.block];
-  PageMeta& page = blk.pages[addr.page];
-  if (!page.programmed) {
+  if (addr.page >= blk.info.next_page) {
     return Status(StatusCode::kNotFound, "page not programmed");
   }
   NandFaultAction action;
   if (Status s = GateOp(NandOpKind::kRead, addr.block, addr.page, &action); !s.ok()) {
     return s;
   }
+  PageMeta& page = blk.pages[addr.page];
   ++page.reads;
-  assert(page.pec_at_program == blk.info.pec && "block read state is for its current P/E count");
 
   const PageErrorState state = ErrorStateFor(blk, page);
   const uint64_t bits = static_cast<uint64_t>(config_.page_size_bytes) * 8;
-  // == DeriveSeed({config_.seed, addr.block, addr.page, pec_at_program, reads, retry}).
+  // == DeriveSeed({config_.seed, addr.block, addr.page, pec, reads, retry}).
   const uint64_t stream_seed =
-      DeriveSeedFrom(blk.seed_prefix, {addr.page, page.pec_at_program, page.reads,
+      DeriveSeedFrom(blk.seed_prefix, {addr.page, blk.info.pec, page.reads,
                                        static_cast<uint64_t>(retry_level)});
   ReadResult result;
   result.rber = ComputeRber(config_.error_model, state, blk.wear_factor, retry_level);
@@ -221,12 +203,11 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
     result.data = blk.data[addr.page];
     ErrorModel::InjectErrors(result.data, result.bit_errors, stream_seed);
   }
-  result.latency_us = GetCellTechInfo(blk.info.mode).read_latency_us;
-  clock_->Advance(result.latency_us);
+  const SimTimeUs latency = GetCellTechInfo(blk.info.mode).read_latency_us;
+  clock_->Advance(latency);
   ++stats_.reads;
-  stats_.bytes_read += config_.page_size_bytes;
   stats_.bit_errors_injected += result.bit_errors;
-  stats_.busy_us += result.latency_us;
+  stats_.busy_us += latency;
   rber_histogram_.Observe(result.rber);
   if (action.kind == NandFaultAction::Kind::kPowerCut) {
     // The sense amps fired but power died before data left the die.
@@ -244,14 +225,10 @@ Result<PageOob> NandDevice::ReadOob(PageAddr addr) const {
     return s;
   }
   const Block& blk = blocks_[addr.block];
-  const PageMeta& page = blk.pages[addr.page];
-  if (!page.programmed) {
+  if (addr.page >= blk.info.next_page) {
     return Status(StatusCode::kNotFound, "page not programmed");
   }
-  if (!page.has_oob) {
-    return Status(StatusCode::kNotFound, "page carries no OOB metadata");
-  }
-  return page.oob;
+  return blk.pages[addr.page].oob;
 }
 
 Status NandDevice::SetBlockLabel(uint32_t block, uint32_t label) {
@@ -267,7 +244,7 @@ Result<std::vector<uint8_t>> NandDevice::PeekClean(PageAddr addr) const {
     return s;
   }
   const Block& blk = blocks_[addr.block];
-  if (!blk.pages[addr.page].programmed) {
+  if (addr.page >= blk.info.next_page) {
     return Status(StatusCode::kNotFound, "page not programmed");
   }
   if (!config_.store_payloads) {
@@ -281,12 +258,10 @@ Result<double> NandDevice::PredictRber(PageAddr addr, double ahead_years) const 
     return s;
   }
   const Block& blk = blocks_[addr.block];
-  const PageMeta& page = blk.pages[addr.page];
-  if (!page.programmed) {
+  if (addr.page >= blk.info.next_page) {
     return Status(StatusCode::kNotFound, "page not programmed");
   }
-  assert(page.pec_at_program == blk.info.pec && "block read state is for its current P/E count");
-  PageErrorState state = ErrorStateFor(blk, page);
+  PageErrorState state = ErrorStateFor(blk, blk.pages[addr.page]);
   state.retention_years += std::max(ahead_years, 0.0);
   return ComputeRber(config_.error_model, state, blk.wear_factor, 0);
 }
@@ -315,8 +290,8 @@ void NandDevice::ToMetrics(obs::MetricRegistry& registry, const std::string& pre
   registry.SetCounter(prefix + "programs", stats_.programs);
   registry.SetCounter(prefix + "reads", stats_.reads);
   registry.SetCounter(prefix + "erases", stats_.erases);
-  registry.SetCounter(prefix + "bytes_programmed", stats_.bytes_programmed);
-  registry.SetCounter(prefix + "bytes_read", stats_.bytes_read);
+  registry.SetCounter(prefix + "bytes_programmed", stats_.programs * config_.page_size_bytes);
+  registry.SetCounter(prefix + "bytes_read", stats_.reads * config_.page_size_bytes);
   registry.SetCounter(prefix + "bit_errors_injected", stats_.bit_errors_injected);
   registry.SetCounter(prefix + "busy_us", stats_.busy_us);
   registry.SetGauge(prefix + "max_wear_ratio", MaxWearRatio());

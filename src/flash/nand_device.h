@@ -91,6 +91,8 @@ struct PageAddr {
 // a mount can rebuild L2P state from flash alone. Modeled as always readable
 // for a programmed page (no injected errors): OOB loss is orders of magnitude
 // rarer than data-area ECC failure and out of scope for this simulator.
+// Every programmed page carries one; a raw-die user that passes none stores
+// the zero record.
 struct PageOob {
   uint64_t lba = 0;    // host LBA, or a reserved marker (see src/ftl)
   uint64_t seq = 0;    // monotonically increasing write sequence number
@@ -103,15 +105,16 @@ struct ReadResult {
   std::vector<uint8_t> data;  // corrupted copy; empty when !store_payloads
   uint64_t bit_errors = 0;    // raw bit errors present in this read
   double rber = 0.0;          // model RBER used for the sample
-  SimTimeUs latency_us = 0;
 };
 
 // Per-block bookkeeping, exposed read-only for FTL policies and tests.
 struct BlockInfo {
   CellTech mode = CellTech::kPlc;
-  uint32_t pec = 0;                // completed program/erase cycles
-  uint32_t next_page = 0;          // sequential-programming cursor
-  uint32_t programmed_pages = 0;   // pages currently holding data
+  uint32_t pec = 0;        // completed program/erase cycles
+  // Sequential-programming cursor, and the one record of what the block
+  // holds: pages [0, next_page) hold data, the rest are erased. Erase and
+  // mode change reset it to 0.
+  uint32_t next_page = 0;
 };
 
 // Cumulative device counters for benches.
@@ -119,8 +122,6 @@ struct NandStats {
   uint64_t programs = 0;
   uint64_t reads = 0;
   uint64_t erases = 0;
-  uint64_t bytes_programmed = 0;
-  uint64_t bytes_read = 0;
   uint64_t bit_errors_injected = 0;
   SimTimeUs busy_us = 0;
 };
@@ -168,10 +169,10 @@ class NandDevice {
 
   // Programs the next-expected page of a block. `data` must be at most one
   // page; shorter payloads are zero-padded. Fails on out-of-order pages or a
-  // full block. `oob`, when given, is stored durably in the page's spare
-  // area and survives until the block is erased.
+  // full block. `oob` is stored durably in the page's spare area and
+  // survives until the block is erased.
   [[nodiscard]] Status Program(PageAddr addr, std::span<const uint8_t> data,
-                               const PageOob* oob = nullptr);
+                               const PageOob& oob = {});
 
   // Returns the OOB metadata of a programmed page. No error injection, no
   // clock advance (OOB reads ride along with the data-area read the FTL
@@ -228,19 +229,17 @@ class NandDevice {
   double MeanPec() const;
 
  private:
+  // A page's own read state; meaningful only below the block's cursor.
   struct PageMeta {
     SimTimeUs program_time_us = 0;
-    uint32_t pec_at_program = 0;
     uint32_t reads = 0;
-    bool programmed = false;
-    bool has_oob = false;
     PageOob oob;
   };
 
   struct Block {
     BlockInfo info;
-    // Read-path invariants. Every programmed page of the block has
-    // pec_at_program == info.pec, so its RBER's wear factor is the block's:
+    // Read-path invariants. Every programmed page was programmed at the
+    // block's current P/E count, so its RBER's wear factor is the block's:
     // WearFactor(error_model, ...) at info.pec in info.mode, refreshed by
     // RefreshWearFactor wherever either changes. `seed_prefix` is
     // DeriveSeed({config.seed, block id}), the fixed head of every read's

@@ -24,43 +24,14 @@ constexpr double kStaticWlSpread = 0.10;
 }  // namespace
 
 void FtlStats::Accumulate(const FtlStats& other) {
-  host_writes_ += other.host_writes_;
-  nand_writes_ += other.nand_writes_;
-  parity_writes_ += other.parity_writes_;
-  gc_relocations_ += other.gc_relocations_;
-  wl_relocations_ += other.wl_relocations_;
-  migrations_ += other.migrations_;
-  refreshes_ += other.refreshes_;
-  gc_erases_ += other.gc_erases_;
-  background_collections_ += other.background_collections_;
-  retired_blocks_ += other.retired_blocks_;
-  resuscitated_blocks_ += other.resuscitated_blocks_;
-  ecc_failures_ += other.ecc_failures_;
-  retry_recoveries_ += other.retry_recoveries_;
-  parity_rescues_ += other.parity_rescues_;
-  degraded_reads_ += other.degraded_reads_;
-  grown_bad_blocks_ += other.grown_bad_blocks_;
-  lost_pages_ += other.lost_pages_;
+  ForEachCounter([](const char*, uint64_t& total, uint64_t part) { total += part; }, *this,
+                 other);
 }
 
 void FtlStats::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) const {
-  registry.SetCounter(prefix + "host_writes", host_writes_);
-  registry.SetCounter(prefix + "nand_writes", nand_writes_);
-  registry.SetCounter(prefix + "parity_writes", parity_writes_);
-  registry.SetCounter(prefix + "gc_relocations", gc_relocations_);
-  registry.SetCounter(prefix + "wl_relocations", wl_relocations_);
-  registry.SetCounter(prefix + "migrations", migrations_);
-  registry.SetCounter(prefix + "refreshes", refreshes_);
-  registry.SetCounter(prefix + "gc_erases", gc_erases_);
-  registry.SetCounter(prefix + "background_collections", background_collections_);
-  registry.SetCounter(prefix + "retired_blocks", retired_blocks_);
-  registry.SetCounter(prefix + "resuscitated_blocks", resuscitated_blocks_);
-  registry.SetCounter(prefix + "ecc_failures", ecc_failures_);
-  registry.SetCounter(prefix + "retry_recoveries", retry_recoveries_);
-  registry.SetCounter(prefix + "parity_rescues", parity_rescues_);
-  registry.SetCounter(prefix + "degraded_reads", degraded_reads_);
-  registry.SetCounter(prefix + "grown_bad_blocks", grown_bad_blocks_);
-  registry.SetCounter(prefix + "lost_pages", lost_pages_);
+  ForEachCounter(
+      [&](const char* name, uint64_t value) { registry.SetCounter(prefix + name, value); },
+      *this);
   registry.SetGauge(prefix + "write_amplification", WriteAmplification());
 }
 
@@ -95,7 +66,6 @@ Ftl::Ftl(const FtlConfig& config, SimClock* clock)
   page_stream_.assign(static_cast<size_t>(total_blocks) * page_stride_, 0);
   block_valid_.assign(total_blocks, 0);
   block_last_write_.assign(total_blocks, 0);
-  block_sealed_.assign(total_blocks, 0);
 
   // Partition the physical blocks across pools by share.
   uint32_t next_block = 0;
@@ -166,7 +136,6 @@ void Ftl::ResetBlockRow(uint32_t block) {
   uint8_t* streams = &page_stream_[static_cast<size_t>(block) * page_stride_];
   std::fill(streams, streams + page_stride_, uint8_t{0});
   block_valid_[block] = 0;
-  block_sealed_[block] = 0;
 }
 
 std::optional<uint32_t> Ftl::AllocateBlock(Pool& pool, LifetimeHint lifetime) {
@@ -229,7 +198,7 @@ bool Ftl::EnsureWritable(uint32_t pool_id, ActiveSlot& slot, bool allow_gc,
       return false;
     }
     const uint32_t id = *slot.block;
-    if (block_sealed_[id] == 0 && nand_.block_info(id).next_page < PagesPerBlock(pool)) {
+    if (nand_.block_info(id).next_page < PagesPerBlock(pool)) {
       return true;
     }
     slot.block.reset();
@@ -284,7 +253,7 @@ Status Ftl::WriteParityPage(uint32_t pool_id, ActiveSlot& slot) {
   oob.lba = kLbaParity;
   oob.seq = write_seq_;
   oob.flags = kOobFlagParity;
-  if (Status s = nand_.Program({bid, page}, payload, &oob); !s.ok()) {
+  if (Status s = nand_.Program({bid, page}, payload, oob); !s.ok()) {
     return s;
   }
   ++write_seq_;
@@ -294,7 +263,6 @@ Status Ftl::WriteParityPage(uint32_t pool_id, ActiveSlot& slot) {
   ++pool.stats.nand_writes_;
   std::fill(slot.stripe_xor.begin(), slot.stripe_xor.end(), 0);
   if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
-    block_sealed_[bid] = 1;
     slot.block.reset();
   }
   return Status::Ok();
@@ -341,7 +309,7 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
       oob.flags = tainted ? kOobFlagTainted : 0;
       // A post-op power cut advances the program cursor for a page the host
       // never saw acknowledged: only an Ok program commits.
-      status = nand_.Program({bid, page}, data, &oob);
+      status = nand_.Program({bid, page}, data, oob);
       if (status.ok()) {
         ++write_seq_;
         P2lRow(bid)[page] = lba;
@@ -389,7 +357,6 @@ Status Ftl::AppendPage(uint64_t lba, std::span<const uint8_t> data, const WriteD
             break;
         }
         if (nand_.block_info(bid).next_page >= PagesPerBlock(pool)) {
-          block_sealed_[bid] = 1;
           slot.block.reset();
         }
         return Status::Ok();
@@ -644,7 +611,9 @@ std::optional<uint32_t> Ftl::PickGcVictim(uint32_t pool_id) const {
     if (PoolOf(id) != pool_id) {
       continue;
     }
-    if (block_sealed_[id] == 0 || pool.IsActive(id)) {
+    // A programmed block outside every append point is sealed: full, or
+    // crash-sealed by recovery.
+    if (nand_.block_info(id).next_page == 0 || pool.IsActive(id)) {
       continue;
     }
     const double slots = static_cast<double>(pool.data_slots_per_block);
@@ -766,7 +735,7 @@ void Ftl::MaybeStaticWearLevel(uint32_t pool_id) {
     }
     const uint32_t pec = nand_.block_info(id).pec;
     max_pec = std::max(max_pec, pec);
-    const bool eligible = block_sealed_[id] != 0 && block_valid_[id] > 0 && !pool.IsActive(id);
+    const bool eligible = block_valid_[id] > 0 && !pool.IsActive(id);
     if (eligible && pec < min_pec) {
       min_pec = pec;
       coldest = id;
@@ -905,7 +874,6 @@ Status Ftl::RecoverFromFlash() {
   std::fill(p2l_.begin(), p2l_.end(), kLbaInvalid);
   std::fill(block_valid_.begin(), block_valid_.end(), 0u);
   std::fill(block_last_write_.begin(), block_last_write_.end(), SimTimeUs{0});
-  std::fill(block_sealed_.begin(), block_sealed_.end(), uint8_t{0});
   for (auto& pool : pools_) {
     pool.num_blocks = 0;
     pool.free_blocks.clear();
@@ -956,7 +924,7 @@ Status Ftl::RecoverFromFlash() {
     const uint32_t pages = PagesPerBlock(pool);
     ++pool.num_blocks;
     const BlockInfo& info = nand_.block_info(b);
-    if (info.programmed_pages == 0) {
+    if (info.next_page == 0) {
       pool.free_blocks.push_back(b);  // block order => deterministic free list
       continue;
     }
@@ -967,7 +935,7 @@ Status Ftl::RecoverFromFlash() {
     for (uint32_t p = 0; p < scan; ++p) {
       const auto oob = nand_.ReadOob({b, p});
       if (!oob.ok()) {
-        continue;  // page predates OOB stamping; treated as garbage
+        continue;  // unreachable on a powered die below the cursor; garbage
       }
       ++last_recovery_.scanned_pages;
       const PageOob& meta = oob.value();
@@ -985,12 +953,11 @@ Status Ftl::RecoverFromFlash() {
       }
     }
     // A partially-programmed block is crash-sealed: its open parity stripe
-    // is unreconstructible, so it never becomes an append point again. GC
-    // reclaims it like any other sealed block.
+    // is unreconstructible, so it never becomes an append point again (slots
+    // open only erased blocks). GC reclaims it like any other sealed block.
     if (info.next_page < pages) {
       ++last_recovery_.open_blocks_sealed;
     }
-    block_sealed_[b] = 1;
     block_last_write_[b] = clock_->now();
   }
 
@@ -1143,12 +1110,6 @@ PoolSnapshot Ftl::Snapshot(uint32_t pool_id) const {
   snap.mean_pec = pec.Mean();
   snap.max_pec = pec.max;
   snap.pec_variance = pec.Variance();
-  snap.free_page_fraction =
-      snap.exported_pages > 0
-          ? static_cast<double>(snap.exported_pages -
-                                std::min(snap.valid_pages, snap.exported_pages)) /
-                static_cast<double>(snap.exported_pages)
-          : 0.0;
   return snap;
 }
 
@@ -1273,7 +1234,7 @@ Status Ftl::CheckInvariants() const {
       if (block_valid_[id] != 0) {
         return fail("free block " + std::to_string(id) + " holds valid data");
       }
-      if (nand_.block_info(id).programmed_pages != 0) {
+      if (nand_.block_info(id).next_page != 0) {
         return fail("free block " + std::to_string(id) + " is programmed");
       }
       if (pool.IsActive(id)) {

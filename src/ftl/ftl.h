@@ -176,7 +176,7 @@ class FtlStats {
 
   // Registers one counter per field under `prefix` ("ftl." for the
   // aggregate, "ftl.pool.<name>." per pool) plus a write-amplification
-  // gauge. Field order here is the export order.
+  // gauge, in ForEachCounter order.
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) const;
 
   bool operator==(const FtlStats&) const = default;
@@ -185,6 +185,31 @@ class FtlStats {
   friend class Ftl;
 
   void Accumulate(const FtlStats& other);
+
+  // The one list of counters, in export order: `visit(name, counter...)`
+  // gets the same counter of each FtlStats passed, so one walk serves
+  // Accumulate (two) and ToMetrics (one). A new counter is one field, one
+  // line here and its accessor.
+  template <typename Visit, typename... Stats>
+  static void ForEachCounter(Visit&& visit, Stats&... stats) {
+    visit("host_writes", stats.host_writes_...);
+    visit("nand_writes", stats.nand_writes_...);
+    visit("parity_writes", stats.parity_writes_...);
+    visit("gc_relocations", stats.gc_relocations_...);
+    visit("wl_relocations", stats.wl_relocations_...);
+    visit("migrations", stats.migrations_...);
+    visit("refreshes", stats.refreshes_...);
+    visit("gc_erases", stats.gc_erases_...);
+    visit("background_collections", stats.background_collections_...);
+    visit("retired_blocks", stats.retired_blocks_...);
+    visit("resuscitated_blocks", stats.resuscitated_blocks_...);
+    visit("ecc_failures", stats.ecc_failures_...);
+    visit("retry_recoveries", stats.retry_recoveries_...);
+    visit("parity_rescues", stats.parity_rescues_...);
+    visit("degraded_reads", stats.degraded_reads_...);
+    visit("grown_bad_blocks", stats.grown_bad_blocks_...);
+    visit("lost_pages", stats.lost_pages_...);
+  }
 
   uint64_t host_writes_ = 0;
   uint64_t nand_writes_ = 0;
@@ -230,7 +255,6 @@ struct PoolSnapshot {
   uint64_t valid_pages = 0;      // live host data
   double mean_pec = 0.0;
   uint32_t max_pec = 0;
-  double free_page_fraction = 0.0;  // (exported - valid) / exported
   // Population variance of PEC across the pool's owned blocks -- the
   // wear-variance measure the lifetime-aware allocator aims to widen
   // usefully (worn blocks absorb short-lived churn) without runaway.
@@ -615,7 +639,6 @@ class Ftl {
   std::vector<uint8_t> page_stream_;
   std::vector<uint32_t> block_valid_;      // live data pages per block
   std::vector<SimTimeUs> block_last_write_;
-  std::vector<uint8_t> block_sealed_;      // bool; fully programmed
   CapacityListener capacity_listener_;
   obs::TraceSink* trace_ = nullptr;
   // Simulated-time latency distributions for the host-facing entry points

@@ -81,7 +81,9 @@ class L2pTable {
     return lba < entries_.size() && entries_[lba] != 0;
   }
 
-  std::optional<PhysLoc> Find(uint64_t lba) const {
+  // Forced inline: GCC 12 -O3 otherwise calls it out of line from
+  // Ftl::AppendPage and Ftl::Migrate, the FTL's hottest lookups.
+  [[gnu::always_inline]] std::optional<PhysLoc> Find(uint64_t lba) const {
     if (!Contains(lba)) {
       return std::nullopt;
     }
@@ -89,11 +91,8 @@ class L2pTable {
   }
 
   void Set(uint64_t lba, const PhysLoc& loc) {
-    if (lba >= entries_.size()) {
-      // Amortized doubling keeps a stray large LBA from forcing per-insert
-      // reallocation while staying dense for bump-allocated hosts.
-      uint64_t grown = entries_.empty() ? 64 : entries_.size() * 2;
-      entries_.resize(std::max<uint64_t>(lba + 1, grown), 0);
+    if (lba >= entries_.size()) [[unlikely]] {
+      Grow(lba);
     }
     mapped_ += entries_[lba] == 0 ? 1u : 0u;
     entries_[lba] = Pack(loc);
@@ -130,6 +129,14 @@ class L2pTable {
   }
 
  private:
+  // Out of line so Set's common path stays small enough to inline.
+  // Amortized doubling keeps a stray large LBA from forcing per-insert
+  // reallocation while staying dense for bump-allocated hosts.
+  [[gnu::noinline]] void Grow(uint64_t lba) {
+    const uint64_t grown = entries_.empty() ? 64 : entries_.size() * 2;
+    entries_.resize(std::max<uint64_t>(lba + 1, grown), 0);
+  }
+
   std::vector<uint64_t> entries_;  // 0 = unmapped (valid bit clear)
   uint64_t mapped_ = 0;
 };

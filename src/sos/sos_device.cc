@@ -15,7 +15,6 @@ constexpr double kStageFlushLow = 0.30;   // ...down to this utilization
 FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   FtlConfig ftl;
   ftl.nand = config.nand;
-  ftl.gc_policy = config.gc_policy;
   ftl.placement_policy = config.placement_policy;
 
   FtlPoolConfig sys;
@@ -27,7 +26,6 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   assert(sys.share > 0.0);
   sys.wear_leveling = true;
   sys.parity_stripe = config.sys_parity_stripe;
-  sys.op_fraction = config.op_fraction;
   sys.nominal_retention_years = 1.0;
   sys.read_retries = 2;
   // SYS holds the host's critical data: never serve silent corruption. With
@@ -42,7 +40,6 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   spare.ecc = EccScheme::FromPreset(config.spare_ecc);
   spare.share = 1.0 - config.sys_share;
   spare.wear_leveling = false;  // paper §4.3 / [73]
-  spare.op_fraction = config.op_fraction;
   spare.nominal_retention_years = 1.0;
   spare.retire_rber = config.spare_retire_rber;
   spare.resuscitate_into = "RESCUE";
@@ -53,7 +50,6 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
   rescue.ecc = EccScheme::FromPreset(config.spare_ecc);
   rescue.share = 0.0;  // populated only by resuscitation
   rescue.wear_leveling = false;
-  rescue.op_fraction = config.op_fraction;
   rescue.nominal_retention_years = 1.0;
   rescue.retire_rber = config.spare_retire_rber;
   rescue.min_live_blocks = 1;
@@ -69,7 +65,6 @@ FtlConfig BuildSosFtlConfig(const SosDeviceConfig& config) {
     stage.ecc = EccScheme::FromPreset(EccPreset::kWeakBch);
     stage.share = config.stage_share;
     stage.wear_leveling = true;
-    stage.op_fraction = config.op_fraction;
     stage.min_live_blocks = 2;
     ftl.pools.insert(ftl.pools.begin(), stage);
   }

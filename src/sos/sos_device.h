@@ -42,8 +42,6 @@ struct SosDeviceConfig {
   // when one year of retention would exceed this raw error rate. 2e-3 keeps
   // video quality above ~0.8 (see media quality model).
   double spare_retire_rber = 2e-3;
-  GcPolicy gc_policy = GcPolicy::kGreedy;
-  double op_fraction = 0.07;
   // How the FTL consumes placement directives (per-handle append points,
   // lifetime-aware allocation). kLegacy keeps the historical write schedule
   // byte-identical; see PlacementPolicy in src/ftl/ftl.h.

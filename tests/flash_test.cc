@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,25 @@ TEST(NandDeviceTest, ReadUnprogrammedFails) {
   SimClock clock;
   NandDevice device(SmallConfig(), &clock);
   EXPECT_EQ(device.Read({0, 0}).status().code(), StatusCode::kNotFound);
+  // Every reader finds a page below the program cursor and answers kNotFound
+  // at the cursor, past it, and anywhere in an erased block.
+  auto expect_readers = [&](PageAddr addr, StatusCode want) {
+    SCOPED_TRACE("page " + std::to_string(addr.page));
+    EXPECT_EQ(device.Read(addr).status().code(), want);
+    EXPECT_EQ(device.ReadOob(addr).status().code(), want);
+    EXPECT_EQ(device.PeekClean(addr).status().code(), want);
+    EXPECT_EQ(device.PredictRber(addr, 0.0).status().code(), want);
+  };
+  const PageOob oob{.lba = 7, .seq = 1, .flags = 0};
+  ASSERT_TRUE(device.Program({0, 0}, Payload(16, 1), oob).ok());
+  ASSERT_TRUE(device.Program({0, 1}, Payload(16, 2), oob).ok());
+  expect_readers({0, 0}, StatusCode::kOk);
+  expect_readers({0, 1}, StatusCode::kOk);
+  expect_readers({0, 2}, StatusCode::kNotFound);  // the cursor
+  expect_readers({0, 3}, StatusCode::kNotFound);  // past it
+  ASSERT_TRUE(device.EraseBlock(0).ok());
+  expect_readers({0, 0}, StatusCode::kNotFound);
+  expect_readers({0, 1}, StatusCode::kNotFound);
 }
 
 TEST(NandDeviceTest, AddressValidation) {
@@ -240,10 +260,10 @@ TEST(NandDeviceTest, EraseResetsAndCountsPec) {
   SimClock clock;
   NandDevice device(SmallConfig(), &clock);
   ASSERT_TRUE(device.Program({0, 0}, Payload(16, 1)).ok());
-  EXPECT_EQ(device.block_info(0).programmed_pages, 1u);
+  EXPECT_EQ(device.block_info(0).next_page, 1u);
   ASSERT_TRUE(device.EraseBlock(0).ok());
   EXPECT_EQ(device.block_info(0).pec, 1u);
-  EXPECT_EQ(device.block_info(0).programmed_pages, 0u);
+  EXPECT_EQ(device.block_info(0).next_page, 0u);
   // Page 0 is programmable again.
   EXPECT_TRUE(device.Program({0, 0}, Payload(16, 2)).ok());
 }
@@ -370,8 +390,16 @@ TEST(NandDeviceTest, StatsAccumulate) {
   EXPECT_EQ(stats.programs, 1u);
   EXPECT_EQ(stats.reads, 1u);
   EXPECT_EQ(stats.erases, 1u);
-  EXPECT_EQ(stats.bytes_programmed, 512u);
   EXPECT_GT(stats.busy_us, 0u);
+  // The byte rows are the op counts times the page size.
+  obs::MetricRegistry registry;
+  device.ToMetrics(registry, "flash.die.");
+  std::map<std::string, uint64_t> counters;
+  for (const obs::MetricRow& row : registry.Snapshot()) {
+    counters[row.name] = row.counter;
+  }
+  EXPECT_EQ(counters["flash.die.bytes_programmed"], 512u);
+  EXPECT_EQ(counters["flash.die.bytes_read"], 512u);
 }
 
 TEST(NandDeviceTest, MetadataOnlyModeStillCountsErrors) {

@@ -253,7 +253,7 @@ uint64_t FoldRead(uint64_t acc, const Result<ReadResult>& r) {
     h = (h ^ b) * 1099511628211ull;
   }
   return DeriveSeed({acc, rr.bit_errors, static_cast<uint64_t>(std::llround(rr.rber * 1e15)),
-                     rr.latency_us, h});
+                     GetCellTechInfo(CellTech::kTlc).read_latency_us, h});
 }
 
 uint64_t NandReadWorkload() {
@@ -278,11 +278,11 @@ uint64_t NandReadWorkload() {
     oobs[p].seq = p;
   }
   for (uint32_t p = 0; p < pages; ++p) {
-    if (Status s = dev.Program({0, p}, payloads[p], &oobs[p]); !s.ok()) {
+    if (Status s = dev.Program({0, p}, payloads[p], oobs[p]); !s.ok()) {
       return DeriveSeed({0xbadull, static_cast<uint64_t>(s.code())});
     }
   }
-  uint64_t acc = DeriveSeed({0x4e414e44ull, dev.block_info(0).programmed_pages});
+  uint64_t acc = DeriveSeed({0x4e414e44ull, dev.block_info(0).next_page});
   for (uint32_t pass = 0; pass < 3; ++pass) {
     for (uint32_t p = 0; p < pages; ++p) {
       acc = FoldRead(acc, dev.Read({0, p}));
