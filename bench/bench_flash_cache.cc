@@ -110,8 +110,8 @@ void Run(const BenchOptions& options, const std::string& directed_name) {
   if (directed_idx != 0) {
     PrintSection("Per-handle accounting (directed run)");
     TextTable handles({"handle", "host writes (pages)", "nand writes (pages)", "WAF"});
+    // Each handle exports host_writes then nand_writes; WAF is their ratio.
     const obs::MetricRow* host = nullptr;
-    const obs::MetricRow* nand = nullptr;
     for (const obs::MetricRow& row : directed.device_metrics()) {
       const std::string& name = row.name;
       if (name.rfind("ftl.handle.", 0) != 0) {
@@ -119,18 +119,18 @@ void Run(const BenchOptions& options, const std::string& directed_name) {
       }
       if (name.size() >= 12 && name.compare(name.size() - 12, 12, ".host_writes") == 0) {
         host = &row;
-      } else if (name.size() >= 12 && name.compare(name.size() - 12, 12, ".nand_writes") == 0) {
-        nand = &row;
-      } else if (name.size() >= 20 &&
-                 name.compare(name.size() - 20, 20, ".write_amplification") == 0 &&
-                 host != nullptr && nand != nullptr) {
+      } else if (name.size() >= 12 && name.compare(name.size() - 12, 12, ".nand_writes") == 0 &&
+                 host != nullptr) {
         const std::string label =
             name.substr(std::strlen("ftl.handle."),
-                        name.size() - std::strlen("ftl.handle.") - 20);
-        handles.AddRow({label, FormatCount(host->counter), FormatCount(nand->counter),
-                        FormatDouble(row.gauge, 3)});
+                        name.size() - std::strlen("ftl.handle.") - 12);
+        const std::string waf =
+            host->counter > 0 ? FormatDouble(static_cast<double>(row.counter) /
+                                                 static_cast<double>(host->counter),
+                                             3)
+                              : "-";
+        handles.AddRow({label, FormatCount(host->counter), FormatCount(row.counter), waf});
         host = nullptr;
-        nand = nullptr;
       }
     }
     PrintTable(handles);

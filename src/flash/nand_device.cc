@@ -208,7 +208,6 @@ Result<ReadResult> NandDevice::Read(PageAddr addr, int retry_level) {
   ++stats_.reads;
   stats_.bit_errors_injected += result.bit_errors;
   stats_.busy_us += latency;
-  rber_histogram_.Observe(result.rber);
   if (action.kind == NandFaultAction::Kind::kPowerCut) {
     // The sense amps fired but power died before data left the die.
     powered_ = false;
@@ -290,13 +289,9 @@ void NandDevice::ToMetrics(obs::MetricRegistry& registry, const std::string& pre
   registry.SetCounter(prefix + "programs", stats_.programs);
   registry.SetCounter(prefix + "reads", stats_.reads);
   registry.SetCounter(prefix + "erases", stats_.erases);
-  registry.SetCounter(prefix + "bytes_programmed", stats_.programs * config_.page_size_bytes);
-  registry.SetCounter(prefix + "bytes_read", stats_.reads * config_.page_size_bytes);
   registry.SetCounter(prefix + "bit_errors_injected", stats_.bit_errors_injected);
   registry.SetCounter(prefix + "busy_us", stats_.busy_us);
-  registry.SetGauge(prefix + "max_wear_ratio", MaxWearRatio());
   registry.SetGauge(prefix + "mean_pec", MeanPec());
-  registry.SetHistogram(prefix + "read.rber", rber_histogram_);
 }
 
 }  // namespace sos

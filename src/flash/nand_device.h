@@ -219,8 +219,8 @@ class NandDevice {
   const NandStats& stats() const { return stats_; }
   SimClock& clock() { return *clock_; }
 
-  // Registers this die's op/byte counters, busy time, wear summary and the
-  // read RBER histogram under `prefix` (e.g. "flash.die.").
+  // Registers this die's op counters, injected bit errors, busy time and
+  // mean P/E count under `prefix` (e.g. "flash.die.").
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "flash.die.") const;
 
   // Fraction of rated endurance consumed by the most worn block, in [0, inf).
@@ -283,7 +283,6 @@ class NandDevice {
   NandStats stats_;
   bool powered_ = true;
   NandFaultHook* fault_hook_ = nullptr;
-  obs::Histogram rber_histogram_ = obs::Histogram::Rber();
 };
 
 }  // namespace sos

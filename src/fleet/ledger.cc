@@ -60,7 +60,11 @@ FleetHistogram::FleetHistogram(std::vector<double> upper_bounds)
 }
 
 void FleetHistogram::Observe(double v) {
-  ++buckets_[obs::BucketIndex(bounds_, v)];
+  size_t bucket = 0;  // the first bound >= v; else (NaN too) the overflow bucket
+  while (bucket < bounds_.size() && !(v <= bounds_[bucket])) {
+    ++bucket;
+  }
+  ++buckets_[bucket];
   ++count_;
   micro_sum_ += ToMicro(v);
 }
@@ -77,8 +81,8 @@ Status FleetHistogram::Merge(const FleetHistogram& other) {
   return Status::Ok();
 }
 
-obs::Histogram FleetHistogram::ToObs() const {
-  return obs::Histogram::FromParts(bounds_, buckets_, count_, FromMicro(micro_sum_));
+void FleetHistogram::ToMetrics(obs::MetricRegistry& registry, const std::string& name) const {
+  registry.SetHistogram(name, bounds_, buckets_, count_, FromMicro(micro_sum_));
 }
 
 // --- DeviceOutcome -----------------------------------------------------------
@@ -202,10 +206,10 @@ void FleetLedger::ToMetrics(obs::MetricRegistry& registry, const std::string& pr
   }
   registry.SetCounter(prefix + "devices.sos", sos_devices());
   registry.SetCounter(prefix + "devices.baseline", baseline_devices());
-  registry.SetHistogram(prefix + "lifetime_years", lifetime_years_.ToObs());
-  registry.SetHistogram(prefix + "capacity_retained", capacity_retained_.ToObs());
-  registry.SetHistogram(prefix + "autodelete_files", autodelete_files_.ToObs());
-  registry.SetHistogram(prefix + "pec_variance", pec_variance_.ToObs());
+  lifetime_years_.ToMetrics(registry, prefix + "lifetime_years");
+  capacity_retained_.ToMetrics(registry, prefix + "capacity_retained");
+  autodelete_files_.ToMetrics(registry, prefix + "autodelete_files");
+  pec_variance_.ToMetrics(registry, prefix + "pec_variance");
   const EmbodiedCarbon carbon = Carbon();
   registry.SetGauge(prefix + "carbon.actual_kg", FromMicro(carbon.actual_micro_kg));
   registry.SetGauge(prefix + "carbon.tlc_counterfactual_kg",

@@ -41,9 +41,10 @@ int64_t ToMicro(double value);
 // sense that every shard grouping renders the same bits (the int is).
 double FromMicro(int64_t micro);
 
-// Fixed-bucket histogram with a fixed-point sum. Buckets follow
-// obs::BucketIndex, the rule obs::Histogram uses, but the sum is carried in
-// micro-units so merge stays exact.
+// Fixed-bucket histogram with a fixed-point sum. Buckets are defined by
+// ascending inclusive upper bounds, fixed at construction -- never derived
+// from observed data -- plus one overflow bucket above the last bound. The
+// sum is carried in micro-units so merge stays exact.
 class FleetHistogram {
  public:
   FleetHistogram() = default;
@@ -59,9 +60,8 @@ class FleetHistogram {
   uint64_t count() const { return count_; }
   int64_t micro_sum() const { return micro_sum_; }
 
-  // Materializes the obs-layer histogram (sum = FromMicro(micro_sum)) for
-  // registry export.
-  obs::Histogram ToObs() const;
+  // Registers this histogram as the row `name` (sum = FromMicro(micro_sum)).
+  void ToMetrics(obs::MetricRegistry& registry, const std::string& name) const;
 
   bool operator==(const FleetHistogram&) const = default;
 

@@ -10,7 +10,6 @@
 #include "src/common/rng.h"
 #include "src/flash/error_model.h"
 #include "src/flash/voltage_model.h"
-#include "src/obs/scoped_latency.h"
 
 namespace sos {
 
@@ -32,7 +31,9 @@ void FtlStats::ToMetrics(obs::MetricRegistry& registry, const std::string& prefi
   ForEachCounter(
       [&](const char* name, uint64_t value) { registry.SetCounter(prefix + name, value); },
       *this);
-  registry.SetGauge(prefix + "write_amplification", WriteAmplification());
+  if (host_writes_ > 0) {
+    registry.SetGauge(prefix + "write_amplification", WriteAmplification());
+  }
 }
 
 const char* PlacementPolicyName(PlacementPolicy policy) {
@@ -402,7 +403,6 @@ Status Ftl::Write(uint64_t lba, std::span<const uint8_t> data,
   if (data.size() > config_.nand.page_size_bytes) {
     return Status(StatusCode::kInvalidArgument, "payload exceeds page size");
   }
-  obs::ScopedLatency timer(clock_, &write_latency_);
   // Fresh host data supersedes any corruption: never tainted.
   return AppendPage(lba, data, directive, AppendKind::kHostWrite, /*tainted=*/false);
 }
@@ -526,7 +526,6 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
 }
 
 Result<FtlReadResult> Ftl::Read(uint64_t lba) {
-  obs::ScopedLatency timer(clock_, &read_latency_);
   const auto loc = l2p_.Find(lba);
   if (!loc.has_value()) {
     return Status(StatusCode::kNotFound, "unmapped LBA");
@@ -640,7 +639,6 @@ std::optional<uint32_t> Ftl::PickGcVictim(uint32_t pool_id) const {
 
 bool Ftl::CollectGarbage(uint32_t pool_id) {
   Pool& pool = pools_[pool_id];
-  obs::ScopedLatency timer(clock_, &gc_latency_);
   const auto victim = PickGcVictim(pool_id);
   if (!victim.has_value()) {
     return false;
@@ -1015,9 +1013,6 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
   for (const auto& pool : pools_) {
     pool.stats.ToMetrics(registry, prefix + "pool." + pool.config.name + ".");
   }
-  registry.SetHistogram(prefix + "read.latency_us", read_latency_);
-  registry.SetHistogram(prefix + "write.latency_us", write_latency_);
-  registry.SetHistogram(prefix + "gc.latency_us", gc_latency_);
   // Per-handle accounting + wear variance, under every placement policy.
   for (uint32_t tag = 1; tag < stream_stats_.size(); ++tag) {
     const StreamStats& stats = stream_stats_[tag];
@@ -1029,9 +1024,12 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
     const std::string handle_prefix = prefix + "handle." + label + ".";
     registry.SetCounter(handle_prefix + "host_writes", stats.host_writes);
     registry.SetCounter(handle_prefix + "nand_writes", stats.nand_writes);
-    registry.SetGauge(handle_prefix + "write_amplification", stats.WriteAmplification());
+    if (stats.host_writes > 0) {
+      registry.SetGauge(handle_prefix + "write_amplification",
+                        static_cast<double>(stats.nand_writes) /
+                            static_cast<double>(stats.host_writes));
+    }
   }
-  registry.SetGauge(prefix + "placement.pec_variance", PecVariance());
   for (uint32_t pool_id = 0; pool_id < pools_.size(); ++pool_id) {
     registry.SetGauge(prefix + "placement.pool." + pools_[pool_id].config.name +
                           ".pec_variance",

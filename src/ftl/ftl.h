@@ -175,8 +175,8 @@ class FtlStats {
   }
 
   // Registers one counter per field under `prefix` ("ftl." for the
-  // aggregate, "ftl.pool.<name>." per pool) plus a write-amplification
-  // gauge, in ForEachCounter order.
+  // aggregate, "ftl.pool.<name>." per pool) in ForEachCounter order, then a
+  // write-amplification gauge if host_writes > 0.
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) const;
 
   bool operator==(const FtlStats&) const = default;
@@ -349,11 +349,12 @@ class Ftl {
   NandDevice& nand() { return nand_; }
   const NandDevice& nand() const { return nand_; }
 
-  // Registers aggregate + per-pool counters and the simulated-latency
-  // histograms under `prefix` (metric names: ftl.*, ftl.pool.<name>.*),
-  // then per-handle accounting
+  // Registers aggregate + per-pool counters under `prefix` (metric names:
+  // ftl.*, ftl.pool.<name>.*), then per-handle accounting
   // (ftl.handle.<label>.{host_writes,nand_writes,write_amplification}) and
-  // wear variance (ftl.placement.pec_variance, per-pool variants).
+  // per-pool wear variance (ftl.placement.pool.<name>.pec_variance). A
+  // write_amplification gauge is exported only where host_writes > 0: a
+  // pool or handle that only receives relocated data has no ratio.
   void ToMetrics(obs::MetricRegistry& registry, const std::string& prefix = "ftl.") const;
 
   // --- Placement streams (per-handle accounting) ---------------------------
@@ -366,11 +367,6 @@ class Ftl {
     std::string name;           // metric label; empty = never registered
     uint64_t host_writes = 0;   // pages written via a directive with this tag
     uint64_t nand_writes = 0;   // + relocations of pages carrying this tag
-    double WriteAmplification() const {
-      return host_writes > 0
-                 ? static_cast<double>(nand_writes) / static_cast<double>(host_writes)
-                 : 0.0;
-    }
   };
 
   // Names a stream tag for metric export (idempotent; re-registration
@@ -641,11 +637,6 @@ class Ftl {
   std::vector<SimTimeUs> block_last_write_;
   CapacityListener capacity_listener_;
   obs::TraceSink* trace_ = nullptr;
-  // Simulated-time latency distributions for the host-facing entry points
-  // and for whole GC passes (see obs/scoped_latency.h).
-  obs::Histogram read_latency_ = obs::Histogram::LatencyUs();
-  obs::Histogram write_latency_ = obs::Histogram::LatencyUs();
-  obs::Histogram gc_latency_ = obs::Histogram::LatencyUs();
   bool in_relocation_ = false;  // guards GC re-entry
   uint64_t last_exported_pages_ = 0;
   // Monotonic write sequence stamped into every page's OOB; recovery picks

@@ -60,40 +60,6 @@ void AppendRow(std::string& out, const MetricRow& row) {
 
 }  // namespace
 
-// --- Histogram ---------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper_bounds)) {
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    assert(bounds_[i - 1] < bounds_[i] && "histogram bounds must be strictly ascending");
-  }
-  buckets_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Observe(double v) {
-  ++buckets_[BucketIndex(bounds_, v)];
-  ++count_;
-  sum_ += v;
-}
-
-Histogram Histogram::LatencyUs() {
-  return Histogram({10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-                    25000.0, 50000.0, 100000.0});
-}
-
-Histogram Histogram::Rber() {
-  return Histogram({1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1});
-}
-
-Histogram Histogram::FromParts(std::vector<double> bounds, std::vector<uint64_t> buckets,
-                               uint64_t count, double sum) {
-  Histogram h(std::move(bounds));
-  assert(buckets.size() == h.bounds_.size() + 1 && "bucket count must match bounds + overflow");
-  h.buckets_ = std::move(buckets);
-  h.count_ = count;
-  h.sum_ = sum;
-  return h;
-}
-
 // --- MetricRegistry ----------------------------------------------------------
 
 MetricRow& MetricRegistry::Slot(const std::string& name, MetricKind kind) {
@@ -117,12 +83,15 @@ void MetricRegistry::SetGauge(const std::string& name, double value) {
   Slot(name, MetricKind::kGauge).gauge = value;
 }
 
-void MetricRegistry::SetHistogram(const std::string& name, const Histogram& histogram) {
+void MetricRegistry::SetHistogram(const std::string& name, const std::vector<double>& bounds,
+                                  const std::vector<uint64_t>& buckets, uint64_t count,
+                                  double sum) {
+  assert(buckets.size() == bounds.size() + 1 && "bucket count must match bounds + overflow");
   MetricRow& row = Slot(name, MetricKind::kHistogram);
-  row.bounds = histogram.bounds();
-  row.buckets = histogram.buckets();
-  row.count = histogram.count();
-  row.sum = histogram.sum();
+  row.bounds = bounds;
+  row.buckets = buckets;
+  row.count = count;
+  row.sum = sum;
 }
 
 void MetricRegistry::Append(const MetricsSnapshot& snapshot, const std::string& prefix) {

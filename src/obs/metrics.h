@@ -9,11 +9,10 @@
 // the JSON rendered from a registry is byte-identical across reruns and for
 // any --jobs value, because nothing about it depends on hash order, wall
 // clock, or thread scheduling. Names follow `layer.component.metric`
-// (e.g. "ftl.pool.SYS.gc_relocations", "flash.die.read.rber").
+// (e.g. "ftl.pool.SYS.gc_relocations", "fleet.lifetime_years").
 //
 // Time never enters this layer except as *simulated* time carried in by the
-// caller (see scoped_latency.h); soslint R2 applies to obs like any other
-// library.
+// caller; soslint R2 applies to obs like any other library.
 
 #ifndef SOS_SRC_OBS_METRICS_H_
 #define SOS_SRC_OBS_METRICS_H_
@@ -27,55 +26,6 @@
 #include "src/common/status.h"
 
 namespace sos::obs {
-
-// The bucket rule every fixed-bucket histogram in the tree shares: the index
-// of the first of the ascending `upper_bounds` that is >= v, or
-// upper_bounds.size() (the overflow bucket) when none is.
-inline size_t BucketIndex(const std::vector<double>& upper_bounds, double v) {
-  for (size_t i = 0; i < upper_bounds.size(); ++i) {
-    if (v <= upper_bounds[i]) {
-      return i;
-    }
-  }
-  return upper_bounds.size();
-}
-
-// Fixed-bucket histogram. Buckets are defined by ascending inclusive upper
-// bounds; one implicit overflow bucket catches everything above the last
-// bound. Bounds are fixed at construction -- never derived from observed
-// data -- so two runs that see the same samples render the same buckets.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  // Records `v` in bucket BucketIndex(bounds(), v).
-  void Observe(double v);
-
-  // bounds().size() + 1 counts; the last one is the overflow bucket.
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::vector<uint64_t>& buckets() const { return buckets_; }
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-
-  // Canonical bucket sets. Latency buckets cover device ops (~10us page
-  // reads) through multi-ms erases and GC stalls; RBER buckets cover the
-  // error model's 1e-8 .. 1e-1 range in decade steps.
-  static Histogram LatencyUs();
-  static Histogram Rber();
-
-  // Rebuilds a histogram from exported state (bounds/buckets/count/sum as a
-  // MetricRow carries them). Observe() cannot reproduce exact per-bucket
-  // counts, so state kept in another form (the fleet ledger's fixed-point
-  // histograms) comes back through here.
-  static Histogram FromParts(std::vector<double> bounds, std::vector<uint64_t> buckets,
-                             uint64_t count, double sum);
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> buckets_;  // bounds_.size() + 1, last = overflow
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-};
 
 enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
 
@@ -114,7 +64,11 @@ class MetricRegistry {
   // these at export time.
   void SetCounter(const std::string& name, uint64_t value);
   void SetGauge(const std::string& name, double value);
-  void SetHistogram(const std::string& name, const Histogram& histogram);
+  // A histogram row from its parts: `buckets` holds bounds.size() + 1
+  // counts for the ascending, inclusive upper `bounds`; the last is the
+  // overflow bucket.
+  void SetHistogram(const std::string& name, const std::vector<double>& bounds,
+                    const std::vector<uint64_t>& buckets, uint64_t count, double sum);
 
   // Copies snapshot rows into this registry (each name prefixed with
   // `prefix`), preserving their order. Lets a result captured in a worker

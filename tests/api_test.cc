@@ -260,8 +260,8 @@ TEST(StatsSurfaceTest, FtlToMetricsExportsPoolsAndLatencies) {
   EXPECT_NE(json.find("\"ftl.pool.SYS.host_writes\""), std::string::npos);
   EXPECT_NE(json.find("\"ftl.pool.SPARE.host_writes\""), std::string::npos);
   EXPECT_NE(json.find("\"ftl.write_amplification\""), std::string::npos);
-  EXPECT_NE(json.find("\"ftl.write.latency_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"flash.die.read.rber\""), std::string::npos);
+  EXPECT_NE(json.find("\"ftl.placement.pool.SYS.pec_variance\""), std::string::npos);
+  EXPECT_NE(json.find("\"flash.die.reads\""), std::string::npos);
 
   // Two exports of the same device state are byte-identical.
   obs::MetricRegistry again;
@@ -285,7 +285,7 @@ TEST(StatsSurfaceTest, LifetimeResultToMetricsCarriesDeviceRows) {
   EXPECT_NE(json.find("\"dev.sim.host_bytes_written\""), std::string::npos);
   EXPECT_NE(json.find("\"dev.sos.daemon.activations\""), std::string::npos);
   EXPECT_NE(json.find("\"dev.ftl.pool."), std::string::npos);
-  EXPECT_NE(json.find("\"dev.flash.die.read.rber\""), std::string::npos);
+  EXPECT_NE(json.find("\"dev.flash.die.reads\""), std::string::npos);
   EXPECT_NE(json.find("\"dev.obs.trace.events\""), std::string::npos);
   // 10 days x 3 daemons (migration + monitor + autodelete run checks daily).
   EXPECT_GT(result.daemon_activations(), 0u);

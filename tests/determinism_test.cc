@@ -205,7 +205,7 @@ TEST(DeterminismTest, TelemetryExportBytesAreScheduleInvariant) {
     // match as two empty documents.
     EXPECT_NE(serial_metrics.find("sim.host_bytes_written"), std::string::npos);
     EXPECT_NE(serial_metrics.find("ftl.pool."), std::string::npos);
-    EXPECT_NE(serial_metrics.find("flash.die.read.rber"), std::string::npos);
+    EXPECT_NE(serial_metrics.find("flash.die.reads"), std::string::npos);
     EXPECT_NE(serial_metrics.find("sos.daemon.activations"), std::string::npos);
   }
 }
@@ -297,7 +297,7 @@ TEST(DeterminismTest, PerHandleMetricsAreScheduleInvariant) {
   EXPECT_EQ(metrics, BatchMetricsJson(serial));
   EXPECT_NE(metrics.find("ftl.handle."), std::string::npos);
   EXPECT_NE(metrics.find(".write_amplification"), std::string::npos);
-  EXPECT_NE(metrics.find("ftl.placement.pec_variance"), std::string::npos);
+  EXPECT_NE(metrics.find("sim.pec_variance"), std::string::npos);
   EXPECT_NE(metrics.find("sim.bytes_served"), std::string::npos);
 }
 

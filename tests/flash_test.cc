@@ -391,15 +391,16 @@ TEST(NandDeviceTest, StatsAccumulate) {
   EXPECT_EQ(stats.reads, 1u);
   EXPECT_EQ(stats.erases, 1u);
   EXPECT_GT(stats.busy_us, 0u);
-  // The byte rows are the op counts times the page size.
+  // The exported op rows are the counters.
   obs::MetricRegistry registry;
   device.ToMetrics(registry, "flash.die.");
   std::map<std::string, uint64_t> counters;
   for (const obs::MetricRow& row : registry.Snapshot()) {
     counters[row.name] = row.counter;
   }
-  EXPECT_EQ(counters["flash.die.bytes_programmed"], 512u);
-  EXPECT_EQ(counters["flash.die.bytes_read"], 512u);
+  EXPECT_EQ(counters["flash.die.programs"], 1u);
+  EXPECT_EQ(counters["flash.die.reads"], 1u);
+  EXPECT_EQ(counters["flash.die.erases"], 1u);
 }
 
 TEST(NandDeviceTest, MetadataOnlyModeStillCountsErrors) {

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 #include "src/fleet/ledger.h"
 #include "src/obs/metrics.h"
-#include "src/obs/scoped_latency.h"
 #include "src/obs/trace.h"
 
 namespace sos::obs {
@@ -56,45 +55,24 @@ TEST(MetricRegistryTest, CountersAndGaugesRoundTrip) {
 }
 
 TEST(HistogramTest, BucketEdgesAreInclusiveUpperBounds) {
-  Histogram h({10.0, 100.0});
-  h.Observe(0.0);     // <= 10
-  h.Observe(10.0);    // == bound: inclusive, first bucket
-  h.Observe(10.5);    // <= 100
-  h.Observe(100.0);   // == bound: second bucket
-  h.Observe(1000.0);  // overflow bucket
-
-  ASSERT_EQ(h.buckets().size(), 3u);  // two bounds + overflow
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[1], 2u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 0.0 + 10.0 + 10.5 + 100.0 + 1000.0);
-}
-
-TEST(HistogramTest, FleetHistogramSharesTheBucketRule) {
-  // obs::Histogram and the fleet ledger's fixed-point histogram both bucket
-  // through BucketIndex; the same samples must land in the same buckets,
-  // including samples exactly on a bound and below the first one.
+  // A sample exactly on a bound lands in that bound's bucket, one below the
+  // first bound in bucket 0, and one above the last in the overflow bucket.
+  // (fleet_test covers count, sum and merge.)
   const std::vector<double> bounds = {-1.0, 0.0, 0.5, 2.0, 10.0};
-  Histogram obs(bounds);
-  fleet::FleetHistogram ledger(bounds);
+  fleet::FleetHistogram h(bounds);
   for (double v : {-5.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.5000001, 2.0, 9.99, 10.0, 10.01, 1e9}) {
-    obs.Observe(v);
-    ledger.Observe(v);
+    h.Observe(v);
   }
-  EXPECT_EQ(obs.buckets(), ledger.buckets());
-  EXPECT_EQ(obs.buckets(), (std::vector<uint64_t>{2, 2, 2, 2, 2, 2}));
-  EXPECT_EQ(BucketIndex(bounds, 10.0), 4u);
-  EXPECT_EQ(BucketIndex(bounds, 10.5), bounds.size());
+  EXPECT_EQ(h.buckets(), (std::vector<uint64_t>{2, 2, 2, 2, 2, 2}));
 }
 
 TEST(HistogramTest, SnapshotReplayPreservesBuckets) {
-  MetricRegistry source;
-  Histogram h = Histogram::LatencyUs();
+  fleet::FleetHistogram h({10.0, 100.0});
   h.Observe(5.0);
   h.Observe(75.0);
   h.Observe(1e9);  // overflow
-  source.SetHistogram("lat", h);
+  MetricRegistry source;
+  h.ToMetrics(source, "lat");
 
   // Append copies rows under the prefix; the copy must be
   // indistinguishable from the original.
@@ -107,7 +85,12 @@ TEST(HistogramTest, SnapshotReplayPreservesBuckets) {
   EXPECT_EQ(snapshot[0].count, 3u);
   EXPECT_EQ(snapshot[0].bounds, h.bounds());
   EXPECT_EQ(snapshot[0].buckets, h.buckets());
-  EXPECT_EQ(snapshot[0].sum, h.sum());
+  EXPECT_EQ(snapshot[0].sum, fleet::FromMicro(h.micro_sum()));
+
+  // Replayed without a prefix, the row renders to the same JSON bytes.
+  MetricRegistry replay;
+  replay.Append(source.Snapshot());
+  EXPECT_EQ(replay.ToJson(), source.ToJson());
 }
 
 TEST(MetricsJsonTest, RenderingIsByteStableAcrossIdenticalRegistries) {
@@ -115,9 +98,7 @@ TEST(MetricsJsonTest, RenderingIsByteStableAcrossIdenticalRegistries) {
     MetricRegistry registry;
     registry.SetCounter("sim.writes", 42);
     registry.SetGauge("sim.wear", 1.0 / 3.0);  // exercises %.17g
-    Histogram h({1.0, 2.0});
-    h.Observe(1.5);
-    registry.SetHistogram("sim.lat", h);
+    registry.SetHistogram("sim.lat", {1.0, 2.0}, {0, 1, 0}, 1, 1.5);
     return registry.ToJson();
   };
   const std::string a = build();
@@ -249,26 +230,6 @@ TEST(TraceEventTest, EqualityComparesTypeTimeAndFields) {
   EXPECT_FALSE(make(7) == extra);
   EXPECT_FALSE(make(7) == reordered);
   EXPECT_FALSE(make(7) == retyped);
-}
-
-TEST(ScopedLatencyTest, ObservesSimTimeDelta) {
-  SimClock clock;
-  Histogram h = Histogram::LatencyUs();
-  {
-    ScopedLatency timer(&clock, &h);
-    clock.Advance(40);  // lands in the <=50us bucket
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum(), 40.0);
-
-  // Null histogram / null clock are no-ops, not crashes.
-  {
-    ScopedLatency noop(nullptr, &h);
-  }
-  {
-    ScopedLatency noop(&clock, nullptr);
-  }
-  EXPECT_EQ(h.count(), 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/sos/lifetime_sim.h"
 #include "src/sos/sos_device.h"
 #include "tests/oracle/probes.h"
@@ -266,6 +267,55 @@ TEST(PerHandleExportTest, HandleRowsAddUpToDeviceWrites) {
     EXPECT_EQ(host_sum, result.ftl().host_writes());
     EXPECT_LE(nand_sum, result.ftl().nand_writes());
   }
+}
+
+TEST(PerHandleExportTest, MigratedOnlyHandleExportsNoRatio) {
+  SimClock clock;
+  SosDevice device(SmallSos(), &clock);
+  const PlacementHandle critical = device.OpenPlacement(Spec(Durability::kCritical)).value();
+  const PlacementHandle degradable =
+      device.OpenPlacement(Spec(Durability::kDegradable, LifetimeHint::kLong)).value();
+  ASSERT_TRUE(device.Write(7, Block(9), critical).ok());
+  ASSERT_TRUE(device.Reclassify(7, degradable).ok());  // the second handle only receives
+
+  obs::MetricRegistry registry;
+  device.ftl().ToMetrics(registry);
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, double> gauges;
+  for (const obs::MetricRow& row : registry.Snapshot()) {
+    if (row.kind == obs::MetricKind::kCounter) {
+      counters[row.name] = row.counter;
+    } else {
+      gauges[row.name] = row.gauge;
+    }
+  }
+  // Every handle, pool and the device: a write_amplification gauge exactly
+  // where host_writes > 0, equal to nand_writes / host_writes.
+  int with_ratio = 0;
+  int migrated_only = 0;
+  const std::string host_suffix = "host_writes";
+  for (const auto& [name, host] : counters) {
+    if (name.size() < host_suffix.size() ||
+        name.compare(name.size() - host_suffix.size(), host_suffix.size(), host_suffix) != 0) {
+      continue;
+    }
+    SCOPED_TRACE(name);
+    const std::string prefix = name.substr(0, name.size() - host_suffix.size());
+    const uint64_t nand = counters.at(prefix + "nand_writes");
+    const std::string waf = prefix + "write_amplification";
+    if (host == 0) {
+      EXPECT_FALSE(gauges.contains(waf));
+      if (prefix.rfind("ftl.handle.", 0) == 0 && nand > 0) {
+        ++migrated_only;
+      }
+    } else {
+      ASSERT_TRUE(gauges.contains(waf));
+      EXPECT_EQ(gauges.at(waf), static_cast<double>(nand) / static_cast<double>(host));
+      ++with_ratio;
+    }
+  }
+  EXPECT_EQ(migrated_only, 1);
+  EXPECT_GE(with_ratio, 3);  // the device, the SYS pool and the writing handle
 }
 
 }  // namespace

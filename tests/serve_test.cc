@@ -14,7 +14,6 @@
 
 #include "src/common/rng.h"
 #include "src/flash/fault_hook.h"
-#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/qos.h"
 #include "src/serve/server.h"
@@ -541,18 +540,6 @@ class PowerCutAtProgram : public NandFaultHook {
   uint64_t programs_ = 0;
 };
 
-// Host writes the FTL has seen (its write-latency histogram count).
-uint64_t FtlWriteCalls(const SosDevice& device) {
-  obs::MetricRegistry registry;
-  device.ftl().ToMetrics(registry);
-  for (const obs::MetricRow& row : registry.Snapshot()) {
-    if (row.name == "ftl.write.latency_us") {
-      return row.count;
-    }
-  }
-  return 0;
-}
-
 TEST(ServeServiceTest, PowerCutMidBatchFailsTheRestOfTheBatch) {
   SimClock clock;
   SosDevice device(SmallDeviceConfig(10), &clock);
@@ -571,7 +558,6 @@ TEST(ServeServiceTest, PowerCutMidBatchFailsTheRestOfTheBatch) {
   constexpr uint64_t kCut = 4;
   PowerCutAtProgram cut(kCut);
   const uint64_t programs_before = device.ftl().nand().stats().programs;
-  const uint64_t writes_before = FtlWriteCalls(device);
   const uint64_t batches_before = service.Stats().batches;
   device.ftl().nand().SetFaultHook(&cut);
   std::vector<std::future<ServeResponse>> futures;
@@ -588,12 +574,17 @@ TEST(ServeServiceTest, PowerCutMidBatchFailsTheRestOfTheBatch) {
   EXPECT_EQ(service.Stats().batches, batches_before + 1);  // one coalesced dispatch
 
   for (uint64_t lba = 0; lba < kLbas; ++lba) {
+    const Status status = futures[lba].get().status;
     const StatusCode want = lba + 1 < kCut ? StatusCode::kOk : StatusCode::kPowerLost;
-    EXPECT_EQ(futures[lba].get().status.code(), want) << "lba " << lba;
+    EXPECT_EQ(status.code(), want) << "lba " << lba;
+    // The requests after the cut never reached the dark device: each carries
+    // the cut's own status, not the "device is powered off" a dark die
+    // answers.
+    if (lba + 1 >= kCut) {
+      EXPECT_EQ(status.message(), "power cut") << "lba " << lba;
+    }
   }
   EXPECT_EQ(device.ftl().nand().stats().programs, programs_before + kCut);
-  // The requests after the cut never reached the dark device.
-  EXPECT_EQ(FtlWriteCalls(device), writes_before + kCut);
 
   ASSERT_TRUE(device.RecoverFromPowerLoss().ok());
   for (uint64_t lba = 0; lba < kLbas; ++lba) {
